@@ -40,7 +40,6 @@ class NodeProblem:
     parent_patterns_used: int = 0
     bound_hint: float = 0.0
     rng: random.Random = field(default_factory=random.Random)
-    status: str = "open"  # open | solved | pruned | infeasible | stuck
 
     def from_of(self, tid: str) -> int:
         return self.multiplicities[tid][0]
@@ -81,8 +80,7 @@ def _fractional_part(value: float) -> float:
     return max(0.0, value - floor(value + EPS_INT))
 
 
-def select_branching_pair(node: NodeProblem, x: np.ndarray,
-                          outcome=None) -> tuple[str, str]:
+def select_branching_pair(node: NodeProblem, x: np.ndarray) -> tuple[str, str]:
     """Pair (i, j) to branch on, diagonal pairs allowed.
 
     First choice: the pair with the largest |rho - round(rho)|.  Fallback when
@@ -284,8 +282,7 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
             if i != j:
                 cd[j] = cd.get(j, 0) - 1
             cd[ctype.id] = cd.get(ctype.id, 0) + 1
-            adjusted = make_column(cd, col.witness, registry,
-                                   node_scope=col.node_scope)
+            adjusted = make_column(cd, col.witness, registry)
             if not verify_layout(adjusted.witness, adjusted.counts_dict(),
                                  instance, registry):
                 raise RuntimeError("compound substitution changed the rectangle multiset")
@@ -299,8 +296,7 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
         child.columns.append(col)
 
     if fresh_activation:
-        unit = make_column({ctype.id: 1}, unit_layout, registry,
-                           node_scope=child_id)
+        unit = make_column({ctype.id: 1}, unit_layout, registry)
         if unit.key() not in seen:
             child.columns.append(unit)
 

@@ -7,9 +7,9 @@ Instance files are JSON documents::
      "items": [{"id": "t1", "width": 55, "height": 111, "from": 50}, ...]}
 
 ``to`` may be omitted per item; it is then derived from the overproduction
-rate at load time.  Solution files are JSON as well, byte-stable for a fixed
-instance and seed, and self-contained: they embed the instance so layouts can
-be re-verified later.
+rate at load time.  Solution files are JSON as well, self-contained (they
+embed the instance so layouts can be re-verified later) and free of timings,
+so a fixed instance, seed and search give the same bytes on every run.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .master import report_objective
 from .model import (InfeasibleInstanceError, Instance, InvalidInstanceError,
-                    ItemType, SolverConfig, derive_to, expand_counts)
+                    ItemType, Layout, SolverConfig, derive_to, expand_counts)
 from .oracle import OracleGuardError, exact_solve
 from .placement import verify_layout
 from .search import SearchReport, run
@@ -40,14 +40,20 @@ class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
+_KIND_NAMES = {int: "an integer", str: "a string", dict: "an object",
+               list: "a list"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(mapping, key, kind, where):
     if key not in mapping:
         raise InstanceFormatError(f"{where}.{key}: missing")
     value = mapping[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise InstanceFormatError(f"{where}.{key}: must be an integer")
-    if kind is str and not isinstance(value, str):
-        raise InstanceFormatError(f"{where}.{key}: must be a string")
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+        raise InstanceFormatError(f"{where}.{key}: must be {_KIND_NAMES[kind]}")
     return value
 
 
@@ -56,14 +62,10 @@ def parse_instance_data(data, overproduction_rate: float = 0.15,
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{where}: must be a JSON object")
     bin_spec = _require(data, "bin", dict, where)
-    if not isinstance(bin_spec, dict):
-        raise InstanceFormatError(f"{where}.bin: must be an object")
     bin_w = _require(bin_spec, "width", int, f"{where}.bin")
     bin_h = _require(bin_spec, "height", int, f"{where}.bin")
     spacing = _require(data, "spacing", int, where)
-    items = data.get("items")
-    if not isinstance(items, list):
-        raise InstanceFormatError(f"{where}.items: must be a list")
+    items = _require(data, "items", list, where)
     types = []
     for k, item in enumerate(items):
         at = f"{where}.items[{k}]"
@@ -128,19 +130,18 @@ def instance_digest(instance: Instance) -> str:
 
 
 def solution_record(report: SearchReport, cfg: SolverConfig) -> dict:
-    """Serializable run record; runtime is whole seconds so records stay
-    byte-stable across repeated identical runs."""
+    """Serializable run record.  It holds no timings, so repeated identical
+    runs give identical records."""
     instance = report.instance
     registry = report.registry  # knows the compound types the search created
     record = {
         "format": "patternpack-solution-1",
         "instance": instance_to_data(instance),
         "instance_digest": instance_digest(instance),
-        "strategy": report.strategy,
-        "seed": report.seed,
+        "strategy": cfg.node_selection,
+        "seed": cfg.rng_seed,
         "status": report.status,
         "best_bound": round(report.best_bound, 9),
-        "runtime_seconds": int(report.stats.wall_time_seconds),
         "nodes_explored": report.stats.nodes_explored,
         "columns_generated": report.stats.columns_generated,
     }
@@ -174,6 +175,23 @@ def emit_solution(report: SearchReport, cfg: SolverConfig,
         json.dumps(record, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _parse_block(block, at: str) -> tuple[Layout, dict[str, int], int]:
+    """Layout, counts and multiplicity of one record block, type-checked."""
+    if not isinstance(block, dict):
+        raise InstanceFormatError(f"{at}: must be an object")
+    counts = _require(block, "counts", dict, at)
+    for tid in counts:
+        _require(counts, tid, int, f"{at}.counts")
+    placements = []
+    for p, entry in enumerate(_require(block, "placements", list, at)):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and all(map(_is_int, entry[1:]))):
+            raise InstanceFormatError(
+                f"{at}.placements[{p}]: must be [type id, x, y]")
+        placements.append(tuple(entry))
+    return Layout(tuple(placements)), counts, _require(block, "x", int, at)
+
+
 def verify_solution_file(path: str | Path) -> list[str]:
     """Re-check an emitted record; returns a list of problems (empty = valid)."""
     problems: list[str] = []
@@ -181,6 +199,8 @@ def verify_solution_file(path: str | Path) -> list[str]:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         return [f"unreadable solution file: {exc}"]
+    if not isinstance(record, dict):
+        return ["solution record: must be a JSON object"]
     try:
         instance = parse_instance_data(record["instance"], where="instance")
     except (KeyError, InstanceFormatError, InfeasibleInstanceError) as exc:
@@ -190,16 +210,20 @@ def verify_solution_file(path: str | Path) -> list[str]:
     if record.get("patterns") is None:
         return problems  # no incumbent was found; nothing further to verify
     registry = instance.registry()
-    from .model import Layout
     totals = {t.id: 0 for t in instance.item_types}
     bins = 0
-    for k, block in enumerate(record.get("pattern_blocks", [])):
-        layout = Layout(tuple((p[0], p[1], p[2]) for p in block["placements"]))
-        counts = {tid: n for tid, n in block["counts"].items()}
+    blocks = record.get("pattern_blocks", [])
+    if not isinstance(blocks, list):
+        return problems + ["pattern_blocks: must be a list"]
+    for k, block in enumerate(blocks):
+        try:
+            layout, counts, x = _parse_block(block, f"pattern_blocks[{k}]")
+        except InstanceFormatError as exc:
+            problems.append(str(exc))
+            continue
         if not verify_layout(layout, counts, instance, registry):
             problems.append(f"pattern_blocks[{k}]: layout fails verification")
-        x = block["x"]
-        if not isinstance(x, int) or x <= 0:
+        if x <= 0:
             problems.append(f"pattern_blocks[{k}]: x must be a positive integer")
             continue
         bins += x
@@ -207,7 +231,7 @@ def verify_solution_file(path: str | Path) -> list[str]:
             totals[tid] = totals.get(tid, 0) + n * x
     if bins != record.get("bins"):
         problems.append(f"bins field ({record.get('bins')}) != sum of x ({bins})")
-    if len(record.get("pattern_blocks", [])) != record.get("patterns"):
+    if len(blocks) != record.get("patterns"):
         problems.append("patterns field does not match the number of blocks")
     for t in instance.item_types:
         if not (t.from_count <= totals.get(t.id, 0) <= t.to_count):
@@ -245,17 +269,16 @@ def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
 def _cmd_solve(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        cfg = SolverConfig(
+            c1=args.c1, c2=args.c2, time_limit_seconds=args.time_limit,
+            rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy],
+            pricing_random_sequences=args.random_sequences)
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    cfg = SolverConfig(
-        c1=args.c1, c2=args.c2, time_limit_seconds=args.time_limit,
-        rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy],
-        pricing_random_sequences=args.random_sequences,
-        overproduction_rate=args.overproduction)
+    except ValueError as exc:  # malformed file or out-of-range option
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     def show(event) -> bool:
         gap = "n/a" if event.gap is None else f"{100 * event.gap:.1f}%"
@@ -300,12 +323,12 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except ValueError as exc:  # malformed file or out-of-range option
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         result = exact_solve(instance)
     except OracleGuardError as exc:

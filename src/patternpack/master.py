@@ -26,10 +26,6 @@ class DualPrices:
     pi1: tuple[float, ...]
     pi2: tuple[float, ...]
 
-    def score(self, type_id: str) -> float:
-        i = self.type_ids.index(type_id)
-        return self.pi1[i] - self.pi2[i]
-
     def scores(self) -> dict[str, float]:
         return {tid: p1 - p2
                 for tid, p1, p2 in zip(self.type_ids, self.pi1, self.pi2)}
@@ -113,6 +109,4 @@ def solve_rmp(node, warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcom
 
 def report_objective(solution: Solution, cfg: SolverConfig) -> float:
     """Weighted objective c1 * patterns + c2 * bins of an integral solution."""
-    if not solution.integral:
-        raise ValueError("objective reporting requires an integral solution")
     return cfg.c1 * solution.patterns + cfg.c2 * solution.bins

@@ -72,6 +72,14 @@ def derive_to(from_count: int, rate: float) -> int:
     return floor(Fraction(from_count) * (1 + Fraction(str(rate))))
 
 
+def _multiset_key(constituents) -> frozenset[tuple[str, int]]:
+    """Constituent multiset with repeated ids merged, independent of order."""
+    merged: dict[str, int] = {}
+    for cid, n in constituents:
+        merged[cid] = merged.get(cid, 0) + n
+    return frozenset(merged.items())
+
+
 class TypeRegistry:
     """Append-only ordered registry of item types.
 
@@ -85,6 +93,7 @@ class TypeRegistry:
         self._index: dict[str, int] = {}
         self._expansion_cache: dict[str, tuple[str, ...]] = {}
         self._basis_cache: dict[tuple[str, frozenset[str]], dict[str, int]] = {}
+        self._compounds: dict[frozenset[tuple[str, int]], ItemType] = {}
         for t in originals:
             self.add(t)
 
@@ -93,6 +102,9 @@ class TypeRegistry:
             raise InvalidInstanceError(f"duplicate item type id {item_type.id!r}")
         self._index[item_type.id] = len(self._types)
         self._types.append(item_type)
+        if item_type.is_compound:
+            self._compounds.setdefault(
+                _multiset_key(item_type.constituents), item_type)
 
     def __contains__(self, type_id: str) -> bool:
         return type_id in self._index
@@ -115,9 +127,6 @@ class TypeRegistry:
             return self._index[type_id]
         except KeyError:
             raise RegistryError(f"unknown item type {type_id!r}") from None
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self._types)
 
     def expansion(self, type_id: str) -> tuple[str, ...]:
         """Original type ids realizing one unit of ``type_id``.
@@ -178,17 +187,9 @@ class TypeRegistry:
         return out
 
     def find_compound(self, i: str, j: str) -> ItemType | None:
-        """Existing compound whose constituents are exactly one i and one j (two i if i == j)."""
-        want = {i: 2} if i == j else {i: 1, j: 1}
-        for t in self._types:
-            if not t.is_compound:
-                continue
-            have: dict[str, int] = {}
-            for cid, n in t.constituents:
-                have[cid] = have.get(cid, 0) + n
-            if have == want:
-                return t
-        return None
+        """First registered compound whose constituents are exactly one i and
+        one j (two i if i == j)."""
+        return self._compounds.get(_multiset_key(((i, 1), (j, 1))))
 
 
 def expand_counts(counts: Mapping[str, int], registry: TypeRegistry) -> dict[str, int]:
@@ -294,7 +295,6 @@ class Column:
 
     counts: tuple[tuple[str, int], ...]
     witness: Layout
-    node_scope: int = 0
 
     def counts_dict(self) -> dict[str, int]:
         return dict(self.counts)
@@ -311,11 +311,11 @@ class Column:
 
 
 def make_column(counts: Mapping[str, int], witness: Layout,
-                registry: TypeRegistry, node_scope: int = 0) -> Column:
+                registry: TypeRegistry) -> Column:
     """Column with counts canonicalized to registry order, zeros dropped."""
     items = sorted(((tid, n) for tid, n in counts.items() if n > 0),
                    key=lambda kv: registry.order(kv[0]))
-    return Column(counts=tuple(items), witness=witness, node_scope=node_scope)
+    return Column(counts=tuple(items), witness=witness)
 
 
 def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int, ...]:
@@ -331,8 +331,6 @@ class Solution:
     s: tuple[tuple[str, int], ...]               # produced totals, original types
     bins: int
     patterns: int
-    objective_report: float
-    integral: bool = True
 
     def totals(self) -> dict[str, int]:
         return dict(self.s)
@@ -344,12 +342,10 @@ class SolverConfig:
 
     c1: float = 1.0                      # weight on distinct patterns
     c2: float = 1.0                      # weight on bins
-    M: int | None = None                 # reporting bound; defaults to max to_j
     time_limit_seconds: float | None = None
     rng_seed: int = 0
     node_selection: str = "heuristic_min_heap"  # or "depth_first"
     pricing_random_sequences: int = 8
-    overproduction_rate: float = 0.15
 
     def __post_init__(self) -> None:
         if self.c1 <= 0 or self.c2 <= 0:
@@ -358,16 +354,6 @@ class SolverConfig:
             raise ValueError(f"unknown node selection {self.node_selection!r}")
         if self.pricing_random_sequences < 0:
             raise ValueError("pricing_random_sequences must be >= 0")
-        if self.overproduction_rate < 0:
-            raise ValueError("overproduction_rate must be >= 0")
-
-    def effective_m(self, instance: Instance) -> int:
-        m = self.M if self.M is not None else max(
-            (t.to_count for t in instance.item_types), default=1)
-        top = max((t.to_count for t in instance.item_types), default=0)
-        if m < top:
-            raise ValueError(f"M ({m}) must be >= the largest to ({top})")
-        return max(m, 1)
 
 
 def node_rng(seed: int, node_id: int) -> random.Random:

@@ -133,7 +133,7 @@ def greedy_fill(sequence: PricingSequence, node, instance: Instance,
         return None
     witness = Layout(tuple(
         (oid, x, y) for oid, (x, y, _, _) in zip(placed_ids, packer.placements())))
-    return make_column(counts, witness, registry, node_scope=node.id)
+    return make_column(counts, witness, registry)
 
 
 def price(node, duals: DualPrices, instance: Instance, cfg: SolverConfig,

@@ -1,11 +1,11 @@
 """Branch-and-price driver: per-node column generation, node selection,
 incumbent management, bounds and gap reporting.
 
-Node selection is either depth-first (stack) or the pattern-minimizing
-heuristic: children enter a min-heap keyed by the number of patterns their
-parent's solution used, ties by insertion order.  Because pricing is
-heuristic, node LP values are not certified lower bounds; the reported gap
-is labeled heuristic everywhere.
+Open nodes wait in one min-heap.  Depth-first selection pops the newest
+node first; the pattern-minimizing heuristic pops the node whose parent's
+solution used the fewest patterns, ties by insertion order.  Because
+pricing is heuristic, node LP values are not certified lower bounds; the
+reported gap is labeled heuristic everywhere.
 """
 
 import heapq
@@ -51,8 +51,6 @@ class SearchReport:
     best_bound: float
     gap: float | None          # heuristic: pricing gives no certified bound
     stats: SearchStats
-    strategy: str
-    seed: int
     status: str                # complete | time_limit | stopped | infeasible
     instance: Instance
     registry: TypeRegistry     # includes compound types created while branching
@@ -94,8 +92,7 @@ def initial_columns(instance: Instance, registry: TypeRegistry | None = None,
 
 def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
                       registry: TypeRegistry, deadline: float | None = None,
-                      stats: SearchStats | None = None,
-                      on_rmp: Callable | None = None) -> RmpSolveOutcome | None:
+                      stats: SearchStats | None = None) -> RmpSolveOutcome | None:
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  None means the node's master is infeasible."""
     stats = stats if stats is not None else SearchStats()
@@ -108,8 +105,6 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
         stats.max_duality_residual = max(stats.max_duality_residual,
                                          outcome.duality_residual)
         stats.max_cs_residual = max(stats.max_cs_residual, outcome.cs_residual)
-        if on_rmp is not None:
-            on_rmp(node, outcome)
         if deadline is not None and time.monotonic() >= deadline:
             return outcome
         fresh = price(node, outcome.duals, instance, cfg, registry)
@@ -121,8 +116,7 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
 
 
 def _extract_solution(node: NodeProblem, outcome: RmpSolveOutcome,
-                      instance: Instance, registry: TypeRegistry,
-                      cfg: SolverConfig) -> Solution:
+                      instance: Instance, registry: TypeRegistry) -> Solution:
     xs = np.rint(outcome.x).astype(int)
     assignments = tuple((col, int(k))
                         for col, k in zip(node.columns, xs) if k > 0)
@@ -141,8 +135,7 @@ def _extract_solution(node: NodeProblem, outcome: RmpSolveOutcome,
     return Solution(
         assignments=assignments,
         s=tuple(sorted(totals.items(), key=lambda kv: registry.order(kv[0]))),
-        bins=bins, patterns=patterns,
-        objective_report=cfg.c1 * patterns + cfg.c2 * bins, integral=True)
+        bins=bins, patterns=patterns)
 
 
 def _relative_gap(incumbent_bins: int | None, best_bound: float) -> float | None:
@@ -154,47 +147,38 @@ def _relative_gap(incumbent_bins: int | None, best_bound: float) -> float | None
 
 
 class _OpenNodes:
-    """Stack for depth-first, min-heap on parent patterns-used otherwise."""
+    """Min-heap of open nodes.  The n-th push gets the key (0, -n) under
+    depth-first selection, so the newest node pops first, and
+    (parent_patterns_used, n) otherwise."""
 
     def __init__(self, strategy: str):
         self.depth_first = strategy == "depth_first"
-        self._stack: list[NodeProblem] = []
         self._heap: list[tuple[int, int, NodeProblem]] = []
         self._counter = 0
 
     def push(self, node: NodeProblem) -> None:
-        if self.depth_first:
-            self._stack.append(node)
-        else:
-            heapq.heappush(self._heap, (node.parent_patterns_used,
-                                        self._counter, node))
-            self._counter += 1
+        key = (0, -self._counter) if self.depth_first else \
+            (node.parent_patterns_used, self._counter)
+        heapq.heappush(self._heap, (*key, node))
+        self._counter += 1
 
     def pop(self) -> NodeProblem:
-        if self.depth_first:
-            return self._stack.pop()
         return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
-        return len(self._stack) + len(self._heap)
+        return len(self._heap)
 
     def min_bound(self) -> float | None:
-        nodes = self._stack if self.depth_first else [e[2] for e in self._heap]
-        if not nodes:
-            return None
-        return min(n.bound_hint for n in nodes)
+        return min((e[2].bound_hint for e in self._heap), default=None)
 
 
 def run(instance: Instance, cfg: SolverConfig,
-        progress: ProgressCallback | None = None,
-        on_branch: Callable | None = None,
-        on_rmp: Callable | None = None) -> SearchReport:
+        progress: ProgressCallback | None = None) -> SearchReport:
     """Full branch-and-price search; returns the incumbent and a report.
 
     Deterministic for a fixed instance, seed and strategy when no time limit
     interferes.  The progress callback may return True to stop early.
     """
-    cfg.effective_m(instance)  # validate M against the instance
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \
         if cfg.time_limit_seconds is not None else None
@@ -237,15 +221,12 @@ def run(instance: Instance, cfg: SolverConfig,
         node = open_nodes.pop()
         stats.nodes_explored += 1
         outcome = column_generation(node, instance, cfg, registry,
-                                    deadline=deadline, stats=stats,
-                                    on_rmp=on_rmp)
+                                    deadline=deadline, stats=stats)
         if outcome is None:
-            node.status = "infeasible"
             continue
-        node.status = "solved"
         node.bound_hint = outcome.bins
         if not outcome.fractional:
-            candidate = _extract_solution(node, outcome, instance, registry, cfg)
+            candidate = _extract_solution(node, outcome, instance, registry)
             if incumbent is None or (candidate.bins, candidate.patterns) < \
                     (incumbent.bins, incumbent.patterns):
                 incumbent = candidate
@@ -256,16 +237,14 @@ def run(instance: Instance, cfg: SolverConfig,
             continue
         if incumbent is not None and \
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
-            node.status = "pruned"
             continue
         if deadline is not None and time.monotonic() >= deadline:
             open_nodes.push(node)  # keep its bound visible in the report
             status = "time_limit"
             break
         try:
-            i, j = select_branching_pair(node, outcome.x, outcome)
+            i, j = select_branching_pair(node, outcome.x)
         except BranchingStuck:
-            node.status = "stuck"
             stats.stuck_nodes += 1
             continue
         patterns_used = int(np.sum(outcome.x > EPS_INT))
@@ -283,8 +262,6 @@ def run(instance: Instance, cfg: SolverConfig,
             child.parent_patterns_used = patterns_used
             child.bound_hint = outcome.bins
             open_nodes.push(child)
-        if on_branch is not None:
-            on_branch(node, (i, j), left, right)
         if stats.nodes_explored % 50 == 0:
             low = open_nodes.min_bound()
             if emit(outcome.bins if low is None else low):
@@ -302,6 +279,5 @@ def run(instance: Instance, cfg: SolverConfig,
     gap = _relative_gap(incumbent.bins if incumbent else None, best_bound)
     emit(best_bound)
     return SearchReport(solution=incumbent, best_bound=best_bound, gap=gap,
-                        stats=stats, strategy=cfg.node_selection,
-                        seed=cfg.rng_seed, status=status, instance=instance,
+                        stats=stats, status=status, instance=instance,
                         registry=registry)

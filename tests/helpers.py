@@ -33,7 +33,7 @@ def build_node(instance, counts_list, registry=None, mult=None,
         layout = place_counts(counts, order, instance, registry)
         if layout is None:
             raise AssertionError(f"test column {counts} does not fit one bin")
-        cols.append(make_column(counts, layout, registry, node_id))
+        cols.append(make_column(counts, layout, registry))
     return NodeProblem(id=node_id, parent_id=None, depth=0,
                        multiplicities=mult, columns=cols, registry=registry,
                        rules=rules, rng=node_rng(seed, node_id))

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import patternpack
 from patternpack.cli import (InstanceFormatError, emit_solution,
                              instance_digest, instance_to_data, main,
                              parse_instance, parse_instance_data,
@@ -88,6 +91,8 @@ def test_emit_is_byte_stable(tmp_path):
     emit_solution(report1, cfg, a)
     emit_solution(report2, cfg, b)
     assert a.read_bytes() == b.read_bytes()
+    record = json.loads(a.read_text())
+    assert not [key for key in record if "time" in key or "second" in key]
 
 
 def test_verify_flags_broken_layout(tmp_path):
@@ -97,6 +102,37 @@ def test_verify_flags_broken_layout(tmp_path):
     block["placements"].pop()  # layout no longer matches the counts
     out = tmp_path / "sol.json"
     out.write_text(json.dumps(record))
+    assert verify_solution_file(out) != []
+
+
+def _set_block(field, value):
+    """Tamper: set (or, for None, delete) a field of the first block."""
+    def tamper(record):
+        block = record["pattern_blocks"][0]
+        if value is None:
+            del block[field]
+        else:
+            block[field] = value
+        return record
+    return tamper
+
+
+def _block_not_an_object(record):
+    record["pattern_blocks"][0] = ["t1", 0, 0]
+    return record
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_block("x", None), _set_block("x", True),
+    _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
+    _block_not_an_object, lambda record: [record],
+])
+def test_verify_reports_malformed_records(tmp_path, tamper):
+    report, cfg = _solved_report(1)
+    record = solution_record(report, cfg)
+    assert record["pattern_blocks"][0]["x"] == 1
+    out = tmp_path / "sol.json"
+    out.write_text(json.dumps(tamper(record)))
     assert verify_solution_file(out) != []
 
 
@@ -123,7 +159,7 @@ def test_render_pattern_svg(tmp_path):
     assert text.count("<rect") == 1 + len(record["pattern_blocks"][0]["placements"])
 
 
-def test_cli_solve_exit_codes(tmp_path):
+def test_cli_solve_exit_codes(tmp_path, capsys):
     inst_file = tmp_path / "inst.json"
     inst_file.write_text(json.dumps({
         "bin": {"width": 10, "height": 10}, "spacing": 0,
@@ -143,6 +179,13 @@ def test_cli_solve_exit_codes(tmp_path):
         "items": [{"id": "A", "width": 50, "height": 5, "from": 1}],
     }))
     assert main(["solve", str(giant), "--quiet"]) == 3
+    for bad in (["--c1", "0"], ["--c2", "-1"], ["--random-sequences", "-1"],
+                ["--overproduction", "-1"]):
+        assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
+        assert "error:" in capsys.readouterr().err
+    assert main(["solve", str(giant), "--quiet", "--c1", "0"]) == 3
+    assert main(["oracle", "r1", "--overproduction", "-1"]) == 4
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):
@@ -157,8 +200,12 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child must import the same patternpack as this process
+    src = str(Path(patternpack.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "patternpack.cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "solve" in proc.stdout

@@ -100,21 +100,13 @@ def test_duality_residuals_small():
 
 
 def _solution(patterns, bins):
-    return Solution(assignments=(), s=(), bins=bins, patterns=patterns,
-                    objective_report=0.0, integral=True)
+    return Solution(assignments=(), s=(), bins=bins, patterns=patterns)
 
 
 def test_report_objective_values():
     assert report_objective(_solution(4, 19), SolverConfig()) == 23
     assert report_objective(_solution(0, 0), SolverConfig()) == 0
     assert report_objective(_solution(6, 55), SolverConfig(c1=2.0, c2=1.0)) == 67
-
-
-def test_report_objective_rejects_fractional():
-    frac = Solution(assignments=(), s=(), bins=3, patterns=2,
-                    objective_report=0.0, integral=False)
-    with pytest.raises(ValueError):
-        report_objective(frac, SolverConfig())
 
 
 def test_relaxation_ignores_weights():

@@ -91,10 +91,17 @@ def test_registry_rejects_duplicate_ids():
 
 
 def test_find_compound_matches_pair_and_diagonal():
-    reg = _registry(ItemType("A", 2, 3, 0, 9), ItemType("B", 1, 1, 0, 9))
-    reg.add(ItemType("AB", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
-    reg.add(ItemType("AA", constituents=(("A", 2),), from_count=1, to_count=1))
-    assert reg.find_compound("A", "B").id == "AB"
-    assert reg.find_compound("B", "A").id == "AB"
-    assert reg.find_compound("A", "A").id == "AA"
-    assert reg.find_compound("B", "B") is None
+    cases = [
+        ((("AB", (("A", 1), ("B", 1))), ("AA", (("A", 2),))),
+         {("A", "B"): "AB", ("B", "A"): "AB", ("A", "A"): "AA", ("B", "B"): None}),
+        # a 3-item compound registered first must not match the pair
+        ((("BBA", (("B", 2), ("A", 1))), ("BA", (("B", 1), ("A", 1)))),
+         {("A", "B"): "BA", ("B", "A"): "BA", ("A", "A"): None, ("B", "B"): None}),
+    ]
+    for compounds, expected in cases:
+        reg = _registry(ItemType("A", 2, 3, 0, 9), ItemType("B", 1, 1, 0, 9))
+        for cid, constituents in compounds:
+            reg.add(ItemType(cid, constituents=constituents, from_count=1, to_count=1))
+        for (i, j), want in expected.items():
+            found = reg.find_compound(i, j)
+            assert (found.id if found else None) == want, (compounds, i, j)

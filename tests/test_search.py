@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from patternpack.master import solve_rmp
+from patternpack.branching import NodeProblem
+from patternpack.master import report_objective, solve_rmp
 from patternpack.model import Instance, ItemType, SolverConfig
 from patternpack.placement import verify_layout
-from patternpack.search import column_generation, initial_columns, run
+from patternpack.search import (_OpenNodes, column_generation,
+                                initial_columns, run)
 
 from helpers import build_node, tiny_instance
 
@@ -71,7 +73,7 @@ def test_run_zero_demand():
     rep = run(inst, SolverConfig())
     assert rep.solution.bins == 0
     assert rep.solution.patterns == 0
-    assert rep.solution.objective_report == 0.0
+    assert report_objective(rep.solution, SolverConfig()) == 0.0
 
 
 def test_run_incumbent_verifies_and_meets_ranges():
@@ -139,3 +141,25 @@ def test_progress_callback_can_stop_the_run():
     rep = run(inst, SolverConfig(), progress=stop_at_first_incumbent)
     assert rep.solution is not None
     assert rep.status in ("stopped", "complete")
+
+
+@pytest.mark.parametrize("strategy, expected", [
+    ("depth_first", [4, 3, 2, 1, 0]),
+    # (parent_patterns_used, insertion) order
+    ("heuristic_min_heap", [1, 3, 0, 4, 2]),
+])
+def test_open_nodes_pop_order_and_min_bound(strategy, expected):
+    queue = _OpenNodes(strategy)
+    assert len(queue) == 0 and queue.min_bound() is None
+    for k, (used, hint) in enumerate([(5, 3.0), (2, 7.5), (9, 1.25),
+                                      (2, 4.0), (5, 6.0)]):
+        node = NodeProblem(id=k, parent_id=None, depth=0, multiplicities={},
+                           columns=[], registry=None, parent_patterns_used=used,
+                           bound_hint=hint)
+        queue.push(node)
+    assert queue.min_bound() == 1.25
+    order = []
+    while len(queue):
+        order.append(queue.pop().id)
+    assert order == expected
+    assert queue.min_bound() is None
