@@ -13,12 +13,12 @@ from math import floor
 
 import numpy as np
 
-from .master import EPS_INT
+from .master import EPS_INT, count_matrix
 from .model import (ApartRule, Column, Instance, ItemType, Layout,
                     TypeRegistry, expand_counts, make_column, node_rng,
                     violates_rules)
 from .placement import place_counts, verify_layout
-from .pricing import greedy_fill, PricingSequence
+from .pricing import greedy_fill
 
 
 class BranchingStuck(RuntimeError):
@@ -41,9 +41,6 @@ class NodeProblem:
     bound_hint: float = 0.0
     rng: random.Random = field(default_factory=random.Random)
 
-    def from_of(self, tid: str) -> int:
-        return self.multiplicities[tid][0]
-
     def to_of(self, tid: str) -> int:
         return self.multiplicities[tid][1]
 
@@ -54,26 +51,17 @@ class NodeProblem:
         return any(not r.is_cap and {r.a, r.b} == {i, j} for r in self.rules)
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric pairing weights over the node's active types, diagonal included."""
-
-    type_ids: tuple[str, ...]
-    rho: np.ndarray
-
-
-def affinity(node: NodeProblem, x: np.ndarray) -> AffinityMatrix:
+def affinity(node: NodeProblem, x: np.ndarray) -> np.ndarray:
     """How frequently items of each type pair share bins under the values x:
-    rho[i][i] = sum_l a_il (a_il - 1)/2 x_l and rho[i][j] = sum_l a_il a_jl x_l.
+    rho[i][i] = sum_l a_il (a_il - 1)/2 x_l and rho[i][j] = sum_l a_il a_jl x_l,
+    a symmetric matrix over the node's active types in registry order.
     Counts stay at node level; compounds are not expanded."""
-    type_ids = tuple(node.multiplicities.keys())
-    a = np.array([[col.count(tid) for col in node.columns] for tid in type_ids],
-                 dtype=float)
+    a = count_matrix(node)
     xv = np.asarray(x, dtype=float)
     rho = (a * xv) @ a.T
     diag = ((a * (a - 1.0) / 2.0) * xv).sum(axis=1)
     np.fill_diagonal(rho, diag)
-    return AffinityMatrix(type_ids, rho)
+    return rho
 
 
 def _fractional_part(value: float) -> float:
@@ -89,9 +77,9 @@ def select_branching_pair(node: NodeProblem, x: np.ndarray) -> tuple[str, str]:
     area type, pairing it with itself when another item of it may join a bin,
     otherwise with the column's next-largest-area type.
     """
-    aff = affinity(node, x)
-    ids = aff.type_ids
-    frac = np.abs(aff.rho - np.round(aff.rho))
+    rho = affinity(node, x)
+    ids = tuple(node.multiplicities)
+    frac = np.abs(rho - np.round(rho))
     best_val = 0.0
     best_pair: tuple[str, str] | None = None
     for p in range(len(ids)):
@@ -150,8 +138,7 @@ def _coverage_ok(node: NodeProblem, instance: Instance,
         if any(len(col.counts) == 1 and col.counts[0][0] == tid
                for col in node.columns):
             continue
-        rescue = greedy_fill(PricingSequence((tid,), "rescue"), node, instance,
-                             registry)
+        rescue = greedy_fill((tid,), node, instance, registry)
         if rescue is None or rescue.count(tid) == 0:
             return False
         if rescue.key() not in seen:

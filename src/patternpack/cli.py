@@ -181,7 +181,8 @@ def _parse_block(block, at: str) -> tuple[Layout, dict[str, int], int]:
         raise InstanceFormatError(f"{at}: must be an object")
     counts = _require(block, "counts", dict, at)
     for tid in counts:
-        _require(counts, tid, int, f"{at}.counts")
+        if _require(counts, tid, int, f"{at}.counts") < 0:
+            raise InstanceFormatError(f"{at}.counts.{tid}: must be >= 0")
     placements = []
     for p, entry in enumerate(_require(block, "placements", list, at)):
         if not (isinstance(entry, list) and len(entry) == 3

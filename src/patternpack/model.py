@@ -7,7 +7,7 @@ threads.  Serialization lives in :mod:`patternpack.cli`.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, inf
 from typing import Iterator, Mapping
 
 
@@ -223,18 +223,26 @@ class ApartRule:
     def is_cap(self) -> bool:
         return self.a == self.b
 
+    def units(self, type_id: str, registry: TypeRegistry) -> tuple[int, int]:
+        """Items of a and of b in one unit of ``type_id``, over the basis."""
+        bc = registry.basis_counts(type_id, self.basis)
+        return bc.get(self.a, 0), bc.get(self.b, 0)
+
+    def admits(self, ca: int, cb: int) -> bool:
+        """Whether a bin holding ca items of a and cb items of b obeys the rule."""
+        if self.is_cap:
+            return ca <= 1
+        return ca <= 0 or cb <= 0
+
     def violated_by(self, counts: Mapping[str, int],
                     registry: TypeRegistry) -> bool:
         ca = cb = 0
         for tid, n in counts.items():
-            if not n:
-                continue
-            bc = registry.basis_counts(tid, self.basis)
-            ca += n * bc.get(self.a, 0)
-            cb += n * bc.get(self.b, 0)
-        if self.is_cap:
-            return ca > 1
-        return ca > 0 and cb > 0
+            if n:
+                da, db = self.units(tid, registry)
+                ca += n * da
+                cb += n * db
+        return not self.admits(ca, cb)
 
 
 def violates_rules(counts: Mapping[str, int], rules,
@@ -348,8 +356,10 @@ class SolverConfig:
     pricing_random_sequences: int = 8
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
+        if not (0 < self.c1 < inf and 0 < self.c2 < inf):
+            raise ValueError("c1 and c2 must be finite and positive")
+        if self.time_limit_seconds is not None and not self.time_limit_seconds >= 0:
+            raise ValueError("time_limit_seconds must be >= 0")
         if self.node_selection not in ("heuristic_min_heap", "depth_first"):
             raise ValueError(f"unknown node selection {self.node_selection!r}")
         if self.pricing_random_sequences < 0:

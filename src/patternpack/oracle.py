@@ -43,14 +43,6 @@ class OracleProblem:
             type_ids=tuple(t.id for t in instance.item_types),
             ranges=tuple((t.from_count, t.to_count) for t in instance.item_types))
 
-    @staticmethod
-    def from_node(node, instance: Instance) -> "OracleProblem":
-        return OracleProblem(
-            instance=instance, registry=node.registry,
-            type_ids=tuple(node.multiplicities.keys()),
-            ranges=tuple(node.multiplicities[tid] for tid in node.multiplicities),
-            rules=node.rules)
-
 
 @dataclass(frozen=True)
 class OracleResult:

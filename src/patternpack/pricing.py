@@ -1,15 +1,15 @@
-"""Column generation pricing: greedy multi-sequence fills steered by dual prices.
+"""Column generation pricing: greedy multi-sequence fills steered by type scores.
 
-Several item-type sequences are built per round (score-sorted, density-sorted,
-and randomized draws); each is filled greedily by raising one type's
+A type's score is the dual of its lower master row minus the dual of its
+upper row: what one more item of the type is worth in a column.  Several
+item-type sequences are built per round (score-sorted, density-sorted, and
+randomized draws); each is filled greedily by raising one type's
 multiplicity at a time as long as the accumulated multiset still admits a
 bottom-left placement.  Columns that price out positive are kept.
 """
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .master import DualPrices
 from .model import (Column, Instance, SolverConfig, TypeRegistry, dense_counts,
                     make_column)
 from .placement import BottomLeftPacker, Layout
@@ -18,16 +18,9 @@ EPS_PRICE = 1e-9  # minimum improvement to accept a column
 EPS_PROB = 1e-9   # sampling weight floor so every type stays drawable
 
 
-@dataclass(frozen=True)
-class PricingSequence:
-    type_ids: tuple[str, ...]
-    origin: str  # "score_sorted" | "density_sorted" | "randomized:<k>"
-
-
-def reduced_cost(counts: Mapping[str, int], duals: DualPrices) -> float:
-    """-1 + sum over types of (pi1 - pi2) * count."""
+def reduced_cost(counts: Mapping[str, int], scores: Mapping[str, float]) -> float:
+    """-1 + sum over types of score * count."""
     total = -1.0
-    scores = duals.scores()
     for tid, n in counts.items():
         if n:
             total += scores.get(tid, 0.0) * n
@@ -39,8 +32,8 @@ def _eligible(node) -> list[str]:
     return [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
 
 
-def make_sequences(duals: DualPrices, node, cfg: SolverConfig,
-                   registry: TypeRegistry) -> list[PricingSequence]:
+def make_sequences(scores: Mapping[str, float], node, cfg: SolverConfig,
+                   registry: TypeRegistry) -> list[tuple[str, ...]]:
     """Score-sorted, density-sorted, and randomized type sequences.
 
     Sorting ties break by registry order; random draws are without
@@ -50,14 +43,12 @@ def make_sequences(duals: DualPrices, node, cfg: SolverConfig,
     types = _eligible(node)
     if not types:
         return []
-    scores = duals.scores()
     by_score = sorted(types, key=lambda t: (-scores.get(t, 0.0), registry.order(t)))
     by_density = sorted(
         types,
         key=lambda t: (-scores.get(t, 0.0) / registry.unit_area(t), registry.order(t)))
-    seqs = [PricingSequence(tuple(by_score), "score_sorted"),
-            PricingSequence(tuple(by_density), "density_sorted")]
-    for k in range(cfg.pricing_random_sequences):
+    seqs = [tuple(by_score), tuple(by_density)]
+    for _ in range(cfg.pricing_random_sequences):
         pool = list(types)
         weights = [max(scores.get(t, 0.0), EPS_PROB) for t in pool]
         drawn: list[str] = []
@@ -73,11 +64,11 @@ def make_sequences(duals: DualPrices, node, cfg: SolverConfig,
                     break
             drawn.append(pool.pop(pick))
             weights.pop(pick)
-        seqs.append(PricingSequence(tuple(drawn), f"randomized:{k}"))
+        seqs.append(tuple(drawn))
     return seqs
 
 
-def greedy_fill(sequence: PricingSequence, node, instance: Instance,
+def greedy_fill(sequence: tuple[str, ...], node, instance: Instance,
                 registry: TypeRegistry) -> Column | None:
     """Fill one bin along the sequence; returns the resulting column or None.
 
@@ -88,33 +79,25 @@ def greedy_fill(sequence: PricingSequence, node, instance: Instance,
     """
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing)
-    rules = list(node.rules)
-    tallies = [[0, 0] for _ in rules]  # items of (a, b) in the bin, per rule
+    # per apart rule, the items of (a, b) in the bin so far; they obey the rule
+    tallies = [(rule, [0, 0]) for rule in node.rules]
 
-    def rule_deltas(tid: str) -> list[tuple[int, int]]:
-        out = []
-        for rule in rules:
-            bc = registry.basis_counts(tid, rule.basis)
-            out.append((bc.get(rule.a, 0), bc.get(rule.b, 0)))
-        return out
-
-    def rules_permit(deltas: list[tuple[int, int]]) -> bool:
-        for rule, (ta, tb), (da, db) in zip(rules, tallies, deltas):
-            if rule.is_cap:
-                if ta + da > 1:
-                    return False
-            elif ta + da > 0 and tb + db > 0:
+    def admitted(steps: list) -> bool:
+        for rule, tally, da, db in steps:
+            if not rule.admits(tally[0] + da, tally[1] + db):
                 return False
         return True
 
     counts: dict[str, int] = {}
     placed_ids: list[str] = []
-    for tid in sequence.type_ids:
+    for tid in sequence:
         _, hi = node.multiplicities[tid]
         unit = registry.expansion(tid)
         dims = [(registry[oid].width, registry[oid].height) for oid in unit]
-        deltas = rule_deltas(tid)
-        while counts.get(tid, 0) < hi and rules_permit(deltas):
+        # only a rule that one unit of tid adds to can refuse another unit
+        steps = [(rule, tally, da, db) for rule, tally in tallies
+                 for da, db in [rule.units(tid, registry)] if da or db]
+        while counts.get(tid, 0) < hi and admitted(steps):
             mark = packer.mark()
             ok = True
             for w, h in dims:
@@ -126,7 +109,7 @@ def greedy_fill(sequence: PricingSequence, node, instance: Instance,
                 break
             counts[tid] = counts.get(tid, 0) + 1
             placed_ids.extend(unit)
-            for tally, (da, db) in zip(tallies, deltas):
+            for _, tally, da, db in steps:
                 tally[0] += da
                 tally[1] += db
     if not counts:
@@ -136,18 +119,18 @@ def greedy_fill(sequence: PricingSequence, node, instance: Instance,
     return make_column(counts, witness, registry)
 
 
-def price(node, duals: DualPrices, instance: Instance, cfg: SolverConfig,
-          registry: TypeRegistry) -> list[Column]:
+def price(node, scores: Mapping[str, float], instance: Instance,
+          cfg: SolverConfig, registry: TypeRegistry) -> list[Column]:
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
     ends column generation at this node."""
     seen = {col.key() for col in node.columns}
     fresh: list[Column] = []
-    for seq in make_sequences(duals, node, cfg, registry):
+    for seq in make_sequences(scores, node, cfg, registry):
         col = greedy_fill(seq, node, instance, registry)
         if col is None:
             continue
-        if reduced_cost(col.counts_dict(), duals) <= EPS_PRICE:
+        if reduced_cost(col.counts_dict(), scores) <= EPS_PRICE:
             continue
         if col.key() in seen:
             continue

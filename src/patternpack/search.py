@@ -22,7 +22,7 @@ from .master import EPS_INT, RmpSolveOutcome, solve_rmp
 from .model import (Column, Instance, Solution, SolverConfig, TypeRegistry,
                     expand_counts, node_rng)
 from .placement import verify_layout
-from .pricing import PricingSequence, greedy_fill, price
+from .pricing import greedy_fill, price
 
 
 @dataclass
@@ -32,8 +32,6 @@ class SearchStats:
     cg_iterations: int = 0
     stuck_nodes: int = 0
     wall_time_seconds: float = 0.0
-    max_duality_residual: float = 0.0
-    max_cs_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -75,16 +73,14 @@ def initial_columns(instance: Instance, registry: TypeRegistry | None = None,
     cols: list[Column] = []
     seen = set()
     for t in instance.item_types:
-        col = greedy_fill(PricingSequence((t.id,), "initial"), node, instance,
-                          registry)
+        col = greedy_fill((t.id,), node, instance, registry)
         if col is not None and col.key() not in seen:
             seen.add(col.key())
             cols.append(col)
     by_area = tuple(sorted(
         (t.id for t in instance.item_types),
         key=lambda tid: (-registry.unit_area(tid), registry.order(tid))))
-    mixed = greedy_fill(PricingSequence(by_area, "initial_mixed"), node,
-                        instance, registry)
+    mixed = greedy_fill(by_area, node, instance, registry)
     if mixed is not None and mixed.key() not in seen:
         cols.append(mixed)
     return cols
@@ -102,12 +98,9 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
         stats.cg_iterations += 1
         if not outcome.feasible:
             return None
-        stats.max_duality_residual = max(stats.max_duality_residual,
-                                         outcome.duality_residual)
-        stats.max_cs_residual = max(stats.max_cs_residual, outcome.cs_residual)
         if deadline is not None and time.monotonic() >= deadline:
             return outcome
-        fresh = price(node, outcome.duals, instance, cfg, registry)
+        fresh = price(node, outcome.scores, instance, cfg, registry)
         if not fresh:
             return outcome
         node.columns.extend(fresh)

@@ -18,26 +18,26 @@ def _two_type_instance(**kw):
 def test_affinity_zero_for_unit_column():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1}])
-    aff = affinity(node, np.array([1.0]))
-    assert np.allclose(aff.rho, 0.0)
+    rho = affinity(node, np.array([1.0]))
+    assert np.allclose(rho, 0.0)
 
 
 def test_affinity_formula():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2, "B": 1}])
-    aff = affinity(node, np.array([1.5]))
-    ids = aff.type_ids
+    rho = affinity(node, np.array([1.5]))
+    ids = tuple(node.multiplicities)
     a, b = ids.index("A"), ids.index("B")
-    assert aff.rho[a, a] == pytest.approx(1.5)   # 2*1/2*1.5
-    assert aff.rho[a, b] == pytest.approx(3.0)   # 2*1*1.5
-    assert aff.rho[b, b] == pytest.approx(0.0)
+    assert rho[a, a] == pytest.approx(1.5)   # 2*1/2*1.5
+    assert rho[a, b] == pytest.approx(3.0)   # 2*1*1.5
+    assert rho[b, b] == pytest.approx(0.0)
 
 
 def test_affinity_integral_for_integral_inputs():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 3, "B": 2}, {"A": 1}])
-    aff = affinity(node, np.array([2.0, 5.0]))
-    assert np.allclose(aff.rho, np.round(aff.rho))
+    rho = affinity(node, np.array([2.0, 5.0]))
+    assert np.allclose(rho, np.round(rho))
 
 
 def test_select_pair_prefers_fractional_affinity():

@@ -12,7 +12,8 @@ from patternpack.cli import (InstanceFormatError, emit_solution,
                              parse_instance, parse_instance_data,
                              render_pattern, solution_record,
                              verify_solution_file)
-from patternpack.model import InfeasibleInstanceError, SolverConfig
+from patternpack.model import (InfeasibleInstanceError, Instance, ItemType,
+                               SolverConfig)
 from patternpack.search import run
 
 from helpers import tiny_instance
@@ -122,10 +123,25 @@ def _block_not_an_object(record):
     return record
 
 
+def _negative_count_hides_overproduction(record):
+    """4 B placed against a cap of 2, offset by a count of -2 B in a block
+    that places only A: every total lands inside its range."""
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 4, 4), ItemType("B", 5, 5, 2, 2)))
+    corners = [[0, 0], [5, 0], [0, 5], [5, 5]]
+    return {**record, "instance": instance_to_data(inst),
+            "instance_digest": instance_digest(inst), "bins": 2, "patterns": 2,
+            "pattern_blocks": [
+                {"counts": {"B": 4}, "x": 1,
+                 "placements": [["B", *p] for p in corners]},
+                {"counts": {"A": 4, "B": -2}, "x": 1,
+                 "placements": [["A", *p] for p in corners]}]}
+
+
 @pytest.mark.parametrize("tamper", [
     _set_block("x", None), _set_block("x", True),
     _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
     _block_not_an_object, lambda record: [record],
+    _negative_count_hides_overproduction,
 ])
 def test_verify_reports_malformed_records(tmp_path, tamper):
     report, cfg = _solved_report(1)
@@ -182,6 +198,10 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     for bad in (["--c1", "0"], ["--c2", "-1"], ["--random-sequences", "-1"],
                 ["--overproduction", "-1"]):
         assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
+        assert "error:" in capsys.readouterr().err
+    for bad in (["--c1", "nan"], ["--c2", "inf"], ["--time-limit", "nan"],
+                ["--time-limit", "-1"]):
+        assert main(["solve", str(inst_file), "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
     assert main(["solve", str(giant), "--quiet", "--c1", "0"]) == 3
     assert main(["oracle", "r1", "--overproduction", "-1"]) == 4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patternpack.master import (DualPrices, build_rmp, report_objective,
+from patternpack.master import (build_rmp, count_matrix, report_objective,
                                 solve_rmp)
 from patternpack.model import (Instance, ItemType, Layout, Solution,
                                SolverConfig, make_column)
@@ -28,6 +28,10 @@ def test_build_rmp_shape_two_types():
     node = build_node(inst, [{"A": 1}, {"B": 2}])
     lp = build_rmp(node)
     assert lp.A.shape == (4, 2)
+    a = count_matrix(node)
+    assert a.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert np.array_equal(lp.A[0::2], -a) and np.array_equal(lp.A[1::2], a)
+    assert lp.b.tolist() == [-1.0, 2.0, 0.0, 4.0]
 
 
 def test_build_rmp_compound_gets_its_own_rows():
@@ -86,17 +90,22 @@ def test_pool_reduced_costs_nonpositive_at_optimum():
     out = solve_rmp(node)
     assert out.feasible
     for col in node.columns:
-        assert reduced_cost(col.counts_dict(), out.duals) <= 1e-9
+        assert reduced_cost(col.counts_dict(), out.scores) <= 1e-9
 
 
 def test_duality_residuals_small():
     inst = Instance(12, 12, 0, (ItemType("A", 4, 4, 2, 5), ItemType("B", 6, 6, 1, 3)))
     node = build_node(inst, [{"A": 3}, {"B": 2}, {"A": 1, "B": 1}])
     out = solve_rmp(node)
-    assert out.duality_residual <= 1e-6
-    assert out.cs_residual <= 1e-6
-    assert all(p >= 0 for p in out.duals.pi1)
-    assert all(p >= 0 for p in out.duals.pi2)
+    lp, res = build_rmp(node), out.lp_result
+    assert abs(res.objective - float(res.duals @ lp.b)) <= 1e-6  # strong duality
+    slack = lp.b - lp.A @ out.x
+    assert float(np.max(np.abs(res.duals * slack))) <= 1e-6      # rows
+    reduced = lp.c - res.duals @ lp.A
+    assert float(np.max(np.abs(reduced * out.x))) <= 1e-6        # columns
+    assert (res.duals >= 0).all()
+    assert out.scores == {"A": res.duals[0] - res.duals[1],
+                          "B": res.duals[2] - res.duals[3]}
 
 
 def _solution(patterns, bins):

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
-from patternpack.model import (InfeasibleInstanceError, Instance,
+from patternpack.model import (ApartRule, InfeasibleInstanceError, Instance,
                                InvalidInstanceError, ItemType, RegistryError,
-                               TypeRegistry, derive_to, expand_counts)
+                               TypeRegistry, derive_to, expand_counts,
+                               violates_rules)
+from patternpack.pricing import greedy_fill
+
+from helpers import build_node
 
 
 def test_derive_to_examples():
@@ -105,3 +111,28 @@ def test_find_compound_matches_pair_and_diagonal():
         for (i, j), want in expected.items():
             found = reg.find_compound(i, j)
             assert (found.id if found else None) == want, (compounds, i, j)
+
+
+def test_apart_rule_basis_sees_through_later_compounds():
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4), ItemType("B", 5, 5, 0, 4)))
+    reg = inst.registry()
+    see_through = ApartRule("A", "B", frozenset({"A", "B"}))
+    reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
+    opaque = ApartRule("A", "B", frozenset({"A", "B", "C"}))
+    cap = ApartRule("A", "A", frozenset({"A", "B"}))
+    assert see_through.units("C", reg) == (1, 1)
+    assert see_through.violated_by({"C": 1}, reg)
+    assert opaque.units("C", reg) == (0, 0)
+    assert not opaque.violated_by({"C": 1}, reg)
+    assert opaque.violated_by({"C": 1, "A": 1, "B": 1}, reg)
+    assert cap.admits(1, 1) and cap.admits(1, 0)
+    assert not cap.admits(2, 2)
+    assert cap.violated_by({"C": 1, "A": 1}, reg)
+
+    node = build_node(inst, [], registry=reg,
+                      mult={"A": (0, 4), "B": (0, 4), "C": (0, 1)})
+    for rule, c_placed in ((see_through, 0), (opaque, 1), (cap, 1)):
+        ruled = replace(node, rules=frozenset({rule}))
+        col = greedy_fill(("C", "A", "B"), ruled, inst, reg)
+        assert col is not None and col.count("C") == c_placed, rule
+        assert not violates_rules(col.counts_dict(), ruled.rules, reg), rule

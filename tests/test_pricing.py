@@ -1,24 +1,18 @@
 import pytest
 
-from patternpack.master import DualPrices
 from patternpack.model import Instance, ItemType, SolverConfig
 from patternpack.placement import verify_layout
-from patternpack.pricing import (PricingSequence, greedy_fill, make_sequences,
-                                 price, reduced_cost)
+from patternpack.pricing import greedy_fill, make_sequences, price, reduced_cost
 
 from helpers import build_node
 
 
-def _duals(ids, pi1, pi2):
-    return DualPrices(tuple(ids), tuple(map(float, pi1)), tuple(map(float, pi2)))
-
-
 def test_reduced_cost_examples():
-    d = _duals(["j"], [0.5], [0.0])
-    assert reduced_cost({}, d) == pytest.approx(-1.0)
-    assert reduced_cost({"j": 3}, d) == pytest.approx(0.5)
-    same = _duals(["j"], [0.7], [0.7])
-    assert reduced_cost({"j": 1}, same) == pytest.approx(-1.0)
+    scores = {"j": 0.5}
+    assert reduced_cost({}, scores) == pytest.approx(-1.0)
+    assert reduced_cost({"j": 3}, scores) == pytest.approx(0.5)
+    assert reduced_cost({"j": 1}, {"j": 0.0}) == pytest.approx(-1.0)
+    assert reduced_cost({"k": 2}, scores) == pytest.approx(-1.0)  # unscored type
 
 
 def _three_type_instance():
@@ -30,51 +24,49 @@ def _three_type_instance():
 def test_sequences_score_sorted():
     inst = _three_type_instance()
     node = build_node(inst, [])
-    duals = _duals(["t1", "t2", "t3"], [3.0, 1.0, 2.0], [0.0, 0.0, 0.0])
-    seqs = make_sequences(duals, node, SolverConfig(pricing_random_sequences=0),
+    scores = {"t1": 3.0, "t2": 1.0, "t3": 2.0}
+    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=0),
                           node.registry)
-    assert seqs[0].type_ids == ("t1", "t3", "t2")
-    assert seqs[0].origin == "score_sorted"
+    assert seqs[0] == ("t1", "t3", "t2")
 
 
 def test_sequences_density_sorted():
     inst = Instance(30, 30, 0, (ItemType("t1", 2, 2, 0, 5),   # area 4
                                 ItemType("t2", 1, 1, 0, 5)))  # area 1
     node = build_node(inst, [])
-    duals = _duals(["t1", "t2"], [2.0, 2.0], [0.0, 0.0])
-    seqs = make_sequences(duals, node, SolverConfig(pricing_random_sequences=0),
+    scores = {"t1": 2.0, "t2": 2.0}
+    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=0),
                           node.registry)
-    assert seqs[1].type_ids == ("t2", "t1")
-    assert seqs[1].origin == "density_sorted"
+    assert seqs[1] == ("t2", "t1")
 
 
 def test_sequences_random_are_permutations_and_deterministic():
     inst = _three_type_instance()
     cfg = SolverConfig(pricing_random_sequences=4)
-    duals = _duals(["t1", "t2", "t3"], [0.0, 0.0, 0.0], [1.0, 0.0, 2.0])
-    seqs_a = make_sequences(duals, build_node(inst, [], seed=9), cfg,
+    scores = {"t1": -1.0, "t2": 0.0, "t3": -2.0}
+    seqs_a = make_sequences(scores, build_node(inst, [], seed=9), cfg,
                             inst.registry())
-    seqs_b = make_sequences(duals, build_node(inst, [], seed=9), cfg,
+    seqs_b = make_sequences(scores, build_node(inst, [], seed=9), cfg,
                             inst.registry())
-    assert [s.type_ids for s in seqs_a] == [s.type_ids for s in seqs_b]
+    assert seqs_a == seqs_b
     for s in seqs_a:
-        assert sorted(s.type_ids) == ["t1", "t2", "t3"]
+        assert sorted(s) == ["t1", "t2", "t3"]
 
 
 def test_sequences_skip_exhausted_types():
     inst = _three_type_instance()
     node = build_node(inst, [], mult={"t1": (0, 5), "t2": (0, 0), "t3": (0, 5)})
-    duals = _duals(["t1", "t2", "t3"], [1.0, 9.0, 2.0], [0.0, 0.0, 0.0])
-    seqs = make_sequences(duals, node, SolverConfig(pricing_random_sequences=1),
+    scores = {"t1": 1.0, "t2": 9.0, "t3": 2.0}
+    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=1),
                           node.registry)
     for s in seqs:
-        assert "t2" not in s.type_ids
+        assert "t2" not in s
 
 
 def test_greedy_fill_maximizes_single_type():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 10),))
     node = build_node(inst, [])
-    col = greedy_fill(PricingSequence(("A",), "x"), node, inst, node.registry)
+    col = greedy_fill(("A",), node, inst, node.registry)
     assert col.counts_dict() == {"A": 4}
     assert verify_layout(col.witness, col.counts_dict(), inst, node.registry)
 
@@ -83,14 +75,14 @@ def test_greedy_fill_respects_conflicts():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 10), ItemType("B", 5, 5, 0, 10)))
     node = build_node(inst, [], conflicts=frozenset({("A", "B")}),
                       mult={"A": (0, 2), "B": (0, 10)})
-    col = greedy_fill(PricingSequence(("A", "B"), "x"), node, inst, node.registry)
+    col = greedy_fill(("A", "B"), node, inst, node.registry)
     assert col.counts_dict() == {"A": 2}
 
 
 def test_greedy_fill_respects_caps():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1),))
     node = build_node(inst, [], caps=frozenset({"A"}))
-    col = greedy_fill(PricingSequence(("A",), "x"), node, inst, node.registry)
+    col = greedy_fill(("A",), node, inst, node.registry)
     assert col.counts_dict() == {"A": 1}
 
 
@@ -100,7 +92,7 @@ def test_greedy_fill_places_compound_units_atomically():
     reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=2))
     node = build_node(inst, [], registry=reg,
                       mult={"A": (0, 4), "B": (0, 4), "C": (0, 2)})
-    col = greedy_fill(PricingSequence(("C", "B"), "x"), node, inst, reg)
+    col = greedy_fill(("C", "B"), node, inst, reg)
     # one 6x6 + 3x3 bundle fits; a second 6x6 cannot, so one C then extra Bs
     assert col.count("C") == 1
     assert verify_layout(col.witness, col.counts_dict(), inst, reg)
@@ -109,33 +101,32 @@ def test_greedy_fill_places_compound_units_atomically():
 def test_price_zero_duals_returns_nothing():
     inst = _three_type_instance()
     node = build_node(inst, [])
-    duals = _duals(["t1", "t2", "t3"], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-    assert price(node, duals, inst, SolverConfig(), node.registry) == []
+    scores = {"t1": 0.0, "t2": 0.0, "t3": 0.0}
+    assert price(node, scores, inst, SolverConfig(), node.registry) == []
 
 
 def test_price_filters_pool_duplicates():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
     node = build_node(inst, [{"A": 4}])
-    duals = _duals(["A"], [0.5], [0.0])
-    assert price(node, duals, inst, SolverConfig(), node.registry) == []
+    assert price(node, {"A": 0.5}, inst, SolverConfig(), node.registry) == []
 
 
 def test_price_returns_positive_column():
     inst = Instance(15, 5, 0, (ItemType("A", 5, 5, 0, 9),))
     node = build_node(inst, [{"A": 1}])
-    duals = _duals(["A"], [0.5], [0.0])
-    cols = price(node, duals, inst, SolverConfig(), node.registry)
+    scores = {"A": 0.5}
+    cols = price(node, scores, inst, SolverConfig(), node.registry)
     assert len(cols) == 1
     assert cols[0].counts_dict() == {"A": 3}
-    assert reduced_cost(cols[0].counts_dict(), duals) == pytest.approx(0.5)
+    assert reduced_cost(cols[0].counts_dict(), scores) == pytest.approx(0.5)
 
 
 def test_price_deterministic_for_fixed_seed():
     inst = _three_type_instance()
-    duals = _duals(["t1", "t2", "t3"], [0.4, 0.3, 0.2], [0.0, 0.1, 0.0])
-    a = price(build_node(inst, [], seed=5), duals, inst, SolverConfig(),
+    scores = {"t1": 0.4, "t2": 0.19, "t3": 0.2}
+    a = price(build_node(inst, [], seed=5), scores, inst, SolverConfig(),
               inst.registry())
-    b = price(build_node(inst, [], seed=5), duals, inst, SolverConfig(),
+    b = price(build_node(inst, [], seed=5), scores, inst, SolverConfig(),
               inst.registry())
     assert [c.key() for c in a] == [c.key() for c in b]
     for col in a:
