@@ -7,48 +7,19 @@ pair from sharing a bin (a unary cap when the pair is a type with itself).
 """
 
 import itertools
-import random
-from dataclasses import dataclass, field
 from math import floor
 
 import numpy as np
 
 from .master import EPS_INT, count_matrix
-from .model import (ApartRule, Column, Instance, ItemType, Layout,
-                    TypeRegistry, expand_counts, make_column, node_rng,
-                    violates_rules)
+from .model import (ApartRule, Instance, ItemType, Layout, NodeProblem,
+                    TypeRegistry, make_column, node_rng, violates_rules)
 from .placement import place_counts, verify_layout
 from .pricing import greedy_fill
 
 
 class BranchingStuck(RuntimeError):
     """Fractional solution but no admissible branching pair exists."""
-
-
-@dataclass
-class NodeProblem:
-    """One branch-and-bound node: inherited columns plus the rules added on
-    the path from the root.  The rule set only grows downwards."""
-
-    id: int
-    parent_id: int | None
-    depth: int
-    multiplicities: dict[str, tuple[int, int]]  # active type -> (from, to)
-    columns: list[Column]
-    registry: TypeRegistry  # shared, append-only compound registry
-    rules: frozenset[ApartRule] = frozenset()
-    parent_patterns_used: int = 0
-    bound_hint: float = 0.0
-    rng: random.Random = field(default_factory=random.Random)
-
-    def to_of(self, tid: str) -> int:
-        return self.multiplicities[tid][1]
-
-    def has_cap(self, i: str) -> bool:
-        return any(r.is_cap and r.a == i for r in self.rules)
-
-    def has_conflict(self, i: str, j: str) -> bool:
-        return any(not r.is_cap and {r.a, r.b} == {i, j} for r in self.rules)
 
 
 def affinity(node: NodeProblem, x: np.ndarray) -> np.ndarray:
@@ -120,8 +91,7 @@ def _normalize_pair(i: str, j: str, order: dict[str, int]) -> tuple[str, str]:
     return (i, j) if order[i] <= order[j] else (j, i)
 
 
-def _coverage_ok(node: NodeProblem, instance: Instance,
-                 registry: TypeRegistry) -> bool:
+def _coverage_ok(node: NodeProblem, instance: Instance) -> bool:
     """Guarantee a pure single-type column for every active type with from > 0.
 
     With those homogeneous columns present, x_j = from_j / count_j is feasible
@@ -138,8 +108,8 @@ def _coverage_ok(node: NodeProblem, instance: Instance,
         if any(len(col.counts) == 1 and col.counts[0][0] == tid
                for col in node.columns):
             continue
-        rescue = greedy_fill((tid,), node, instance, registry)
-        if rescue is None or rescue.count(tid) == 0:
+        rescue = greedy_fill((tid,), node, instance)
+        if rescue is None:
             return False
         if rescue.key() not in seen:
             seen.add(rescue.key())
@@ -152,8 +122,7 @@ def _respects_bounds(counts: dict[str, int], node: NodeProblem) -> bool:
 
 
 def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
-                     seed: int, instance: Instance,
-                     registry: TypeRegistry) -> NodeProblem | None:
+                     seed: int, instance: Instance) -> NodeProblem | None:
     """Apart branch: i and j may not share a bin (at most one item of i when
     i == j).  Violating pooled columns are dropped; pricing enforces the rule.
     The new rule's basis is this node's active type set, so items inside
@@ -162,12 +131,12 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     a, b = (i, i) if i == j else _normalize_pair(i, j, order)
     rules = node.rules | {ApartRule(a, b, frozenset(node.multiplicities))}
     kept = [c for c in node.columns
-            if not violates_rules(c.counts_dict(), rules, registry)]
+            if not violates_rules(c.counts_dict(), rules, node.registry)]
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=dict(node.multiplicities), columns=kept,
-        registry=registry, rules=rules, rng=node_rng(seed, child_id))
-    if not _coverage_ok(child, instance, registry):
+        registry=node.registry, rules=rules, rng=node_rng(seed, child_id))
+    if not _coverage_ok(child, instance):
         return None
     return child
 
@@ -207,8 +176,7 @@ def _place_compound_unit(ctype: ItemType, instance: Instance,
 
 
 def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
-                    seed: int, instance: Instance,
-                    registry: TypeRegistry) -> NodeProblem | None:
+                    seed: int, instance: Instance) -> NodeProblem | None:
     """Together branch: some bin must hold i and j jointly.
 
     Registers (or re-uses) the compound type for the pair, shifts one unit of
@@ -218,8 +186,8 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     """
     if node.to_of(i) < 1 or (i == j and node.to_of(i) < 2):
         raise ValueError(f"cannot branch together on ({i}, {j}): to-bound exhausted")
+    registry = node.registry
     existing = registry.find_compound(i, j)
-    fresh_activation = False
     if existing is None:
         cid = _compound_id(i, j, registry)
         constituents = ((i, 2),) if i == j else tuple(
@@ -287,6 +255,6 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
         if unit.key() not in seen:
             child.columns.append(unit)
 
-    if not _coverage_ok(child, instance, registry):
+    if not _coverage_ok(child, instance):
         return None
     return child

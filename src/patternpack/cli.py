@@ -208,8 +208,11 @@ def verify_solution_file(path: str | Path) -> list[str]:
         return [f"embedded instance invalid: {exc}"]
     if record.get("instance_digest") != instance_digest(instance):
         problems.append("instance digest mismatch")
-    if record.get("patterns") is None:
-        return problems  # no incumbent was found; nothing further to verify
+    if record.get("patterns") is None:  # no incumbent was found
+        return problems + [
+            f"{key}: present although the record has no incumbent"
+            for key in ("bins", "pattern_blocks", "produced", "objective")
+            if key in record]
     registry = instance.registry()
     totals = {t.id: 0 for t in instance.item_types}
     bins = 0
@@ -234,6 +237,8 @@ def verify_solution_file(path: str | Path) -> list[str]:
         problems.append(f"bins field ({record.get('bins')}) != sum of x ({bins})")
     if len(blocks) != record.get("patterns"):
         problems.append("patterns field does not match the number of blocks")
+    if record.get("produced") != totals:
+        problems.append("produced field does not match the totals of the blocks")
     for t in instance.item_types:
         if not (t.from_count <= totals.get(t.id, 0) <= t.to_count):
             problems.append(
@@ -245,6 +250,10 @@ def verify_solution_file(path: str | Path) -> list[str]:
 def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
     """One SVG drawing per pattern: bin outline plus labeled item rectangles,
     1 mm = 1 unit."""
+    # imported here: xml.sax.saxutils pulls in urllib.request, http and ssl,
+    # ~50 ms that every other command would pay at start-up
+    from xml.sax.saxutils import escape
+
     W, H = instance.bin_width, instance.bin_height
     dims = {t.id: (t.width, t.height) for t in instance.item_types}
     parts = [
@@ -262,7 +271,7 @@ def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
             f'fill="#9ecae1" stroke="#08306b" stroke-width="0.5"/>')
         parts.append(
             f'<text x="{x + w / 2}" y="{ys + h / 2}" font-size="{font}" '
-            f'text-anchor="middle" dominant-baseline="middle">{oid}</text>')
+            f'text-anchor="middle" dominant-baseline="middle">{escape(oid)}</text>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
@@ -357,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file or bundled dataset")
     solve.add_argument("instance", help="path to an instance JSON, or r1..r5")
     solve.add_argument("--strategy", choices=("dfs", "heap"), default="heap")
-    solve.add_argument("--time-limit", type=float, default=None, metavar="S")
+    solve.add_argument("--time-limit", type=float, default=60.0, metavar="S",
+                       help="wall-clock limit in seconds (default 60; inf: none)")
     solve.add_argument("--seed", type=int, default=0, metavar="N")
     solve.add_argument("--c1", type=float, default=1.0, metavar="X")
     solve.add_argument("--c2", type=float, default=1.0, metavar="Y")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Solution, SolverConfig
+from .model import NodeProblem, Solution, SolverConfig
 from .simplex import EPS_DUAL, LinearProgram, LpResult, SimplexError, solve_lp
 
 EPS_INT = 1e-6  # integrality detection threshold
@@ -31,7 +31,7 @@ class RmpSolveOutcome:
         return self.lp_result.status == "optimal"
 
 
-def count_matrix(node) -> np.ndarray:
+def count_matrix(node: NodeProblem) -> np.ndarray:
     """Types x columns array of item counts: row t is the node's t-th active
     type in registry order, column l is ``node.columns[l]``.  Compounds stay
     opaque."""
@@ -43,7 +43,7 @@ def count_matrix(node) -> np.ndarray:
     return a
 
 
-def build_rmp(node) -> LinearProgram:
+def build_rmp(node: NodeProblem) -> LinearProgram:
     """Standard-form LP over the node's column pool.
 
     One variable per column with objective coefficient -1; per active type j
@@ -59,7 +59,8 @@ def build_rmp(node) -> LinearProgram:
     return LinearProgram(c=-np.ones(a.shape[1]), A=A, b=b)
 
 
-def solve_rmp(node, warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcome:
+def solve_rmp(node: NodeProblem,
+              warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcome:
     """Solve the node's RMP; returns primal values, bins, and type scores.
 
     An infeasible LP marks the node prunable (outcome.feasible is False);

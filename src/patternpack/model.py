@@ -1,11 +1,15 @@
-"""Domain model: item types, instances, columns, layouts, solutions.
+"""Domain model: item types, instances, columns, layouts, search nodes,
+solutions.
 
-All types are immutable after construction and safe to share between
-threads.  Serialization lives in :mod:`patternpack.cli`.
+Item types, instances, columns, layouts, rules, solutions and the solver
+configuration are immutable after construction.  Two types are not: the
+``TypeRegistry`` grows as branching registers compound types, and a
+``NodeProblem``'s column pool grows during column generation.  Serialization
+lives in :mod:`patternpack.cli`.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, inf
 from typing import Iterator, Mapping
@@ -91,8 +95,7 @@ class TypeRegistry:
     def __init__(self, originals: tuple["ItemType", ...] = ()):
         self._types: list[ItemType] = []
         self._index: dict[str, int] = {}
-        self._expansion_cache: dict[str, tuple[str, ...]] = {}
-        self._basis_cache: dict[tuple[str, frozenset[str]], dict[str, int]] = {}
+        self._expansion_cache: dict[tuple[str, frozenset[str]], tuple[str, ...]] = {}
         self._compounds: dict[frozenset[tuple[str, int]], ItemType] = {}
         for t in originals:
             self.add(t)
@@ -128,22 +131,26 @@ class TypeRegistry:
         except KeyError:
             raise RegistryError(f"unknown item type {type_id!r}") from None
 
-    def expansion(self, type_id: str) -> tuple[str, ...]:
-        """Original type ids realizing one unit of ``type_id``.
+    def expansion(self, type_id: str,
+                  basis: frozenset[str] = frozenset()) -> tuple[str, ...]:
+        """Type ids realizing one unit of ``type_id``.
 
-        Compound constituents are listed contiguously, in registry order,
-        recursively.  Detects constituent cycles.
+        Compounds outside ``basis`` are expanded into their constituents,
+        recursively; originals and basis members stay opaque, so the default
+        empty basis gives original type ids only.  Constituents are listed
+        contiguously, in registry order.  Detects constituent cycles.
         """
-        cached = self._expansion_cache.get(type_id)
-        if cached is not None:
-            return cached
-        result = self._expand(type_id, visiting=set())
-        self._expansion_cache[type_id] = result
-        return result
+        key = (type_id, basis)
+        cached = self._expansion_cache.get(key)
+        if cached is None:
+            cached = self._expand(type_id, basis, visiting=set())
+            self._expansion_cache[key] = cached
+        return cached
 
-    def _expand(self, type_id: str, visiting: set[str]) -> tuple[str, ...]:
+    def _expand(self, type_id: str, basis: frozenset[str],
+                visiting: set[str]) -> tuple[str, ...]:
         t = self[type_id]
-        if not t.is_compound:
+        if not t.is_compound or type_id in basis:
             return (type_id,)
         if type_id in visiting:
             raise RegistryError(f"cycle in compound constituents at {type_id!r}")
@@ -151,8 +158,7 @@ class TypeRegistry:
         parts: list[str] = []
         ordered = sorted(t.constituents, key=lambda cn: self.order(cn[0]))
         for cid, n in ordered:
-            unit = self._expand(cid, visiting)
-            parts.extend(unit * n)
+            parts.extend(self._expand(cid, basis, visiting) * n)
         visiting.remove(type_id)
         return tuple(parts)
 
@@ -163,28 +169,6 @@ class TypeRegistry:
             o = self[oid]
             total += o.width * o.height
         return total
-
-    def basis_counts(self, type_id: str,
-                     basis: frozenset[str]) -> dict[str, int]:
-        """One unit of ``type_id`` expressed over the given type basis.
-
-        Types in the basis (and originals) stay opaque; compounds outside it
-        are expanded into their constituents recursively.
-        """
-        key = (type_id, basis)
-        cached = self._basis_cache.get(key)
-        if cached is not None:
-            return cached
-        t = self[type_id]
-        if type_id in basis or not t.is_compound:
-            out = {type_id: 1}
-        else:
-            out = {}
-            for cid, n in t.constituents:
-                for inner, k in self.basis_counts(cid, basis).items():
-                    out[inner] = out.get(inner, 0) + n * k
-        self._basis_cache[key] = out
-        return out
 
     def find_compound(self, i: str, j: str) -> ItemType | None:
         """First registered compound whose constituents are exactly one i and
@@ -225,8 +209,8 @@ class ApartRule:
 
     def units(self, type_id: str, registry: TypeRegistry) -> tuple[int, int]:
         """Items of a and of b in one unit of ``type_id``, over the basis."""
-        bc = registry.basis_counts(type_id, self.basis)
-        return bc.get(self.a, 0), bc.get(self.b, 0)
+        unit = registry.expansion(type_id, self.basis)
+        return unit.count(self.a), unit.count(self.b)
 
     def admits(self, ca: int, cb: int) -> bool:
         """Whether a bin holding ca items of a and cb items of b obeys the rule."""
@@ -329,6 +313,32 @@ def make_column(counts: Mapping[str, int], witness: Layout,
 def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int, ...]:
     """Count vector over the full registry, for lexicographic ordering."""
     return tuple(counts.get(t.id, 0) for t in registry)
+
+
+@dataclass
+class NodeProblem:
+    """One branch-and-bound node: inherited columns plus the rules added on
+    the path from the root.  The rule set only grows downwards."""
+
+    id: int
+    parent_id: int | None
+    depth: int
+    multiplicities: dict[str, tuple[int, int]]  # active type -> (from, to)
+    columns: list[Column]
+    registry: TypeRegistry  # shared, append-only compound registry
+    rules: frozenset[ApartRule] = frozenset()
+    parent_patterns_used: int = 0
+    bound_hint: float = 0.0
+    rng: random.Random = field(default_factory=random.Random)
+
+    def to_of(self, tid: str) -> int:
+        return self.multiplicities[tid][1]
+
+    def has_cap(self, i: str) -> bool:
+        return any(r.is_cap and r.a == i for r in self.rules)
+
+    def has_conflict(self, i: str, j: str) -> bool:
+        return any(not r.is_cap and {r.a, r.b} == {i, j} for r in self.rules)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ bottom-left placement.  Columns that price out positive are kept.
 
 from typing import Mapping
 
-from .model import (Column, Instance, SolverConfig, TypeRegistry, dense_counts,
+from .model import (Column, Instance, NodeProblem, SolverConfig, dense_counts,
                     make_column)
 from .placement import BottomLeftPacker, Layout
 
@@ -27,13 +27,13 @@ def reduced_cost(counts: Mapping[str, int], scores: Mapping[str, float]) -> floa
     return total
 
 
-def _eligible(node) -> list[str]:
+def _eligible(node: NodeProblem) -> list[str]:
     """Active types that may still appear in a column (to > 0), registry order."""
     return [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
 
 
-def make_sequences(scores: Mapping[str, float], node, cfg: SolverConfig,
-                   registry: TypeRegistry) -> list[tuple[str, ...]]:
+def make_sequences(scores: Mapping[str, float], node: NodeProblem,
+                   cfg: SolverConfig) -> list[tuple[str, ...]]:
     """Score-sorted, density-sorted, and randomized type sequences.
 
     Sorting ties break by registry order; random draws are without
@@ -43,6 +43,7 @@ def make_sequences(scores: Mapping[str, float], node, cfg: SolverConfig,
     types = _eligible(node)
     if not types:
         return []
+    registry = node.registry
     by_score = sorted(types, key=lambda t: (-scores.get(t, 0.0), registry.order(t)))
     by_density = sorted(
         types,
@@ -68,8 +69,8 @@ def make_sequences(scores: Mapping[str, float], node, cfg: SolverConfig,
     return seqs
 
 
-def greedy_fill(sequence: tuple[str, ...], node, instance: Instance,
-                registry: TypeRegistry) -> Column | None:
+def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
+                instance: Instance) -> Column | None:
     """Fill one bin along the sequence; returns the resulting column or None.
 
     For each type in order the count is raised while the node's to-bound and
@@ -77,6 +78,7 @@ def greedy_fill(sequence: tuple[str, ...], node, instance: Instance,
     unit contributes all its constituent rectangles or the increment is
     rolled back.
     """
+    registry = node.registry
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing)
     # per apart rule, the items of (a, b) in the bin so far; they obey the rule
@@ -119,15 +121,15 @@ def greedy_fill(sequence: tuple[str, ...], node, instance: Instance,
     return make_column(counts, witness, registry)
 
 
-def price(node, scores: Mapping[str, float], instance: Instance,
-          cfg: SolverConfig, registry: TypeRegistry) -> list[Column]:
+def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,
+          cfg: SolverConfig) -> list[Column]:
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
     ends column generation at this node."""
     seen = {col.key() for col in node.columns}
     fresh: list[Column] = []
-    for seq in make_sequences(scores, node, cfg, registry):
-        col = greedy_fill(seq, node, instance, registry)
+    for seq in make_sequences(scores, node, cfg):
+        col = greedy_fill(seq, node, instance)
         if col is None:
             continue
         if reduced_cost(col.counts_dict(), scores) <= EPS_PRICE:
@@ -136,5 +138,5 @@ def price(node, scores: Mapping[str, float], instance: Instance,
             continue
         seen.add(col.key())
         fresh.append(col)
-    fresh.sort(key=lambda c: dense_counts(c.counts_dict(), registry))
+    fresh.sort(key=lambda c: dense_counts(c.counts_dict(), node.registry))
     return fresh

@@ -16,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .branching import (BranchingStuck, NodeProblem, make_left_child,
-                        make_right_child, select_branching_pair)
+from .branching import (BranchingStuck, make_left_child, make_right_child,
+                        select_branching_pair)
 from .master import EPS_INT, RmpSolveOutcome, solve_rmp
-from .model import (Column, Instance, Solution, SolverConfig, TypeRegistry,
-                    expand_counts, node_rng)
+from .model import (Column, Instance, NodeProblem, Solution, SolverConfig,
+                    TypeRegistry, expand_counts, node_rng)
 from .placement import verify_layout
 from .pricing import greedy_fill, price
 
@@ -57,30 +57,27 @@ class SearchReport:
 ProgressCallback = Callable[[ProgressEvent], bool | None]
 
 
-def initial_columns(instance: Instance, registry: TypeRegistry | None = None,
-                    node: NodeProblem | None = None) -> list[Column]:
-    """Starting pool: one homogeneous column per item type plus one mixed
-    column filled over all types by descending area.  Guarantees feasibility
-    of the root master: x_j = from_j / count_j covers every lower row."""
-    if registry is None:
-        registry = instance.registry()
-    if node is None:
-        node = NodeProblem(
-            id=0, parent_id=None, depth=0,
-            multiplicities={t.id: (t.from_count, t.to_count)
-                            for t in instance.item_types},
-            columns=[], registry=registry, rng=node_rng(0, 0))
+def initial_columns(instance: Instance, registry: TypeRegistry,
+                    node: NodeProblem) -> list[Column]:
+    """Starting pool for the root ``node``: one homogeneous column per item
+    type plus one mixed column filled over all types by descending area.
+    Guarantees feasibility of the root master: x_j = from_j / count_j covers
+    every lower row.
+
+    The fills read the registry from ``node``; ``registry`` is not read and
+    stays in the signature for callers that pass it by position."""
     cols: list[Column] = []
     seen = set()
     for t in instance.item_types:
-        col = greedy_fill((t.id,), node, instance, registry)
+        col = greedy_fill((t.id,), node, instance)
         if col is not None and col.key() not in seen:
             seen.add(col.key())
             cols.append(col)
+    reg = node.registry
     by_area = tuple(sorted(
         (t.id for t in instance.item_types),
-        key=lambda tid: (-registry.unit_area(tid), registry.order(tid))))
-    mixed = greedy_fill(by_area, node, instance, registry)
+        key=lambda tid: (-reg.unit_area(tid), reg.order(tid))))
+    mixed = greedy_fill(by_area, node, instance)
     if mixed is not None and mixed.key() not in seen:
         cols.append(mixed)
     return cols
@@ -90,7 +87,10 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
                       registry: TypeRegistry, deadline: float | None = None,
                       stats: SearchStats | None = None) -> RmpSolveOutcome | None:
     """Alternate master solves and pricing until pricing returns nothing or
-    the time budget runs out.  None means the node's master is infeasible."""
+    the time budget runs out.  None means the node's master is infeasible.
+
+    Pricing reads the registry from ``node``; ``registry`` is not read and
+    stays in the signature for callers that pass it by position."""
     stats = stats if stats is not None else SearchStats()
     warm = None
     while True:
@@ -100,7 +100,7 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
             return None
         if deadline is not None and time.monotonic() >= deadline:
             return outcome
-        fresh = price(node, outcome.scores, instance, cfg, registry)
+        fresh = price(node, outcome.scores, instance, cfg)
         if not fresh:
             return outcome
         node.columns.extend(fresh)
@@ -109,7 +109,8 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
 
 
 def _extract_solution(node: NodeProblem, outcome: RmpSolveOutcome,
-                      instance: Instance, registry: TypeRegistry) -> Solution:
+                      instance: Instance) -> Solution:
+    registry = node.registry
     xs = np.rint(outcome.x).astype(int)
     assignments = tuple((col, int(k))
                         for col, k in zip(node.columns, xs) if k > 0)
@@ -207,9 +208,8 @@ def run(instance: Instance, cfg: SolverConfig,
         if deadline is not None and time.monotonic() >= deadline:
             status = "time_limit"
             break
-        bound = open_nodes.min_bound()
-        bound = 0.0 if bound is None else bound
-        if incumbent is not None and incumbent.bins <= bound + EPS_INT:
+        if incumbent is not None and \
+                incumbent.bins <= open_nodes.min_bound() + EPS_INT:
             break  # gap closed (relative to the heuristic bound)
         node = open_nodes.pop()
         stats.nodes_explored += 1
@@ -219,7 +219,7 @@ def run(instance: Instance, cfg: SolverConfig,
             continue
         node.bound_hint = outcome.bins
         if not outcome.fractional:
-            candidate = _extract_solution(node, outcome, instance, registry)
+            candidate = _extract_solution(node, outcome, instance)
             if incumbent is None or (candidate.bins, candidate.patterns) < \
                     (incumbent.bins, incumbent.patterns):
                 incumbent = candidate
@@ -242,12 +242,10 @@ def run(instance: Instance, cfg: SolverConfig,
             continue
         patterns_used = int(np.sum(outcome.x > EPS_INT))
         right = make_right_child(node, i, j, child_id=next_id,
-                                 seed=cfg.rng_seed, instance=instance,
-                                 registry=registry)
+                                 seed=cfg.rng_seed, instance=instance)
         next_id += 1
         left = make_left_child(node, i, j, child_id=next_id,
-                               seed=cfg.rng_seed, instance=instance,
-                               registry=registry)
+                               seed=cfg.rng_seed, instance=instance)
         next_id += 1
         for child in (right, left):
             if child is None:

@@ -5,8 +5,7 @@ import random
 
 import numpy as np
 
-from patternpack.branching import NodeProblem
-from patternpack.model import (ApartRule, Instance, ItemType, Layout,
+from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
                                make_column, node_rng)
 
 

@@ -84,8 +84,7 @@ def test_select_pair_stuck_when_no_candidate():
 def test_right_child_drops_mixed_columns():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 1}])
-    child = make_right_child(node, "A", "B", child_id=1, seed=0,
-                             instance=inst, registry=node.registry)
+    child = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
     assert child.has_conflict("A", "B")
 
@@ -93,8 +92,7 @@ def test_right_child_drops_mixed_columns():
 def test_right_child_cap_drops_multiples():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2}, {"A": 1}])
-    child = make_right_child(node, "A", "A", child_id=1, seed=0,
-                             instance=inst, registry=node.registry)
+    child = make_right_child(node, "A", "A", child_id=1, seed=0, instance=inst)
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
     assert child.has_cap("A")
 
@@ -102,26 +100,23 @@ def test_right_child_cap_drops_multiples():
 def test_right_child_keeps_clean_pool():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1}, {"B": 2}])
-    child = make_right_child(node, "A", "B", child_id=1, seed=0,
-                             instance=inst, registry=node.registry)
+    child = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}, {"B": 2}]
 
 
 def test_right_child_rescues_coverage():
     inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6),))
     node = build_node(inst, [{"A": 3}], mult={"A": (2, 6)})
-    child = make_right_child(node, "A", "A", child_id=1, seed=0,
-                             instance=inst, registry=node.registry)
+    child = make_right_child(node, "A", "A", child_id=1, seed=0, instance=inst)
     # {A:3} violates the new cap; a single-item rescue column keeps from=2 coverable
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
 
 
 def test_left_child_creates_compound_and_unit_column():
     inst = _two_type_instance()
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 2}, {"B": 2}], registry=reg)
-    child = make_left_child(node, "A", "B", child_id=1, seed=0,
-                            instance=inst, registry=reg)
+    node = build_node(inst, [{"A": 2}, {"B": 2}])
+    reg = node.registry
+    child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
     assert child.multiplicities[cid] == (1, 1)
     assert child.multiplicities["A"] == (0, 5)
@@ -133,11 +128,10 @@ def test_left_child_creates_compound_and_unit_column():
 
 def test_left_child_adjusts_columns_preserving_expansion():
     inst = _two_type_instance()
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 2, "B": 1}], registry=reg)
+    node = build_node(inst, [{"A": 2, "B": 1}])
+    reg = node.registry
     before = expand_counts({"A": 2, "B": 1}, reg)
-    child = make_left_child(node, "A", "B", child_id=1, seed=0,
-                            instance=inst, registry=reg)
+    child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
     adjusted = [c for c in child.columns if c.count(cid) and c.count("A")]
     assert adjusted, "the mixed column should have been rewritten"
@@ -146,13 +140,12 @@ def test_left_child_adjusts_columns_preserving_expansion():
 
 def test_left_child_rebranch_increments_existing_compound():
     inst = _two_type_instance()
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 2}, {"B": 2}], registry=reg)
-    child = make_left_child(node, "A", "B", child_id=1, seed=0,
-                            instance=inst, registry=reg)
-    grand = make_left_child(child, "A", "B", child_id=2, seed=0,
-                            instance=inst, registry=reg)
+    node = build_node(inst, [{"A": 2}, {"B": 2}])
+    reg = node.registry
+    child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    grand = make_left_child(child, "A", "B", child_id=2, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
+    assert child.registry is reg and grand.registry is reg
     assert grand.multiplicities[cid] == (2, 2)
     assert grand.multiplicities["A"] == (0, 4)
     assert len(reg) == 3  # no second compound registered
@@ -160,11 +153,9 @@ def test_left_child_rebranch_increments_existing_compound():
 
 def test_left_child_diagonal_decrements_twice():
     inst = _two_type_instance()
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 3}], registry=reg,
-                      mult={"A": (2, 6), "B": (0, 6)})
-    child = make_left_child(node, "A", "A", child_id=1, seed=0,
-                            instance=inst, registry=reg)
+    node = build_node(inst, [{"A": 3}], mult={"A": (2, 6), "B": (0, 6)})
+    reg = node.registry
+    child = make_left_child(node, "A", "A", child_id=1, seed=0, instance=inst)
     assert child.multiplicities["A"] == (0, 4)  # from: 2->1->0, to: 6->4
     cid = reg.find_compound("A", "A").id
     assert child.multiplicities[cid] == (1, 1)
@@ -175,21 +166,17 @@ def test_left_child_diagonal_decrements_twice():
 def test_left_child_infeasible_when_pair_cannot_share_a_bin():
     inst = Instance(614, 512, 6, (ItemType("A", 400, 400, 0, 2),
                                   ItemType("B", 400, 400, 0, 2)))
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 1}, {"B": 1}], registry=reg)
-    child = make_left_child(node, "A", "B", child_id=1, seed=0,
-                            instance=inst, registry=reg)
+    node = build_node(inst, [{"A": 1}, {"B": 1}])
+    child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     assert child is None
 
 
 def test_children_partition_respects_rules():
     inst = _two_type_instance()
-    reg = inst.registry()
-    node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}], registry=reg)
-    right = make_right_child(node, "A", "B", child_id=1, seed=0,
-                             instance=inst, registry=reg)
-    left = make_left_child(node, "A", "B", child_id=2, seed=0,
-                           instance=inst, registry=reg)
+    node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}])
+    reg = node.registry
+    right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
     for col in right.columns:
         assert not (col.count("A") and col.count("B"))
     cid = reg.find_compound("A", "B").id

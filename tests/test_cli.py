@@ -2,16 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
 import patternpack
-from patternpack.cli import (InstanceFormatError, emit_solution,
-                             instance_digest, instance_to_data, main,
-                             parse_instance, parse_instance_data,
-                             render_pattern, solution_record,
-                             verify_solution_file)
+from patternpack.cli import (InstanceFormatError, build_parser,
+                             emit_solution, instance_digest,
+                             instance_to_data, main, parse_instance,
+                             parse_instance_data, render_pattern,
+                             solution_record, verify_solution_file)
 from patternpack.model import (InfeasibleInstanceError, Instance, ItemType,
                                SolverConfig)
 from patternpack.search import run
@@ -137,11 +138,20 @@ def _negative_count_hides_overproduction(record):
                  "placements": [["A", *p] for p in corners]}]}
 
 
+def _produced_overstated(record):
+    return {**record, "produced": {"t1": 999}}
+
+
+def _no_incumbent_but_bins_and_blocks(record):
+    return {**record, "patterns": None, "pattern_blocks": "junk"}
+
+
 @pytest.mark.parametrize("tamper", [
     _set_block("x", None), _set_block("x", True),
     _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
     _block_not_an_object, lambda record: [record],
-    _negative_count_hides_overproduction,
+    _negative_count_hides_overproduction, _produced_overstated,
+    _no_incumbent_but_bins_and_blocks,
 ])
 def test_verify_reports_malformed_records(tmp_path, tamper):
     report, cfg = _solved_report(1)
@@ -173,6 +183,16 @@ def test_render_pattern_svg(tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert text.count("<rect") == 1 + len(record["pattern_blocks"][0]["placements"])
+    ET.fromstring(text)
+
+    # an id that parse_instance_data accepts but that is not XML text as is
+    odd = parse_instance_data({
+        "bin": {"width": 10, "height": 10}, "spacing": 0,
+        "items": [{"id": "a<b&c", "width": 5, "height": 5, "from": 1}]})
+    render_pattern({"placements": [["a<b&c", 0, 0]]}, odd, out)
+    labels = [e.text for e in ET.fromstring(out.read_text())
+              if e.tag.endswith("text")]
+    assert labels == ["a<b&c"]
 
 
 def test_cli_solve_exit_codes(tmp_path, capsys):
@@ -206,6 +226,14 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", str(giant), "--quiet", "--c1", "0"]) == 3
     assert main(["oracle", "r1", "--overproduction", "-1"]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_time_limit_defaults_to_60_seconds():
+    parser = build_parser()
+    assert parser.parse_args(["solve", "r1"]).time_limit == 60.0
+    unlimited = parser.parse_args(["solve", "r1", "--time-limit", "inf"])
+    cfg = SolverConfig(time_limit_seconds=unlimited.time_limit)
+    assert cfg.time_limit_seconds == float("inf")
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):

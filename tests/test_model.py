@@ -57,6 +57,8 @@ def test_expand_counts_cycle_is_an_error():
     reg.add(ItemType("D", constituents=(("C", 1), ("A", 1)), from_count=1, to_count=1))
     with pytest.raises(RegistryError):
         expand_counts({"C": 1}, reg)
+    with pytest.raises(RegistryError):  # the apart rules' walk too
+        ApartRule("A", "A", frozenset({"A"})).units("C", reg)
 
 
 @given(st.dictionaries(st.sampled_from(["A", "B", "C"]), st.integers(0, 6)),
@@ -133,6 +135,6 @@ def test_apart_rule_basis_sees_through_later_compounds():
                       mult={"A": (0, 4), "B": (0, 4), "C": (0, 1)})
     for rule, c_placed in ((see_through, 0), (opaque, 1), (cap, 1)):
         ruled = replace(node, rules=frozenset({rule}))
-        col = greedy_fill(("C", "A", "B"), ruled, inst, reg)
+        col = greedy_fill(("C", "A", "B"), ruled, inst)
         assert col is not None and col.count("C") == c_placed, rule
         assert not violates_rules(col.counts_dict(), ruled.rules, reg), rule

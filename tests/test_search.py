@@ -1,9 +1,9 @@
-import numpy as np
 import pytest
 
-from patternpack.branching import NodeProblem
-from patternpack.master import report_objective, solve_rmp
-from patternpack.model import Instance, ItemType, SolverConfig
+from patternpack.cli import emit_solution, verify_solution_file
+from patternpack.master import report_objective
+from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
+from patternpack.oracle import exact_solve
 from patternpack.placement import verify_layout
 from patternpack.search import (_OpenNodes, column_generation,
                                 initial_columns, run)
@@ -11,11 +11,16 @@ from patternpack.search import (_OpenNodes, column_generation,
 from helpers import build_node, tiny_instance
 
 
+def _initial_columns(inst):
+    root = build_node(inst, [])
+    return initial_columns(inst, root.registry, root)
+
+
 def test_initial_columns_homogeneous_plus_mixed():
     inst = Instance(20, 10, 0, (ItemType("A", 5, 5, 2, 4),
                                 ItemType("B", 10, 10, 1, 1),
                                 ItemType("C", 2, 2, 0, 3)))
-    cols = initial_columns(inst)
+    cols = _initial_columns(inst)
     reg = inst.registry()
     for t in inst.item_types:
         assert any(set(c.counts_dict()) == {t.id} for c in cols), t.id
@@ -26,13 +31,13 @@ def test_initial_columns_homogeneous_plus_mixed():
 
 def test_initial_columns_single_type_no_duplicate_mixed():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 4),))
-    cols = initial_columns(inst)
+    cols = _initial_columns(inst)
     assert [c.counts_dict() for c in cols] == [{"A": 4}]
 
 
 def test_initial_columns_zero_demand_still_generated():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
-    cols = initial_columns(inst)
+    cols = _initial_columns(inst)
     assert cols and cols[0].counts_dict() == {"A": 4}
 
 
@@ -122,6 +127,22 @@ def test_strategies_agree_on_bins_for_tiny_instances():
         heap = run(inst, SolverConfig(node_selection="heuristic_min_heap"))
         assert dfs.solution is not None and heap.solution is not None
         assert dfs.solution.bins == heap.solution.bins, f"instance {k}"
+
+
+@pytest.mark.parametrize("strategy", ["depth_first", "heuristic_min_heap"])
+def test_run_agrees_with_the_oracle_on_tiny_instances(strategy, tmp_path):
+    cfg = SolverConfig(node_selection=strategy)
+    out = tmp_path / "sol.json"
+    for k in range(60):
+        inst = tiny_instance(k)
+        exact = exact_solve(inst)
+        rep = run(inst, cfg)
+        assert exact is not None and rep.solution is not None, k
+        assert rep.solution.bins == exact.bins, k
+        # pricing is heuristic, so the search may use more patterns
+        assert rep.solution.patterns >= exact.patterns, k
+        emit_solution(rep, cfg, out)
+        assert verify_solution_file(out) == [], k
 
 
 def test_time_limit_zero_reports_no_incumbent():
