@@ -15,6 +15,7 @@ so a fixed instance, seed and search give the same bytes on every run.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -35,6 +36,9 @@ _STRATEGIES = {"dfs": "depth_first", "heap": "heuristic_min_heap"}
 
 BUNDLED = ("r1", "r2", "r3", "r4", "r5")
 
+RECORD_FORMAT = "patternpack-solution-1"
+STATUSES = ("complete", "time_limit", "stopped", "infeasible")
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
@@ -46,6 +50,11 @@ _KIND_NAMES = {int: "an integer", str: "a string", dict: "an object",
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _require(mapping, key, kind, where):
@@ -135,7 +144,7 @@ def solution_record(report: SearchReport, cfg: SolverConfig) -> dict:
     instance = report.instance
     registry = report.registry  # knows the compound types the search created
     record = {
-        "format": "patternpack-solution-1",
+        "format": RECORD_FORMAT,
         "instance": instance_to_data(instance),
         "instance_digest": instance_digest(instance),
         "strategy": cfg.node_selection,
@@ -208,11 +217,23 @@ def verify_solution_file(path: str | Path) -> list[str]:
         return [f"embedded instance invalid: {exc}"]
     if record.get("instance_digest") != instance_digest(instance):
         problems.append("instance digest mismatch")
+    if record.get("format") != RECORD_FORMAT:
+        problems.append(f"format: must be {RECORD_FORMAT!r}")
+    status = record.get("status")
+    if status not in STATUSES:
+        problems.append(f"status: must be one of {', '.join(STATUSES)}")
+    best_bound = record.get("best_bound")
+    if not _is_number(best_bound):
+        problems.append("best_bound: must be a finite number")
     if record.get("patterns") is None:  # no incumbent was found
-        return problems + [
-            f"{key}: present although the record has no incumbent"
-            for key in ("bins", "pattern_blocks", "produced", "objective")
-            if key in record]
+        problems += [f"{key}: present although the record has no incumbent"
+                     for key in ("bins", "pattern_blocks", "produced", "objective")
+                     if key in record]
+        if record.get("gap") is not None:
+            problems.append("gap: must be null without an incumbent")
+        return problems
+    if status == "infeasible":
+        problems.append("status: infeasible although the record has an incumbent")
     registry = instance.registry()
     totals = {t.id: 0 for t in instance.item_types}
     bins = 0
@@ -235,6 +256,19 @@ def verify_solution_file(path: str | Path) -> list[str]:
             totals[tid] = totals.get(tid, 0) + n * x
     if bins != record.get("bins"):
         problems.append(f"bins field ({record.get('bins')}) != sum of x ({bins})")
+    # c1 and c2 are positive, so only a solution without bins scores 0
+    objective = record.get("objective")
+    if not (_is_number(objective) and (objective > 0 if bins > 0 else objective == 0)):
+        problems.append("objective: must be a finite number, positive "
+                        "unless the solution uses no bins")
+    gap = record.get("gap")
+    if not _is_number(gap):
+        problems.append("gap: must be a finite number")
+    elif _is_number(best_bound):
+        expected = max(0.0, (bins - best_bound) / bins) if bins > 0 else 0.0
+        if abs(gap - expected) > 1e-8:
+            problems.append(f"gap ({gap}) != max(0, (bins - best_bound) / bins) "
+                            f"({expected})")
     if len(blocks) != record.get("patterns"):
         problems.append("patterns field does not match the number of blocks")
     if record.get("produced") != totals:

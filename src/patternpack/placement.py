@@ -3,13 +3,13 @@
 Candidate-point scheme: the origin plus, for every placed rectangle, the two
 offset corners (x + w + d, y) and (x, y + h + d).  Each rectangle goes to the
 feasible candidate with minimal y, ties broken by minimal x.  No clearance is
-required towards the bin edges.
+required towards the bin edges.  Candidates are derived from the placed
+rectangles, not stored.
 """
 
 from collections import Counter
+from heapq import heappop, heappush, heapreplace
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .model import Instance, Layout, TypeRegistry, expand_counts
 
@@ -28,68 +28,67 @@ class BottomLeftPacker:
     """Incremental bottom-left packer for one bin.
 
     Placing rectangle k depends only on rectangles 1..k-1, so feeding a
-    sequence one element at a time is equivalent to a batch run on the whole
-    sequence.  ``mark``/``reset_to`` allow cheap rollback of a suffix.
+    sequence one element at a time equals a batch run on the whole sequence.
+    Between rollbacks rectangles are only added, so a candidate blocked for
+    a w x h rectangle stays blocked.  The heap for (w, h) holds in-bin
+    candidates as (y, x, checked), where ``checked`` counts the oldest
+    rectangles the candidate is known to clear, so it is tested against each
+    rectangle at most once; blocked tops are popped, and the first clear top
+    is the (y, x)-minimal feasible candidate.
     """
-
-    _GROW = 256
 
     def __init__(self, bin_width: int, bin_height: int, spacing: int):
         self.bin_width = bin_width
         self.bin_height = bin_height
         self.spacing = spacing
-        cap = self._GROW
-        self._px = np.zeros(cap, dtype=np.int64)
-        self._py = np.zeros(cap, dtype=np.int64)
-        self._pw = np.zeros(cap, dtype=np.int64)
-        self._ph = np.zeros(cap, dtype=np.int64)
-        self._cx = np.zeros(2 * cap + 1, dtype=np.int64)
-        self._cy = np.zeros(2 * cap + 1, dtype=np.int64)
-        self._n_placed = 0
-        self._n_cand = 1  # the origin
+        # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
+        self._boxes: list[tuple[int, int, int, int]] = []
+        # (w, h) -> [candidate heap, number of rectangles whose corners it holds]
+        self._heaps: dict[tuple[int, int], list] = {}
 
-    def _grow(self) -> None:
-        for name in ("_px", "_py", "_pw", "_ph", "_cx", "_cy"):
-            arr = getattr(self, name)
-            setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
+    def mark(self) -> int:
+        """The number of placed rectangles."""
+        return len(self._boxes)
 
-    def mark(self) -> tuple[int, int]:
-        return self._n_placed, self._n_cand
-
-    def reset_to(self, mark: tuple[int, int]) -> None:
-        self._n_placed, self._n_cand = mark
+    def reset_to(self, mark: int) -> None:
+        """Drop the rectangles placed after ``mark``, and with them the heaps;
+        a rollback that drops nothing (as after a failed ``place``) keeps them."""
+        if mark < len(self._boxes):
+            del self._boxes[mark:]
+            self._heaps.clear()
 
     def place(self, w: int, h: int) -> tuple[int, int] | None:
         """Place one w x h rectangle; returns its (x, y) or None if it cannot fit."""
-        n, c, d = self._n_placed, self._n_cand, self.spacing
-        cx, cy = self._cx[:c], self._cy[:c]
-        ok = (cx + w <= self.bin_width) & (cy + h <= self.bin_height)
-        if n:
-            px, py = self._px[:n], self._py[:n]
-            pw, ph = self._pw[:n], self._ph[:n]
-            sep = ((cx[:, None] + (w + d) <= px[None, :])
-                   | (px[None, :] + pw[None, :] + d <= cx[:, None])
-                   | (cy[:, None] + (h + d) <= py[None, :])
-                   | (py[None, :] + ph[None, :] + d <= cy[:, None]))
-            ok &= sep.all(axis=1)
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        best = idx[np.lexsort((cx[idx], cy[idx]))[0]]
-        x, y = int(cx[best]), int(cy[best])
-        if n + 1 > self._px.shape[0] or c + 2 > self._cx.shape[0]:
-            self._grow()
-        self._px[n], self._py[n], self._pw[n], self._ph[n] = x, y, w, h
-        self._cx[c], self._cy[c] = x + w + d, y
-        self._cx[c + 1], self._cy[c + 1] = x, y + h + d
-        self._n_placed = n + 1
-        self._n_cand = c + 2
-        return x, y
+        boxes, d, n = self._boxes, self.spacing, len(self._boxes)
+        xmax, ymax = self.bin_width - w, self.bin_height - h
+        entry = self._heaps.get((w, h))
+        if entry is None:
+            origin = [(0, 0, 0)] if xmax >= 0 and ymax >= 0 else []
+            entry = self._heaps[w, h] = [origin, 0]
+        heap, seen = entry
+        for x, y, right, top in boxes[seen:n]:
+            if right <= xmax and y <= ymax:
+                heappush(heap, (y, right, 0))
+            if x <= xmax and top <= ymax:
+                heappush(heap, (top, x, 0))
+        entry[1] = n
+        while heap:
+            y, x, checked = heap[0]
+            xr, yt = x + w + d, y + h + d
+            for i in range(n - 1, checked - 1, -1):
+                rx, ry, rr, rt = boxes[i]
+                if xr > rx and rr > x and yt > ry and rt > y:
+                    heappop(heap)
+                    break
+            else:
+                heapreplace(heap, (y, x, n))
+                boxes.append((x, y, xr, yt))
+                return x, y
+        return None
 
     def placements(self) -> list[Rect]:
-        n = self._n_placed
-        return [(int(self._px[i]), int(self._py[i]), int(self._pw[i]), int(self._ph[i]))
-                for i in range(n)]
+        d = self.spacing
+        return [(x, y, r - x - d, t - y - d) for x, y, r, t in self._boxes]
 
 
 def bottom_left_place(rectangles: Sequence[tuple[int, int]], bin_width: int,

@@ -38,6 +38,74 @@ def build_node(instance, counts_list, registry=None, mult=None,
                        rules=rules, rng=node_rng(seed, node_id))
 
 
+class ReferencePacker:
+    """Reference bottom-left packer that ``BottomLeftPacker`` must match.
+
+    Every ``place`` tests all stored candidate points against all placed
+    rectangles in numpy; ``mark`` returns the pair (placed rectangles,
+    candidates).
+    """
+
+    _GROW = 256
+
+    def __init__(self, bin_width: int, bin_height: int, spacing: int):
+        self.bin_width = bin_width
+        self.bin_height = bin_height
+        self.spacing = spacing
+        cap = self._GROW
+        self._px = np.zeros(cap, dtype=np.int64)
+        self._py = np.zeros(cap, dtype=np.int64)
+        self._pw = np.zeros(cap, dtype=np.int64)
+        self._ph = np.zeros(cap, dtype=np.int64)
+        self._cx = np.zeros(2 * cap + 1, dtype=np.int64)
+        self._cy = np.zeros(2 * cap + 1, dtype=np.int64)
+        self._n_placed = 0
+        self._n_cand = 1  # the origin
+
+    def _grow(self) -> None:
+        for name in ("_px", "_py", "_pw", "_ph", "_cx", "_cy"):
+            arr = getattr(self, name)
+            setattr(self, name, np.concatenate([arr, np.zeros_like(arr)]))
+
+    def mark(self) -> tuple[int, int]:
+        return self._n_placed, self._n_cand
+
+    def reset_to(self, mark: tuple[int, int]) -> None:
+        self._n_placed, self._n_cand = mark
+
+    def place(self, w: int, h: int) -> tuple[int, int] | None:
+        """Place one w x h rectangle; returns its (x, y) or None if it cannot fit."""
+        n, c, d = self._n_placed, self._n_cand, self.spacing
+        cx, cy = self._cx[:c], self._cy[:c]
+        ok = (cx + w <= self.bin_width) & (cy + h <= self.bin_height)
+        if n:
+            px, py = self._px[:n], self._py[:n]
+            pw, ph = self._pw[:n], self._ph[:n]
+            sep = ((cx[:, None] + (w + d) <= px[None, :])
+                   | (px[None, :] + pw[None, :] + d <= cx[:, None])
+                   | (cy[:, None] + (h + d) <= py[None, :])
+                   | (py[None, :] + ph[None, :] + d <= cy[:, None]))
+            ok &= sep.all(axis=1)
+        if not ok.any():
+            return None
+        idx = np.flatnonzero(ok)
+        best = idx[np.lexsort((cx[idx], cy[idx]))[0]]
+        x, y = int(cx[best]), int(cy[best])
+        if n + 1 > self._px.shape[0] or c + 2 > self._cx.shape[0]:
+            self._grow()
+        self._px[n], self._py[n], self._pw[n], self._ph[n] = x, y, w, h
+        self._cx[c], self._cy[c] = x + w + d, y
+        self._cx[c + 1], self._cy[c + 1] = x, y + h + d
+        self._n_placed = n + 1
+        self._n_cand = c + 2
+        return x, y
+
+    def placements(self) -> list[tuple[int, int, int, int]]:
+        n = self._n_placed
+        return [(int(self._px[i]), int(self._py[i]), int(self._pw[i]), int(self._ph[i]))
+                for i in range(n)]
+
+
 def tiny_instance(k: int) -> Instance:
     """Grid-aligned randomized instance with n <= 3 types and to <= 4.
 

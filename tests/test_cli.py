@@ -146,12 +146,28 @@ def _no_incumbent_but_bins_and_blocks(record):
     return {**record, "patterns": None, "pattern_blocks": "junk"}
 
 
+def _set(field, value):
+    """Tamper: set a top-level field of the record."""
+    return pytest.param(lambda record: {**record, field: value},
+                        id=f"{field}={value!r}")
+
+
+def _no_incumbent_but_a_gap(record):
+    record = {key: value for key, value in record.items() if key not in
+              ("bins", "pattern_blocks", "produced", "objective")}
+    return {**record, "patterns": None, "gap": 0.5}
+
+
 @pytest.mark.parametrize("tamper", [
     _set_block("x", None), _set_block("x", True),
     _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
     _block_not_an_object, lambda record: [record],
     _negative_count_hides_overproduction, _produced_overstated,
     _no_incumbent_but_bins_and_blocks,
+    _set("objective", -5), _set("gap", 7.0), _set("gap", "x"),
+    _set("best_bound", None), _set("status", "bogus"),
+    _set("format", "patternpack-solution-0"), _set("status", "infeasible"),
+    _no_incumbent_but_a_gap,
 ])
 def test_verify_reports_malformed_records(tmp_path, tamper):
     report, cfg = _solved_report(1)

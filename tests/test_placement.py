@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from patternpack.model import Instance, ItemType, Layout, TypeRegistry
 from patternpack.placement import (BottomLeftPacker, bottom_left_place,
                                    expansion_sequence, place_counts, separated,
                                    verify_layout)
 
-from helpers import random_small_instance
+from helpers import ReferencePacker, random_small_instance
 
 
 def test_separated_examples():
@@ -61,7 +61,7 @@ def test_incremental_equals_batch_positions():
     for _ in range(100):
         d = rng.randint(0, 2)
         seq = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 8))]
-        packer = BottomLeftPacker(12, 12, d)
+        packer = ReferencePacker(12, 12, d)
         incremental = []
         for w, h in seq:
             pos = packer.place(w, h)
@@ -79,6 +79,55 @@ def test_rollback_restores_state():
     assert packer.place(4, 4) == (5, 0)
     packer.reset_to(mark)
     assert packer.place(4, 4) == (5, 0)  # same answer after rollback
+    assert packer.place(6, 6) is None
+    packer.reset_to(packer.mark())  # a rollback that removes nothing
+    assert packer.place(4, 4) == (0, 5)
+    assert packer.placements() == [(0, 0, 4, 4), (5, 0, 4, 4), (0, 5, 4, 4)]
+
+
+@st.composite
+def packer_scripts(draw):
+    """A bin, a few rectangle sizes (some larger than the bin) and a random
+    interleaving of ``place``, ``mark`` and ``reset_to``."""
+    width, height = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    spacing = draw(st.integers(0, 3))
+    small = st.tuples(st.integers(1, max(1, width // 3)),
+                      st.integers(1, max(1, height // 3)))
+    any_size = st.tuples(st.integers(1, 90), st.integers(1, 90))
+    sizes = draw(st.lists(st.one_of(small, any_size), min_size=1, max_size=4))
+    size = st.sampled_from(sizes)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("place"), size),
+        st.tuples(st.just("place_or_undo"), size),
+        st.tuples(st.just("mark"), st.none()),
+        st.tuples(st.just("reset"), st.integers(0, 7))), max_size=80))
+    return width, height, spacing, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(packer_scripts())
+def test_packer_equals_reference(script):
+    width, height, spacing, ops = script
+    packer = BottomLeftPacker(width, height, spacing)
+    ref = ReferencePacker(width, height, spacing)
+    marks = []
+    for op, arg in ops:
+        if op in ("place", "place_or_undo"):
+            before = packer.mark(), ref.mark()
+            got = packer.place(*arg)
+            assert got == ref.place(*arg)
+            if got is None and op == "place_or_undo":
+                # greedy_fill's rollback after a failed place: removes nothing
+                packer.reset_to(before[0])
+                ref.reset_to(before[1])
+        elif op == "mark":
+            marks.append((packer.mark(), ref.mark()))
+        elif marks:
+            # back to an older mark; the marks taken after it lapse
+            del marks[arg % len(marks) + 1:]
+            packer.reset_to(marks[-1][0])
+            ref.reset_to(marks[-1][1])
+        assert packer.placements() == ref.placements()
 
 
 def _square_instance():
