@@ -330,6 +330,24 @@ class NodeProblem:
     parent_patterns_used: int = 0
     bound_hint: float = 0.0
     rng: random.Random = field(default_factory=random.Random)
+    # type -> fill_unit(type); valid for the node's life, as rules never change
+    _fill_units: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+    def fill_unit(self, tid: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...],
+                                           tuple[tuple[ApartRule, int, int], ...]]:
+        """One unit of ``tid`` as a greedy fill adds it: its original type
+        ids, their rectangle sizes, and (rule, da, db) for each apart rule it
+        adds da items of a and db items of b to.  Built once per node."""
+        unit = self._fill_units.get(tid)
+        if unit is None:
+            registry = self.registry
+            ids = registry.expansion(tid)
+            dims = tuple((registry[oid].width, registry[oid].height) for oid in ids)
+            steps = tuple((rule, da, db) for rule in self.rules
+                          for da, db in [rule.units(tid, registry)] if da or db)
+            unit = self._fill_units[tid] = (ids, dims, steps)
+        return unit
 
     def to_of(self, tid: str) -> int:
         return self.multiplicities[tid][1]

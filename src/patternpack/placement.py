@@ -4,14 +4,18 @@ Candidate-point scheme: the origin plus, for every placed rectangle, the two
 offset corners (x + w + d, y) and (x, y + h + d).  Each rectangle goes to the
 feasible candidate with minimal y, ties broken by minimal x.  No clearance is
 required towards the bin edges.  Candidates are derived from the placed
-rectangles, not stored.
+rectangles, not stored.  A candidate is tested first against the rectangles
+placed after the one that made its corner, where its blocker usually is;
+rectangles lying wholly below it are skipped.  The verifier sweeps over x,
+so it compares only pairs that are not already apart along x.
 """
 
+from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush, heapreplace
 from typing import Iterable, Mapping, Sequence
 
-from .model import Instance, Layout, TypeRegistry, expand_counts
+from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
 
@@ -31,10 +35,21 @@ class BottomLeftPacker:
     sequence one element at a time equals a batch run on the whole sequence.
     Between rollbacks rectangles are only added, so a candidate blocked for
     a w x h rectangle stays blocked.  The heap for (w, h) holds in-bin
-    candidates as (y, x, checked), where ``checked`` counts the oldest
-    rectangles the candidate is known to clear, so it is tested against each
-    rectangle at most once; blocked tops are popped, and the first clear top
-    is the (y, x)-minimal feasible candidate.
+    candidates as (y, x, first), where ``first`` is one past the index of
+    the rectangle that made the corner, and 0 for the origin.
+
+    A candidate is tested against rectangles first..n-1, oldest first: the
+    right-hand neighbour of its maker, or the rectangle above it one row
+    later, is usually the blocker.  Then it is tested against rectangles
+    first-1 down to ``bisect_right(_tops, y)``.  ``_tops[i]`` is the highest
+    clearance-box top among rectangles 0..i, so every rectangle before that
+    index ends at or below y and cannot block.  Only rectangles that cannot
+    block are skipped, so the verdict is that of a test against every
+    rectangle; only the order and the count of tests change.  Blocked tops
+    are popped, and the first clear top is the (y, x)-minimal feasible
+    candidate.  It is pushed back with ``first = n``: the rectangle just
+    placed on it blocks it on the next call, before any older rectangle is
+    tested again.
     """
 
     def __init__(self, bin_width: int, bin_height: int, spacing: int):
@@ -43,6 +58,8 @@ class BottomLeftPacker:
         self.spacing = spacing
         # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
         self._boxes: list[tuple[int, int, int, int]] = []
+        # _tops[i]: the highest clearance-box top among boxes 0..i
+        self._tops: list[int] = []
         # (w, h) -> [candidate heap, number of rectangles whose corners it holds]
         self._heaps: dict[tuple[int, int], list] = {}
 
@@ -55,35 +72,45 @@ class BottomLeftPacker:
         a rollback that drops nothing (as after a failed ``place``) keeps them."""
         if mark < len(self._boxes):
             del self._boxes[mark:]
+            del self._tops[mark:]
             self._heaps.clear()
 
     def place(self, w: int, h: int) -> tuple[int, int] | None:
         """Place one w x h rectangle; returns its (x, y) or None if it cannot fit."""
-        boxes, d, n = self._boxes, self.spacing, len(self._boxes)
+        boxes, tops, d, n = self._boxes, self._tops, self.spacing, len(self._boxes)
         xmax, ymax = self.bin_width - w, self.bin_height - h
         entry = self._heaps.get((w, h))
         if entry is None:
             origin = [(0, 0, 0)] if xmax >= 0 and ymax >= 0 else []
             entry = self._heaps[w, h] = [origin, 0]
         heap, seen = entry
-        for x, y, right, top in boxes[seen:n]:
+        for first, (x, y, right, top) in enumerate(boxes[seen:n], seen + 1):
             if right <= xmax and y <= ymax:
-                heappush(heap, (y, right, 0))
+                heappush(heap, (y, right, first))
             if x <= xmax and top <= ymax:
-                heappush(heap, (top, x, 0))
+                heappush(heap, (top, x, first))
         entry[1] = n
         while heap:
-            y, x, checked = heap[0]
+            y, x, first = heap[0]
             xr, yt = x + w + d, y + h + d
-            for i in range(n - 1, checked - 1, -1):
+            # the boxes placed after the corner's maker, oldest first ...
+            for i in range(first, n):
                 rx, ry, rr, rt = boxes[i]
                 if xr > rx and rr > x and yt > ry and rt > y:
-                    heappop(heap)
                     break
             else:
-                heapreplace(heap, (y, x, n))
-                boxes.append((x, y, xr, yt))
-                return x, y
+                # ... then the older ones, newest first, down to the last
+                # box whose running top rises above y
+                for i in range(first - 1, bisect_right(tops, y) - 1, -1):
+                    rx, ry, rr, rt = boxes[i]
+                    if xr > rx and rr > x and yt > ry and rt > y:
+                        break
+                else:
+                    heapreplace(heap, (y, x, n))
+                    boxes.append((x, y, xr, yt))
+                    tops.append(yt if not n or yt > tops[-1] else tops[-1])
+                    return x, y
+            heappop(heap)
         return None
 
     def placements(self) -> list[Rect]:
@@ -129,12 +156,19 @@ def place_counts(counts: Mapping[str, int], order: Sequence[str],
 
 def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
                   registry: TypeRegistry | None = None) -> bool:
-    """Independent check: in-bin, pairwise separated, multiset matches the counts."""
+    """Independent check: in-bin, pairwise separated, multiset matches the counts.
+
+    A negative count fails the check.  Pairs are found by a sweep over x: a
+    rectangle is compared only with earlier ones (by x) whose clearance
+    reaches past its x, since every other pair is separated along x.
+    """
     if registry is None:
         registry = instance.registry()
+    if any(n < 0 for n in counts.values()):
+        return False
     try:
         expected = {k: v for k, v in expand_counts(counts, registry).items() if v > 0}
-    except Exception:
+    except RegistryError:
         return False
     got = Counter(oid for oid, _, _ in layout.placements)
     if got != Counter(expected):
@@ -149,10 +183,15 @@ def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
             return False
         rects.append((x, y, t.width, t.height))
     d = instance.spacing
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            if not separated(rects[i], rects[j], d):
+    rects.sort()
+    reaching: list[Rect] = []  # earlier rectangles whose x + w + d passes the sweep
+    for rect in rects:
+        x = rect[0]
+        reaching = [r for r in reaching if r[0] + r[2] + d > x]
+        for r in reaching:
+            if not separated(r, rect, d):
                 return False
+        reaching.append(rect)
     return True
 
 

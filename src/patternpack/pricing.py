@@ -10,8 +10,8 @@ bottom-left placement.  Columns that price out positive are kept.
 
 from typing import Mapping
 
-from .model import (Column, Instance, NodeProblem, SolverConfig, dense_counts,
-                    make_column)
+from .model import (ApartRule, Column, Instance, NodeProblem, SolverConfig,
+                    dense_counts, make_column)
 from .placement import BottomLeftPacker, Layout
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
@@ -78,11 +78,10 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     unit contributes all its constituent rectangles or the increment is
     rolled back.
     """
-    registry = node.registry
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing)
     # per apart rule, the items of (a, b) in the bin so far; they obey the rule
-    tallies = [(rule, [0, 0]) for rule in node.rules]
+    tallies: dict[ApartRule, list[int]] = {}
 
     def admitted(steps: list) -> bool:
         for rule, tally, da, db in steps:
@@ -94,11 +93,10 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     placed_ids: list[str] = []
     for tid in sequence:
         _, hi = node.multiplicities[tid]
-        unit = registry.expansion(tid)
-        dims = [(registry[oid].width, registry[oid].height) for oid in unit]
+        unit, dims, rules = node.fill_unit(tid)
         # only a rule that one unit of tid adds to can refuse another unit
-        steps = [(rule, tally, da, db) for rule, tally in tallies
-                 for da, db in [rule.units(tid, registry)] if da or db]
+        steps = [(rule, tallies.setdefault(rule, [0, 0]), da, db)
+                 for rule, da, db in rules]
         while counts.get(tid, 0) < hi and admitted(steps):
             mark = packer.mark()
             ok = True
@@ -118,7 +116,7 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
         return None
     witness = Layout(tuple(
         (oid, x, y) for oid, (x, y, _, _) in zip(placed_ids, packer.placements())))
-    return make_column(counts, witness, registry)
+    return make_column(counts, witness, node.registry)
 
 
 def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 
 from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
-                               make_column, node_rng)
+                               RegistryError, expand_counts, make_column, node_rng)
+from patternpack.placement import expansion_sequence, place_counts, separated
 
 
 def build_node(instance, counts_list, registry=None, mult=None,
@@ -17,8 +19,6 @@ def build_node(instance, counts_list, registry=None, mult=None,
     the given counts must therefore actually fit one bin.  ``conflicts`` and
     ``caps`` become apart rules whose basis is the node's active type set.
     """
-    from patternpack.placement import expansion_sequence, place_counts
-
     registry = registry if registry is not None else instance.registry()
     if mult is None:
         mult = {t.id: (t.from_count, t.to_count) for t in instance.item_types}
@@ -104,6 +104,30 @@ class ReferencePacker:
         n = self._n_placed
         return [(int(self._px[i]), int(self._py[i]), int(self._pw[i]), int(self._ph[i]))
                 for i in range(n)]
+
+
+def all_pairs_verify_layout(layout, counts, instance, registry=None) -> bool:
+    """Reference verifier that ``verify_layout`` must match: the same checks,
+    with every pair of rectangles compared."""
+    registry = registry if registry is not None else instance.registry()
+    if any(n < 0 for n in counts.values()):
+        return False
+    try:
+        expected = Counter({k: v for k, v in expand_counts(counts, registry).items()
+                            if v > 0})
+    except RegistryError:
+        return False
+    if Counter(oid for oid, _, _ in layout.placements) != expected:
+        return False
+    rects = []
+    for oid, x, y in layout.placements:
+        t = registry[oid]
+        if t.is_compound or x < 0 or y < 0 or x + t.width > instance.bin_width \
+                or y + t.height > instance.bin_height:
+            return False
+        rects.append((x, y, t.width, t.height))
+    return all(separated(r1, r2, instance.spacing)
+               for r1, r2 in itertools.combinations(rects, 2))
 
 
 def tiny_instance(k: int) -> Instance:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,7 @@ from patternpack.placement import (BottomLeftPacker, bottom_left_place,
                                    expansion_sequence, place_counts, separated,
                                    verify_layout)
 
-from helpers import ReferencePacker, random_small_instance
+from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
 
 
 def test_separated_examples():
@@ -130,6 +131,23 @@ def test_packer_equals_reference(script):
         assert packer.placements() == ref.placements()
 
 
+@pytest.mark.parametrize("first", [None, (159, 323)])
+def test_packer_equals_reference_on_long_rows(first):
+    """Rows of r5's 27 x 18 item until the bin is full, alone or after one
+    159 x 323 item: hundreds of rectangles, far more than the scripts build."""
+    packer = BottomLeftPacker(614, 512, 6)
+    ref = ReferencePacker(614, 512, 6)
+    sizes = [first] if first else []
+    while True:
+        size = sizes.pop() if sizes else (27, 18)
+        got = packer.place(*size)
+        assert got == ref.place(*size)
+        assert packer.placements() == ref.placements()
+        if got is None:
+            break
+    assert packer.mark() > 300
+
+
 def _square_instance():
     return Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 8),))
 
@@ -200,3 +218,59 @@ def test_packer_outputs_always_verify():
         layout = place_counts(counts, order, inst, reg)
         if layout is not None:
             assert verify_layout(layout, counts, inst, reg)
+
+
+def test_verify_layout_rejects_negative_counts():
+    inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8), ItemType("B", 4, 4, 0, 8)))
+    layout = Layout((("A", 0, 0), ("A", 5, 0)))
+    assert verify_layout(layout, {"A": 2}, inst)
+    assert not verify_layout(layout, {"A": 2, "B": -2}, inst)
+    assert not verify_layout(layout, {"A": 2, "B": -2, "C": 1}, inst)  # unknown type
+
+
+def test_verify_layout_raises_on_a_fault_inside_it():
+    inst = _square_instance()
+    registry = inst.registry()
+
+    def broken(*args):
+        raise ZeroDivisionError
+
+    registry.expansion = broken
+    with pytest.raises(ZeroDivisionError):
+        verify_layout(Layout((("A", 0, 0),)), {"A": 1}, inst, registry)
+
+
+@st.composite
+def layouts_near_contact(draw):
+    """An instance, a layout and counts.  The layout is a bottom-left packing
+    of random rectangles, so neighbours sit exactly d apart and columns share
+    x starts; then up to two rectangles move by one unit, which leaves a gap
+    of d - 1 or a rectangle outside the bin; sometimes a count is off by one."""
+    spacing = draw(st.integers(0, 3))
+    width, height = draw(st.integers(4, 60)), draw(st.integers(4, 60))
+    sizes = draw(st.lists(st.tuples(st.integers(1, max(1, width // 3)),
+                                    st.integers(1, max(1, height // 3))),
+                          min_size=1, max_size=3))
+    inst = Instance(width, height, spacing, tuple(
+        ItemType(f"t{k}", w, h, 0, 40) for k, (w, h) in enumerate(sizes)))
+    packer = BottomLeftPacker(width, height, spacing)
+    placed = []
+    for k in draw(st.lists(st.integers(0, len(sizes) - 1), max_size=30)):
+        pos = packer.place(*sizes[k])
+        if pos is not None:
+            placed.append([f"t{k}", *pos])
+    for _ in range(draw(st.integers(0, 2)) if placed else 0):
+        moved = draw(st.sampled_from(placed))
+        moved[draw(st.sampled_from([1, 2]))] += draw(st.sampled_from([-1, 1]))
+    layout = Layout(tuple(map(tuple, placed)))
+    counts = Counter(tid for tid, _, _ in placed)
+    if draw(st.booleans()):
+        counts[f"t{draw(st.integers(0, len(sizes) - 1))}"] += draw(st.sampled_from([-1, 1]))
+    return inst, layout, dict(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts_near_contact())
+def test_sweep_verify_equals_all_pairs(case):
+    inst, layout, counts = case
+    assert verify_layout(layout, counts, inst) == all_pairs_verify_layout(layout, counts, inst)

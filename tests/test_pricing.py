@@ -1,5 +1,6 @@
 import pytest
 
+from patternpack.branching import make_left_child, make_right_child
 from patternpack.model import Instance, ItemType, SolverConfig
 from patternpack.placement import verify_layout
 from patternpack.pricing import greedy_fill, make_sequences, price, reduced_cost
@@ -91,6 +92,32 @@ def test_greedy_fill_places_compound_units_atomically():
     # one 6x6 + 3x3 bundle fits; a second 6x6 cannot, so one C then extra Bs
     assert col.count("C") == 1
     assert verify_layout(col.witness, col.counts_dict(), inst, reg)
+
+
+def test_fill_table_belongs_to_its_node():
+    """A child never reads the table its parent built: a right child sees
+    its new apart rule, a left child's compound gets an entry of its own."""
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 2), ItemType("B", 5, 5, 0, 4)))
+    parent = build_node(inst, [])
+    assert greedy_fill(("A", "B"), parent, inst).counts_dict() == {"A": 2, "B": 2}
+    assert set(parent._fill_units) == {"A", "B"}
+
+    apart = make_right_child(parent, "A", "B", child_id=1, seed=0, instance=inst)
+    col = greedy_fill(("A", "B"), apart, inst)
+    assert col.counts_dict() == {"A": 2}
+    assert greedy_fill(("B", "A"), apart, inst).counts_dict() == {"B": 4}
+
+    together = make_left_child(parent, "A", "B", child_id=2, seed=0, instance=inst)
+    cid = next(t for t in together.multiplicities if t not in ("A", "B"))
+    assert together.fill_unit(cid)[:2] == (("A", "B"), ((5, 5), (5, 5)))
+    col = greedy_fill((cid, "A", "B"), together, inst)
+    assert col.counts_dict() == {cid: 1, "A": 1, "B": 1}
+    # three Bs leave one slot: the compound's two rectangles go in together or not at all
+    col = greedy_fill(("B", cid), together, inst)
+    assert col.counts_dict() == {"B": 3}
+    assert [oid for oid, _, _ in col.witness.placements] == ["B", "B", "B"]
+    assert verify_layout(col.witness, col.counts_dict(), inst, together.registry)
+    assert greedy_fill(("A", "B"), parent, inst).counts_dict() == {"A": 2, "B": 2}
 
 
 def test_price_zero_duals_returns_nothing():

@@ -22,6 +22,8 @@ PINNED = {
         "303817fb50f04a2148e9d1786e15cd74494827ee0254622da3dd8aeafc5f52bf",
     ("r3", "depth_first"):
         "1543e54848b60dfcea4443d74a236a2be4e7a9cb211ab454bf0e72a7f9fdb60e",
+    ("r5", "heuristic_min_heap"):
+        "824e7661463b61286b31fb5feefcf827380fd2c8055f9e3bc0f407672fcad3ad",
 }
 
 CHILD = """
