@@ -4,7 +4,7 @@ from .model import (Column, InfeasibleInstanceError, Instance,
                     InvalidInstanceError, ItemType, Layout, Solution,
                     SolverConfig, TypeRegistry, derive_to, expand_counts)
 from .oracle import OracleGuardError, OracleProblem, exact_max_fill, exact_solve
-from .placement import bottom_left_place, place_counts, separated, verify_layout
+from .placement import place_ids, separated, verify_layout
 from .search import SearchReport, SearchStats, column_generation, initial_columns, run
 from .simplex import LinearProgram, LpResult, solve_lp
 
@@ -12,9 +12,9 @@ __all__ = [
     "Column", "InfeasibleInstanceError", "Instance", "InvalidInstanceError",
     "ItemType", "Layout", "LinearProgram", "LpResult", "OracleGuardError",
     "OracleProblem", "SearchReport", "SearchStats", "Solution", "SolverConfig",
-    "TypeRegistry", "bottom_left_place", "column_generation", "derive_to",
-    "exact_max_fill", "exact_solve", "expand_counts", "initial_columns",
-    "place_counts", "run", "separated", "solve_lp", "verify_layout",
+    "TypeRegistry", "column_generation", "derive_to", "exact_max_fill",
+    "exact_solve", "expand_counts", "initial_columns", "place_ids", "run",
+    "separated", "solve_lp", "verify_layout",
 ]
 
 __version__ = "0.1.0"

@@ -6,7 +6,6 @@ compound type with a one-bin production range; the right child forbids the
 pair from sharing a bin (a unary cap when the pair is a type with itself).
 """
 
-import itertools
 from math import floor
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from .master import EPS_INT, count_matrix
 from .model import (ApartRule, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
-from .placement import place_counts, verify_layout
+from .placement import distinct_orders, place_ids, verify_layout
 from .pricing import greedy_fill
 
 
@@ -101,7 +100,7 @@ def _coverage_ok(node: NodeProblem, instance: Instance) -> bool:
     Rescue columns come from a single-type greedy fill honoring the node's
     rules; when even that fails the node is genuinely infeasible.
     """
-    seen = {c.key() for c in node.columns}
+    seen = {c.counts for c in node.columns}
     for tid, (lo, _) in node.multiplicities.items():
         if lo <= 0:
             continue
@@ -111,8 +110,8 @@ def _coverage_ok(node: NodeProblem, instance: Instance) -> bool:
         rescue = greedy_fill((tid,), node, instance)
         if rescue is None:
             return False
-        if rescue.key() not in seen:
-            seen.add(rescue.key())
+        if rescue.counts not in seen:
+            seen.add(rescue.counts)
             node.columns.append(rescue)
     return True
 
@@ -154,25 +153,16 @@ def _compound_id(i: str, j: str, registry: TypeRegistry) -> str:
 def _place_compound_unit(ctype: ItemType, instance: Instance,
                          registry: TypeRegistry) -> Layout | None:
     """Can the compound's constituent rectangles share one bin?  Tries the
-    canonical order first, then every distinct permutation for small bundles."""
+    canonical order first, then every other distinct order of a bundle of up
+    to 7 rectangles, or largest area first for a bigger one."""
     unit = registry.expansion(ctype.id)
-    counts = {ctype.id: 1}
-    layout = place_counts(counts, list(unit), instance, registry)
-    if layout is not None:
-        return layout
-    if len(unit) <= 7:
-        tried = {tuple(unit)}
-        for perm in itertools.permutations(unit):
-            if perm in tried:
-                continue
-            tried.add(perm)
-            layout = place_counts(counts, list(perm), instance, registry)
-            if layout is not None:
-                return layout
-        return None
-    by_area = sorted(unit, key=lambda oid: (-registry.unit_area(oid),
-                                            registry.order(oid)))
-    return place_counts(counts, by_area, instance, registry)
+    orders = distinct_orders(unit) if len(unit) <= 7 else (unit, sorted(
+        unit, key=lambda oid: (-registry.unit_area(oid), registry.order(oid))))
+    for order in orders:
+        layout = place_ids(order, instance, registry)
+        if layout is not None:
+            return layout
+    return None
 
 
 def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
@@ -245,14 +235,14 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
             cd = col.counts_dict()
         if not _respects_bounds(cd, child):
             continue
-        if col.key() in seen:
+        if col.counts in seen:
             continue
-        seen.add(col.key())
+        seen.add(col.counts)
         child.columns.append(col)
 
     if fresh_activation:
         unit = make_column({ctype.id: 1}, unit_layout, registry)
-        if unit.key() not in seen:
+        if unit.counts not in seen:
             child.columns.append(unit)
 
     if not _coverage_ok(child, instance):

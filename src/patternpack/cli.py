@@ -254,8 +254,8 @@ def verify_solution_file(path: str | Path) -> list[str]:
         bins += x
         for tid, n in counts.items():
             totals[tid] = totals.get(tid, 0) + n * x
-    if bins != record.get("bins"):
-        problems.append(f"bins field ({record.get('bins')}) != sum of x ({bins})")
+    if not (_is_int(record.get("bins")) and record["bins"] == bins):
+        problems.append(f"bins field ({record.get('bins')!r}) != sum of x ({bins})")
     # c1 and c2 are positive, so only a solution without bins scores 0
     objective = record.get("objective")
     if not (_is_number(objective) and (objective > 0 if bins > 0 else objective == 0)):
@@ -269,9 +269,11 @@ def verify_solution_file(path: str | Path) -> list[str]:
         if abs(gap - expected) > 1e-8:
             problems.append(f"gap ({gap}) != max(0, (bins - best_bound) / bins) "
                             f"({expected})")
-    if len(blocks) != record.get("patterns"):
+    if not (_is_int(record.get("patterns")) and record["patterns"] == len(blocks)):
         problems.append("patterns field does not match the number of blocks")
-    if record.get("produced") != totals:
+    produced = record.get("produced")
+    if not (isinstance(produced, dict) and all(map(_is_int, produced.values()))
+            and produced == totals):
         problems.append("produced field does not match the totals of the blocks")
     for t in instance.item_types:
         if not (t.from_count <= totals.get(t.id, 0) <= t.to_count):

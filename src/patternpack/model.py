@@ -137,8 +137,11 @@ class TypeRegistry:
 
         Compounds outside ``basis`` are expanded into their constituents,
         recursively; originals and basis members stay opaque, so the default
-        empty basis gives original type ids only.  Constituents are listed
-        contiguously, in registry order.  Detects constituent cycles.
+        empty basis gives original type ids only.  The result concatenates
+        the expansions of the constituents, taken in registry order and each
+        repeated by its multiplicity.  A nested compound's ids are inlined,
+        so equal ids need not be adjacent: with X = A+B, Z = C+X and
+        W = A+Z, W expands to (A, C, A, B).  Detects constituent cycles.
         """
         key = (type_id, basis)
         cached = self._expansion_cache.get(key)
@@ -290,16 +293,6 @@ class Column:
 
     def counts_dict(self) -> dict[str, int]:
         return dict(self.counts)
-
-    def count(self, type_id: str) -> int:
-        for tid, n in self.counts:
-            if tid == type_id:
-                return n
-        return 0
-
-    def key(self) -> tuple[tuple[str, int], ...]:
-        """Identity of the column for dedup purposes: the sparse count vector."""
-        return self.counts
 
 
 def make_column(counts: Mapping[str, int], witness: Layout,

@@ -11,10 +11,10 @@ call cheap and refuse anything larger.
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .model import ApartRule, Instance, Layout, TypeRegistry, violates_rules
-from .placement import bottom_left_place
+from .placement import distinct_orders, place_ids
 
 _MAX_VECTORS = 10_000
 _MAX_RECTS = 8
@@ -51,47 +51,23 @@ class OracleResult:
     assignment: tuple[tuple[tuple[tuple[str, int], ...], int], ...]  # (pattern, x)
 
 
-def _distinct_permutations(items: list[str]) -> Iterator[tuple[str, ...]]:
-    counts = Counter(items)
-    keys = sorted(counts)
-    total = len(items)
-
-    def rec(prefix: list[str]) -> Iterator[tuple[str, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for k in keys:
-            if counts[k] > 0:
-                counts[k] -= 1
-                prefix.append(k)
-                yield from rec(prefix)
-                prefix.pop()
-                counts[k] += 1
-
-    yield from rec([])
-
-
 def _try_place_vector(vec: tuple[int, ...], problem: OracleProblem) -> Layout | None:
-    """First bottom-left layout over any permutation of the expanded multiset."""
+    """First bottom-left layout over the distinct orders of the expanded
+    multiset."""
     inst, reg = problem.instance, problem.registry
     expanded: list[str] = []
     for tid, n in zip(problem.type_ids, vec):
         expanded.extend(reg.expansion(tid) * n)
-    if not expanded:
-        return Layout(())
     area = sum(reg[oid].width * reg[oid].height for oid in expanded)
     if area > inst.bin_width * inst.bin_height:
         return None
     if len(expanded) > _MAX_RECTS:
         raise OracleGuardError(
             f"candidate with {len(expanded)} rectangles exceeds the guard of {_MAX_RECTS}")
-    for perm in _distinct_permutations(expanded):
-        order_dims = [(reg[oid].width, reg[oid].height) for oid in perm]
-        placed = bottom_left_place(order_dims, inst.bin_width, inst.bin_height,
-                                   inst.spacing)
-        if placed is not None:
-            return Layout(tuple((oid, x, y)
-                                for oid, (x, y) in zip(perm, placed)))
+    for order in distinct_orders(expanded):
+        layout = place_ids(order, inst, reg)
+        if layout is not None:
+            return layout
     return None
 
 

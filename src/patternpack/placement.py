@@ -6,14 +6,16 @@ feasible candidate with minimal y, ties broken by minimal x.  No clearance is
 required towards the bin edges.  Candidates are derived from the placed
 rectangles, not stored.  A candidate is tested first against the rectangles
 placed after the one that made its corner, where its blocker usually is;
-rectangles lying wholly below it are skipped.  The verifier sweeps over x,
-so it compares only pairs that are not already apart along x.
+rectangles lying wholly below it are skipped.  Pricing drives a packer one
+rectangle at a time; branching and the oracle lay out type-id sequences with
+``place_ids``, trying the orders ``distinct_orders`` lists.  The verifier
+sweeps over x, so it compares only pairs that are not already apart along x.
 """
 
 from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush, heapreplace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
@@ -117,41 +119,51 @@ class BottomLeftPacker:
         d = self.spacing
         return [(x, y, r - x - d, t - y - d) for x, y, r, t in self._boxes]
 
-
-def bottom_left_place(rectangles: Sequence[tuple[int, int]], bin_width: int,
-                      bin_height: int, spacing: int) -> list[tuple[int, int]] | None:
-    """Positions for the rectangles in the given order, or None if some rectangle
-    has no feasible candidate point.  Deterministic for a fixed input order."""
-    packer = BottomLeftPacker(bin_width, bin_height, spacing)
-    out: list[tuple[int, int]] = []
-    for w, h in rectangles:
-        pos = packer.place(w, h)
-        if pos is None:
-            return None
-        out.append(pos)
-    return out
+    def layout(self, ids: Sequence[str]) -> Layout:
+        """The placed rectangles as a layout, the k-th labelled ``ids[k]``."""
+        return Layout(tuple((oid, x, y) for oid, (x, y, _, _)
+                            in zip(ids, self._boxes, strict=True)))
 
 
-def place_counts(counts: Mapping[str, int], order: Sequence[str],
-                 instance: Instance, registry: TypeRegistry) -> Layout | None:
-    """Place the expanded multiset of ``counts`` in the given original-type order.
-
-    ``order`` must be a permutation of the expansion of ``counts``; a compound
-    contributes all its constituent rectangles to the same bin or the whole
-    placement fails.
-    """
-    expanded = expand_counts(counts, registry)
-    if Counter(order) != Counter({k: v for k, v in expanded.items() if v > 0}):
-        raise ValueError("order is not a permutation of the expanded counts")
-    rects = []
-    for oid in order:
+def place_ids(ids: Sequence[str], instance: Instance,
+              registry: TypeRegistry) -> Layout | None:
+    """Bottom-left layout of the original type ids in the given order, or
+    None as soon as one of them finds no feasible candidate point."""
+    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
+                              instance.spacing)
+    for oid in ids:
         t = registry[oid]
-        rects.append((t.width, t.height))
-    placed = bottom_left_place(rects, instance.bin_width, instance.bin_height,
-                               instance.spacing)
-    if placed is None:
-        return None
-    return Layout(tuple((oid, x, y) for oid, (x, y) in zip(order, placed)))
+        if packer.place(t.width, t.height) is None:
+            return None
+    return packer.layout(ids)
+
+
+def distinct_orders(ids: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """Every distinct ordering of ``ids`` once, ``ids`` itself first.
+
+    The orders come in the sequence in which ``itertools.permutations(ids)``
+    first produces each: every level walks the remaining positions in
+    increasing order and skips a value that level has already tried.
+    """
+    ids = tuple(ids)
+    free = [True] * len(ids)
+    prefix: list[str] = []
+
+    def extend() -> Iterator[tuple[str, ...]]:
+        if len(prefix) == len(ids):
+            yield tuple(prefix)
+            return
+        tried = set()
+        for k, oid in enumerate(ids):
+            if free[k] and oid not in tried:
+                tried.add(oid)
+                free[k] = False
+                prefix.append(oid)
+                yield from extend()
+                prefix.pop()
+                free[k] = True
+
+    return extend()
 
 
 def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
@@ -193,17 +205,3 @@ def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
                 return False
         reaching.append(rect)
     return True
-
-
-def expansion_sequence(counts: Mapping[str, int], type_order: Iterable[str],
-                       registry: TypeRegistry) -> list[str]:
-    """Original-type placement order: types in ``type_order``, copies contiguous,
-    compound constituents contiguous in registry order."""
-    out: list[str] = []
-    for tid in type_order:
-        n = counts.get(tid, 0)
-        if n <= 0:
-            continue
-        unit = registry.expansion(tid)
-        out.extend(unit * n)
-    return out

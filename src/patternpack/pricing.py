@@ -12,7 +12,7 @@ from typing import Mapping
 
 from .model import (ApartRule, Column, Instance, NodeProblem, SolverConfig,
                     dense_counts, make_column)
-from .placement import BottomLeftPacker, Layout
+from .placement import BottomLeftPacker
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
 EPS_PROB = 1e-9   # sampling weight floor so every type stays drawable
@@ -114,9 +114,7 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
                 tally[1] += db
     if not counts:
         return None
-    witness = Layout(tuple(
-        (oid, x, y) for oid, (x, y, _, _) in zip(placed_ids, packer.placements())))
-    return make_column(counts, witness, node.registry)
+    return make_column(counts, packer.layout(placed_ids), node.registry)
 
 
 def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,
@@ -124,7 +122,7 @@ def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
     ends column generation at this node."""
-    seen = {col.key() for col in node.columns}
+    seen = {col.counts for col in node.columns}
     fresh: list[Column] = []
     for seq in make_sequences(scores, node, cfg):
         col = greedy_fill(seq, node, instance)
@@ -132,9 +130,9 @@ def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,
             continue
         if reduced_cost(col.counts_dict(), scores) <= EPS_PRICE:
             continue
-        if col.key() in seen:
+        if col.counts in seen:
             continue
-        seen.add(col.key())
+        seen.add(col.counts)
         fresh.append(col)
     fresh.sort(key=lambda c: dense_counts(c.counts_dict(), node.registry))
     return fresh

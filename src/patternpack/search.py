@@ -70,15 +70,15 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
     seen = set()
     for t in instance.item_types:
         col = greedy_fill((t.id,), node, instance)
-        if col is not None and col.key() not in seen:
-            seen.add(col.key())
+        if col is not None and col.counts not in seen:
+            seen.add(col.counts)
             cols.append(col)
     reg = node.registry
     by_area = tuple(sorted(
         (t.id for t in instance.item_types),
         key=lambda tid: (-reg.unit_area(tid), reg.order(tid))))
     mixed = greedy_fill(by_area, node, instance)
-    if mixed is not None and mixed.key() not in seen:
+    if mixed is not None and mixed.counts not in seen:
         cols.append(mixed)
     return cols
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
                                RegistryError, expand_counts, make_column, node_rng)
-from patternpack.placement import expansion_sequence, place_counts, separated
+from patternpack.placement import place_ids, separated
 
 
 def build_node(instance, counts_list, registry=None, mult=None,
@@ -28,8 +28,9 @@ def build_node(instance, counts_list, registry=None, mult=None,
         | {ApartRule(i, i, basis) for i in caps})
     cols = []
     for counts in counts_list:
-        order = expansion_sequence(counts, [t.id for t in registry], registry)
-        layout = place_counts(counts, order, instance, registry)
+        ids = [oid for t in registry
+               for oid in registry.expansion(t.id) * counts.get(t.id, 0)]
+        layout = place_ids(ids, instance, registry)
         if layout is None:
             raise AssertionError(f"test column {counts} does not fit one bin")
         cols.append(make_column(counts, layout, registry))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from patternpack.branching import (BranchingStuck, affinity, make_left_child,
-                                   make_right_child, select_branching_pair)
-from patternpack.model import Instance, ItemType, expand_counts
-from patternpack.placement import verify_layout
+from patternpack.branching import (BranchingStuck, _place_compound_unit, affinity,
+                                   make_left_child, make_right_child,
+                                   select_branching_pair)
+from patternpack.model import Instance, ItemType, Layout, expand_counts
+from patternpack.placement import place_ids, verify_layout
 
 from helpers import build_node
 
@@ -133,7 +134,8 @@ def test_left_child_adjusts_columns_preserving_expansion():
     before = expand_counts({"A": 2, "B": 1}, reg)
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
-    adjusted = [c for c in child.columns if c.count(cid) and c.count("A")]
+    adjusted = [c for c in child.columns
+                if c.counts_dict().get(cid, 0) and c.counts_dict().get("A", 0)]
     assert adjusted, "the mixed column should have been rewritten"
     assert expand_counts(adjusted[0].counts_dict(), reg) == before
 
@@ -159,7 +161,7 @@ def test_left_child_diagonal_decrements_twice():
     assert child.multiplicities["A"] == (0, 4)  # from: 2->1->0, to: 6->4
     cid = reg.find_compound("A", "A").id
     assert child.multiplicities[cid] == (1, 1)
-    rewritten = [c for c in child.columns if c.count(cid)]
+    rewritten = [c for c in child.columns if c.counts_dict().get(cid, 0)]
     assert {"A": 1, cid: 1} in [c.counts_dict() for c in rewritten]
 
 
@@ -171,6 +173,19 @@ def test_left_child_infeasible_when_pair_cannot_share_a_bin():
     assert child is None
 
 
+def test_compound_unit_tries_other_orders_after_the_canonical_one():
+    inst = Instance(10, 10, 0, (ItemType("A", 4, 5, 0, 1), ItemType("B", 4, 6, 0, 1),
+                                ItemType("C", 7, 3, 0, 1)))
+    reg = inst.registry()
+    reg.add(ItemType("ABC", constituents=(("A", 1), ("B", 1), ("C", 1)),
+                     from_count=1, to_count=1))
+    assert reg.expansion("ABC") == ("A", "B", "C")
+    assert place_ids(("A", "B", "C"), inst, reg) is None
+    # (A, C, B) fails too; (B, A, C) is the first order that places
+    assert _place_compound_unit(reg["ABC"], inst, reg) == Layout(
+        (("B", 0, 0), ("A", 4, 0), ("C", 0, 6)))
+
+
 def test_children_partition_respects_rules():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}])
@@ -178,6 +193,6 @@ def test_children_partition_respects_rules():
     right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
     for col in right.columns:
-        assert not (col.count("A") and col.count("B"))
+        assert not (col.counts_dict().get("A", 0) and col.counts_dict().get("B", 0))
     cid = reg.find_compound("A", "B").id
-    assert any(col.count(cid) for col in left.columns)
+    assert any(col.counts_dict().get(cid, 0) for col in left.columns)

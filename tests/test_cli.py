@@ -158,6 +158,33 @@ def _no_incumbent_but_a_gap(record):
     return {**record, "patterns": None, "gap": 0.5}
 
 
+def _as_float(field):
+    """Tamper: turn a count field, or each value of ``produced``, into a float
+    that equals it."""
+    def tamper(record):
+        value = record[field]
+        if isinstance(value, dict):
+            return {**record, field: {k: float(n) for k, n in value.items()}}
+        return {**record, field: float(value)}
+    return pytest.param(tamper, id=f"{field}=float")
+
+
+def _one_bin_record(record, **changes):
+    """A valid record of one bin holding one item, with ``changes`` applied."""
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 1),))
+    return {**record, "instance": instance_to_data(inst),
+            "instance_digest": instance_digest(inst), "bins": 1, "patterns": 1,
+            "produced": {"A": 1}, "best_bound": 1.0, "gap": 0.0,
+            "pattern_blocks": [{"counts": {"A": 1}, "x": 1,
+                                "placements": [["A", 0, 0]]}], **changes}
+
+
+def _one_bin_true(field):
+    """Tamper: a one-bin record whose count ``field`` is True, which == 1."""
+    return pytest.param(lambda record: _one_bin_record(record, **{field: True}),
+                        id=f"one-bin-{field}=True")
+
+
 @pytest.mark.parametrize("tamper", [
     _set_block("x", None), _set_block("x", True),
     _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
@@ -168,6 +195,8 @@ def _no_incumbent_but_a_gap(record):
     _set("best_bound", None), _set("status", "bogus"),
     _set("format", "patternpack-solution-0"), _set("status", "infeasible"),
     _no_incumbent_but_a_gap,
+    _as_float("bins"), _as_float("patterns"), _as_float("produced"),
+    _one_bin_true("bins"), _one_bin_true("patterns"),
 ])
 def test_verify_reports_malformed_records(tmp_path, tamper):
     report, cfg = _solved_report(1)
@@ -176,6 +205,13 @@ def test_verify_reports_malformed_records(tmp_path, tamper):
     out = tmp_path / "sol.json"
     out.write_text(json.dumps(tamper(record)))
     assert verify_solution_file(out) != []
+
+
+def test_one_bin_record_verifies(tmp_path):
+    report, cfg = _solved_report(1)
+    out = tmp_path / "sol.json"
+    out.write_text(json.dumps(_one_bin_record(solution_record(report, cfg))))
+    assert verify_solution_file(out) == []
 
 
 def test_no_incumbent_record_omits_bins(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -5,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternpack.model import Instance, ItemType, Layout, TypeRegistry
-from patternpack.placement import (BottomLeftPacker, bottom_left_place,
-                                   expansion_sequence, place_counts, separated,
-                                   verify_layout)
+from patternpack.placement import (BottomLeftPacker, distinct_orders, place_ids,
+                                   separated, verify_layout)
 
 from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
 
@@ -27,34 +27,51 @@ def test_separated_symmetric(r1, r2, d):
     assert separated(r1, r2, d) == separated(r2, r1, d)
 
 
+def _sized(sizes, width, height, spacing):
+    """An instance with one type per distinct rectangle size, and the type
+    ids of ``sizes`` in order."""
+    kinds = list(dict.fromkeys(sizes))
+    inst = Instance(width, height, spacing, tuple(
+        ItemType(f"s{k}", w, h, 0, len(sizes)) for k, (w, h) in enumerate(kinds)))
+    return inst, [f"s{kinds.index(size)}" for size in sizes]
+
+
 def test_bottom_left_empty():
-    assert bottom_left_place([], 10, 10, 0) == []
+    inst = _square_instance()
+    assert place_ids([], inst, inst.registry()) == Layout(())
 
 
 def test_bottom_left_four_squares():
-    placed = bottom_left_place([(4, 4)] * 4, 10, 10, 1)
-    assert placed == [(0, 0), (5, 0), (0, 5), (5, 5)]
+    inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
+    layout = place_ids(["A"] * 4, inst, inst.registry())
+    assert layout.placements == (("A", 0, 0), ("A", 5, 0), ("A", 0, 5), ("A", 5, 5))
 
 
 def test_bottom_left_fifth_square_fails():
-    assert bottom_left_place([(4, 4)] * 5, 10, 10, 1) is None
+    inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
+    assert place_ids(["A"] * 5, inst, inst.registry()) is None
 
 
 def test_bottom_left_oversize_fails():
-    assert bottom_left_place([(11, 4)], 10, 10, 0) is None
+    # an instance refuses a type larger than its bin; a registry does not
+    registry = TypeRegistry((ItemType("A", 11, 4, 0, 1),))
+    assert place_ids(["A"], Instance(10, 10, 0, ()), registry) is None
+    assert BottomLeftPacker(10, 10, 0).place(11, 4) is None
 
 
 def test_bottom_left_deterministic():
-    seq = [(3, 2), (2, 5), (4, 1), (1, 1), (5, 2)]
-    assert bottom_left_place(seq, 9, 9, 1) == bottom_left_place(seq, 9, 9, 1)
+    inst, ids = _sized([(3, 2), (2, 5), (4, 1), (1, 1), (5, 2)], 9, 9, 1)
+    registry = inst.registry()
+    assert place_ids(ids, inst, registry) == place_ids(ids, inst, registry)
 
 
 def test_failure_is_monotone_in_prefix():
     rng = random.Random(7)
     for _ in range(200):
         seq = [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(6)]
-        if bottom_left_place(seq[:4], 10, 10, 1) is None:
-            assert bottom_left_place(seq, 10, 10, 1) is None
+        inst, ids = _sized(seq, 10, 10, 1)
+        if place_ids(ids[:4], inst, inst.registry()) is None:
+            assert place_ids(ids, inst, inst.registry()) is None
 
 
 def test_incremental_equals_batch_positions():
@@ -70,7 +87,10 @@ def test_incremental_equals_batch_positions():
                 incremental = None
                 break
             incremental.append(pos)
-        assert incremental == bottom_left_place(seq, 12, 12, d)
+        inst, ids = _sized(seq, 12, 12, d)
+        layout = place_ids(ids, inst, inst.registry())
+        assert incremental == (
+            None if layout is None else [(x, y) for _, x, y in layout.placements])
 
 
 def test_rollback_restores_state():
@@ -152,35 +172,47 @@ def _square_instance():
     return Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 8),))
 
 
-def test_place_counts_single_item():
+def test_place_ids_single_item():
     inst = _square_instance()
     reg = inst.registry()
-    layout = place_counts({"A": 1}, ["A"], inst, reg)
+    layout = place_ids(["A"], inst, reg)
     assert layout.placements == (("A", 0, 0),)
 
 
-def test_place_counts_compound_that_cannot_fit():
+def test_place_ids_compound_that_cannot_fit():
     inst = Instance(10, 10, 0, (ItemType("A", 6, 6, 0, 2), ItemType("B", 6, 6, 0, 2)))
     reg = inst.registry()
     reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
-    assert place_counts({"C": 1}, ["A", "B"], inst, reg) is None
+    assert place_ids(reg.expansion("C"), inst, reg) is None
 
 
-def test_place_counts_four_with_spacing():
+def test_place_ids_four_with_spacing():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_counts({"A": 4}, ["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, inst, inst.registry())
     assert len(layout) == 4
 
 
-def test_place_counts_rejects_wrong_order_multiset():
-    inst = _square_instance()
+def test_layout_labels_the_boxes_in_placement_order():
+    packer = BottomLeftPacker(10, 10, 1)
+    packer.place(4, 4)
+    packer.place(3, 2)
+    assert packer.layout(["A", "B"]) == Layout((("A", 0, 0), ("B", 5, 0)))
     with pytest.raises(ValueError):
-        place_counts({"A": 2}, ["A"], inst, inst.registry())
+        packer.layout(["A"])  # one label per placed rectangle
+
+
+@pytest.mark.parametrize("ids", [
+    (), ("A",), ("A", "A"), ("A", "B", "C"), ("A", "C", "A", "B"),
+    ("B", "A", "B", "A", "C"), ("A", "A", "B", "A", "C", "B", "A")])
+def test_distinct_orders_equals_deduplicated_permutations(ids):
+    orders = list(distinct_orders(ids))
+    assert orders == list(dict.fromkeys(itertools.permutations(ids)))
+    assert orders[0] == ids
 
 
 def test_verify_layout_accepts_constructed_layout():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_counts({"A": 4}, ["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, inst, inst.registry())
     assert verify_layout(layout, {"A": 4}, inst)
 
 
@@ -198,7 +230,7 @@ def test_verify_layout_rejects_multiset_mismatch():
 
 def test_verify_layout_order_independent():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_counts({"A": 4}, ["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, inst, inst.registry())
     rng = random.Random(3)
     for _ in range(10):
         shuffled = list(layout.placements)
@@ -212,10 +244,10 @@ def test_packer_outputs_always_verify():
         inst = random_small_instance(rng)
         reg = inst.registry()
         counts = {t.id: rng.randint(0, 3) for t in inst.item_types}
-        order = expansion_sequence(counts, [t.id for t in inst.item_types], reg)
+        order = [t.id for t in inst.item_types for _ in range(counts[t.id])]
         rng.shuffle(order)
         counts = {k: v for k, v in counts.items() if v}
-        layout = place_counts(counts, order, inst, reg)
+        layout = place_ids(order, inst, reg)
         if layout is not None:
             assert verify_layout(layout, counts, inst, reg)
 

@@ -116,8 +116,8 @@ def test_run_deterministic_same_seed():
     assert (a.solution.bins, a.solution.patterns) == \
         (b.solution.bins, b.solution.patterns)
     assert a.stats.nodes_explored == b.stats.nodes_explored
-    assert [(c.key(), x) for c, x in a.solution.assignments] == \
-        [(c.key(), x) for c, x in b.solution.assignments]
+    assert [(c.counts, x) for c, x in a.solution.assignments] == \
+        [(c.counts, x) for c, x in b.solution.assignments]
 
 
 def test_strategies_agree_on_bins_for_tiny_instances():
