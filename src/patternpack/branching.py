@@ -101,11 +101,10 @@ def _coverage_ok(node: NodeProblem, instance: Instance) -> bool:
     rules; when even that fails the node is genuinely infeasible.
     """
     seen = {c.counts for c in node.columns}
+    # types that already have a single-type column
+    covered = {col.counts[0][0] for col in node.columns if len(col.counts) == 1}
     for tid, (lo, _) in node.multiplicities.items():
-        if lo <= 0:
-            continue
-        if any(len(col.counts) == 1 and col.counts[0][0] == tid
-               for col in node.columns):
+        if lo <= 0 or tid in covered:
             continue
         rescue = greedy_fill((tid,), node, instance)
         if rescue is None:
@@ -134,7 +133,8 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=dict(node.multiplicities), columns=kept,
-        registry=node.registry, rules=rules, rng=node_rng(seed, child_id))
+        registry=node.registry, rules=rules, rng=node_rng(seed, child_id),
+        memo=node.memo)
     if not _coverage_ok(child, instance):
         return None
     return child
@@ -215,7 +215,7 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=mult, columns=[], registry=registry,
-        rules=node.rules, rng=node_rng(seed, child_id))
+        rules=node.rules, rng=node_rng(seed, child_id), memo=node.memo)
 
     seen: set = set()
     for col in node.columns:

@@ -12,7 +12,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, inf
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .placement import PlacementMemo
 
 
 class InvalidInstanceError(ValueError):
@@ -308,10 +311,17 @@ def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int
     return tuple(counts.get(t.id, 0) for t in registry)
 
 
+def _own_memo() -> "PlacementMemo":
+    from .placement import PlacementMemo  # placement imports this module
+    return PlacementMemo()
+
+
 @dataclass
 class NodeProblem:
     """One branch-and-bound node: inherited columns plus the rules added on
-    the path from the root.  The rule set only grows downwards."""
+    the path from the root.  The rule set only grows downwards.  Its greedy
+    fills place through ``memo``, which children share with their parent; a
+    node built without one gets its own."""
 
     id: int
     parent_id: int | None
@@ -323,6 +333,8 @@ class NodeProblem:
     parent_patterns_used: int = 0
     bound_hint: float = 0.0
     rng: random.Random = field(default_factory=random.Random)
+    memo: "PlacementMemo" = field(default_factory=_own_memo, repr=False,
+                                  compare=False)
     # type -> fill_unit(type); valid for the node's life, as rules never change
     _fill_units: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)

@@ -10,16 +10,30 @@ rectangles lying wholly below it are skipped.  Pricing drives a packer one
 rectangle at a time; branching and the oracle lay out type-id sequences with
 ``place_ids``, trying the orders ``distinct_orders`` lists.  The verifier
 sweeps over x, so it compares only pairs that are not already apart along x.
+
+A ``PlacementMemo`` answers placements a run has already made.  Where a
+rectangle goes, or whether it fits at all, depends only on the rectangles
+placed so far, and those depend only on the sequence of sizes that placed
+successfully.  A packer names that sequence by a state id: 0 for the empty
+bin, and a fresh id for each successful placement the memo has not seen.
+The memo maps (state id, w, h) to (x, y, next state id), or to None for a
+rectangle that does not fit, so a recorded answer is exact.  Ids come from a
+counter that never restarts, so an id names one sequence for the memo's
+whole life, even after the entries that minted it are retired.
 """
 
 from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush, heapreplace
+from itertools import count
 from typing import Iterator, Mapping, Sequence
 
 from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
+
+MEMO_ENTRIES = 4096  # entries per memo generation; a memo holds two
+_MISS = object()
 
 
 def separated(r1: Rect, r2: Rect, d: int) -> bool:
@@ -28,6 +42,52 @@ def separated(r1: Rect, r2: Rect, d: int) -> bool:
     x2, y2, w2, h2 = r2
     return (x1 + w1 + d <= x2 or x2 + w2 + d <= x1
             or y1 + h1 + d <= y2 or y2 + h2 + d <= y1)
+
+
+class PlacementMemo:
+    """What ``BottomLeftPacker.place`` returned for a size after a state:
+    (x, y, next state id), or None when the rectangle did not fit.
+
+    Entries live in two generations of at most ``MEMO_ENTRIES`` each.  When
+    the new generation is full it becomes the old one and the previous old
+    one is dropped; a hit in the old generation moves to the new one.  A memo
+    serves packers of one bin only: the first packer fixes it.
+    """
+
+    def __init__(self):
+        self.bin: tuple[int, int, int] | None = None  # (width, height, spacing)
+        self._ids = count(1)  # state 0 is the empty bin
+        self._new: dict = {}
+        self._old: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._new) + len(self._old)
+
+    def bind(self, bin_width: int, bin_height: int, spacing: int) -> None:
+        """Fix the memo's bin, or refuse a packer of another bin."""
+        shape = (bin_width, bin_height, spacing)
+        if self.bin is None:
+            self.bin = shape
+        elif self.bin != shape:
+            raise ValueError(f"memo of a {self.bin} bin given a {shape} packer")
+
+    def get(self, key: tuple[int, int, int]):
+        """The recorded answer for (state, w, h), or ``_MISS``."""
+        hit = self._new.get(key, _MISS)
+        if hit is _MISS:
+            hit = self._old.pop(key, _MISS)
+            if hit is not _MISS:
+                self.put(key, hit)
+        return hit
+
+    def put(self, key: tuple[int, int, int], answer) -> None:
+        new = self._new
+        new[key] = answer
+        if len(new) >= MEMO_ENTRIES:
+            self._old, self._new = new, {}
+
+    def new_state(self) -> int:
+        return next(self._ids)
 
 
 class BottomLeftPacker:
@@ -52,12 +112,22 @@ class BottomLeftPacker:
     candidate.  It is pushed back with ``first = n``: the rectangle just
     placed on it blocks it on the next call, before any older rectangle is
     tested again.
+
+    ``place`` asks the memo first.  A hit appends the box and touches no
+    heap: every candidate is still tested against every box that can block
+    it, and the next search for a size picks up the corners of the boxes
+    placed since its last one.  A packer built without a memo gets its own.
     """
 
-    def __init__(self, bin_width: int, bin_height: int, spacing: int):
+    def __init__(self, bin_width: int, bin_height: int, spacing: int,
+                 memo: PlacementMemo | None = None):
         self.bin_width = bin_width
         self.bin_height = bin_height
         self.spacing = spacing
+        self._memo = memo if memo is not None else PlacementMemo()
+        self._memo.bind(bin_width, bin_height, spacing)
+        # _states[k]: the memo's state id after the first k rectangles
+        self._states = [0]
         # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
         self._boxes: list[tuple[int, int, int, int]] = []
         # _tops[i]: the highest clearance-box top among boxes 0..i
@@ -75,11 +145,20 @@ class BottomLeftPacker:
         if mark < len(self._boxes):
             del self._boxes[mark:]
             del self._tops[mark:]
+            del self._states[mark + 1:]
             self._heaps.clear()
 
     def place(self, w: int, h: int) -> tuple[int, int] | None:
         """Place one w x h rectangle; returns its (x, y) or None if it cannot fit."""
-        boxes, tops, d, n = self._boxes, self._tops, self.spacing, len(self._boxes)
+        d, memo, key = self.spacing, self._memo, (self._states[-1], w, h)
+        hit = memo.get(key)
+        if hit is not _MISS:
+            if hit is None:
+                return None
+            x, y, state = hit
+            self._add((x, y, x + w + d, y + h + d), state)
+            return x, y
+        boxes, tops, n = self._boxes, self._tops, len(self._boxes)
         xmax, ymax = self.bin_width - w, self.bin_height - h
         entry = self._heaps.get((w, h))
         if entry is None:
@@ -109,11 +188,21 @@ class BottomLeftPacker:
                         break
                 else:
                     heapreplace(heap, (y, x, n))
-                    boxes.append((x, y, xr, yt))
-                    tops.append(yt if not n or yt > tops[-1] else tops[-1])
+                    state = memo.new_state()
+                    self._add((x, y, xr, yt), state)
+                    memo.put(key, (x, y, state))
                     return x, y
             heappop(heap)
+        memo.put(key, None)
         return None
+
+    def _add(self, box: tuple[int, int, int, int], state: int) -> None:
+        """Append a placed rectangle's box, its running top and the state
+        id of the sequence it ends."""
+        tops, top = self._tops, box[3]
+        tops.append(top if not tops or top > tops[-1] else tops[-1])
+        self._boxes.append(box)
+        self._states.append(state)
 
     def placements(self) -> list[Rect]:
         d = self.spacing

@@ -76,10 +76,10 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     For each type in order the count is raised while the node's to-bound and
     apart rules permit and the accumulated multiset still places.  A compound
     unit contributes all its constituent rectangles or the increment is
-    rolled back.
+    rolled back.  The packer answers repeated placements from ``node.memo``.
     """
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
-                              instance.spacing)
+                              instance.spacing, node.memo)
     # per apart rule, the items of (a, b) in the bin so far; they obey the rule
     tallies: dict[ApartRule, list[int]] = {}
 

@@ -171,7 +171,8 @@ def run(instance: Instance, cfg: SolverConfig,
     """Full branch-and-price search; returns the incumbent and a report.
 
     Deterministic for a fixed instance, seed and strategy when no time limit
-    interferes.  The progress callback may return True to stop early.
+    interferes.  The progress callback may return True to stop early.  The
+    root builds its own placement memo, and every node of the run shares it.
     """
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \

@@ -5,7 +5,7 @@ from patternpack.branching import (BranchingStuck, _place_compound_unit, affinit
                                    make_left_child, make_right_child,
                                    select_branching_pair)
 from patternpack.model import Instance, ItemType, Layout, expand_counts
-from patternpack.placement import place_ids, verify_layout
+from patternpack.placement import PlacementMemo, place_ids, verify_layout
 
 from helpers import build_node
 
@@ -111,6 +111,36 @@ def test_right_child_rescues_coverage():
     child = make_right_child(node, "A", "A", child_id=1, seed=0, instance=inst)
     # {A:3} violates the new cap; a single-item rescue column keeps from=2 coverable
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
+
+
+class _CountingMemo(PlacementMemo):
+    def __init__(self):
+        super().__init__()
+        self.asked = 0
+
+    def get(self, key):
+        self.asked += 1
+        return super().get(key)
+
+
+def test_children_and_their_rescue_fills_share_the_parent_memo():
+    inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6), ItemType("B", 4, 4, 2, 6)))
+    node = build_node(inst, [{"A": 1, "B": 1}])
+    assert isinstance(node.memo, PlacementMemo)
+    assert build_node(inst, [{"A": 1}]).memo is not node.memo  # each its own
+    memo = node.memo = _CountingMemo()
+
+    right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    assert right.memo is memo
+    # {A: 1, B: 1} breaks the new rule; both rescue fills placed through the memo
+    assert [c.counts_dict() for c in right.columns] == [{"A": 6}, {"B": 6}]
+    assert memo.asked > 0
+
+    memo.asked = 0
+    left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
+    assert left.memo is memo
+    assert {"A": 5} in [c.counts_dict() for c in left.columns]
+    assert memo.asked > 0  # the compound unit is laid out without it
 
 
 def test_left_child_creates_compound_and_unit_column():

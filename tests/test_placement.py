@@ -3,11 +3,12 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from patternpack import placement
 from patternpack.model import Instance, ItemType, Layout, TypeRegistry
-from patternpack.placement import (BottomLeftPacker, distinct_orders, place_ids,
-                                   separated, verify_layout)
+from patternpack.placement import (BottomLeftPacker, PlacementMemo, distinct_orders,
+                                   place_ids, separated, verify_layout)
 
 from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
 
@@ -125,12 +126,9 @@ def packer_scripts(draw):
     return width, height, spacing, ops
 
 
-@settings(max_examples=300, deadline=None)
-@given(packer_scripts())
-def test_packer_equals_reference(script):
-    width, height, spacing, ops = script
-    packer = BottomLeftPacker(width, height, spacing)
-    ref = ReferencePacker(width, height, spacing)
+def _replay(ops, packer, ref):
+    """Run one script on ``packer`` and ``ref`` and compare them after every
+    operation."""
     marks = []
     for op, arg in ops:
         if op in ("place", "place_or_undo"):
@@ -149,6 +147,47 @@ def test_packer_equals_reference(script):
             packer.reset_to(marks[-1][0])
             ref.reset_to(marks[-1][1])
         assert packer.placements() == ref.placements()
+
+
+@settings(max_examples=300, deadline=None)
+@given(packer_scripts())
+# a packer fails these if a memo hit skips the running tops, if reset_to
+# keeps the state ids of dropped rectangles, or if state ids repeat after
+# a generation retires
+@example((19, 7, 0, [("place", (6, 1)), ("mark", None), ("place", (6, 2)),
+                     ("reset", 0), ("place", (6, 2)), ("place", (6, 1)),
+                     ("place", (6, 2)), ("place", (6, 1))]))
+@example((50, 66, 1, [("mark", None), ("place", (25, 53)), ("place", (25, 53)),
+                      ("reset", 0), ("place", (25, 53))]))
+@example((9, 5, 1, [("place", (2, 1)), ("place", (1, 1)), ("place", (2, 1)),
+                    ("place", (1, 1))]))
+def test_packer_equals_reference(script):
+    """Each script runs twice on packers that share one memo, so the second
+    run is answered from it: once with the memo as the solver sizes it, and
+    once with two entries a generation, so generations retire mid-script."""
+    width, height, spacing, ops = script
+    for entries in (placement.MEMO_ENTRIES, 2):
+        memo = PlacementMemo()
+        held = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(placement, "MEMO_ENTRIES", entries)
+            for _ in range(2):
+                _replay(ops, BottomLeftPacker(width, height, spacing, memo),
+                        ReferencePacker(width, height, spacing))
+                held.append(len(memo))
+        if entries > len(ops):
+            # a run records at most one entry an operation, so none retired
+            # and the second run found every answer in the memo
+            assert held[0] == held[1]
+
+
+def test_memo_refuses_a_packer_of_another_bin():
+    memo = PlacementMemo()
+    BottomLeftPacker(10, 10, 1, memo)
+    BottomLeftPacker(10, 10, 1, memo)
+    for other in ((10, 10, 0), (10, 11, 1), (11, 10, 1)):
+        with pytest.raises(ValueError):
+            BottomLeftPacker(*other, memo)
 
 
 @pytest.mark.parametrize("first", [None, (159, 323)])
