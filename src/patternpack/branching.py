@@ -122,19 +122,21 @@ def _respects_bounds(counts: dict[str, int], node: NodeProblem) -> bool:
 def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
                      seed: int, instance: Instance) -> NodeProblem | None:
     """Apart branch: i and j may not share a bin (at most one item of i when
-    i == j).  Violating pooled columns are dropped; pricing enforces the rule.
-    The new rule's basis is this node's active type set, so items inside
-    compounds created later in the subtree still count against it."""
+    i == j).  Pooled columns that violate the new rule are dropped; pricing
+    enforces it.  The pool already obeys the node's older rules, so only the
+    new one is checked.  The new rule's basis is this node's active type set,
+    so items inside compounds created later in the subtree still count
+    against it."""
     order = {tid: k for k, tid in enumerate(node.multiplicities)}
     a, b = (i, i) if i == j else _normalize_pair(i, j, order)
-    rules = node.rules | {ApartRule(a, b, frozenset(node.multiplicities))}
+    rule = ApartRule(a, b, frozenset(node.multiplicities))
     kept = [c for c in node.columns
-            if not violates_rules(c.counts_dict(), rules, node.registry)]
+            if not rule.violated_by(c.counts_dict(), node.registry)]
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=dict(node.multiplicities), columns=kept,
-        registry=node.registry, rules=rules, rng=node_rng(seed, child_id),
-        memo=node.memo)
+        registry=node.registry, rules=node.rules | {rule},
+        rng=node_rng(seed, child_id), memo=node.memo)
     if not _coverage_ok(child, instance):
         return None
     return child

@@ -24,7 +24,7 @@ whole life, even after the entries that minted it are retired.
 
 from bisect import bisect_right
 from collections import Counter
-from heapq import heappop, heappush, heapreplace
+from heapq import heappop, heappush
 from itertools import count
 from typing import Iterator, Mapping, Sequence
 
@@ -109,9 +109,14 @@ class BottomLeftPacker:
     block are skipped, so the verdict is that of a test against every
     rectangle; only the order and the count of tests change.  Blocked tops
     are popped, and the first clear top is the (y, x)-minimal feasible
-    candidate.  It is pushed back with ``first = n``: the rectangle just
-    placed on it blocks it on the next call, before any older rectangle is
-    tested again.
+    candidate; it is popped too.
+
+    A box covers its own anchor (x, y) for every size, and no two boxes share
+    one, so a corner at the anchor of a placed box is blocked for every size
+    until a rollback drops that box.  ``_anchors`` holds the (y, x) of every
+    placed box: a corner found there is never pushed, and a heap top found
+    there is popped untested.  Verdicts and placements stay those of the
+    full test; only fewer candidates pass through the heaps.
 
     ``place`` asks the memo first.  A hit appends the box and touches no
     heap: every candidate is still tested against every box that can block
@@ -132,6 +137,8 @@ class BottomLeftPacker:
         self._boxes: list[tuple[int, int, int, int]] = []
         # _tops[i]: the highest clearance-box top among boxes 0..i
         self._tops: list[int] = []
+        # (y, x) of every placed rectangle
+        self._anchors: set[tuple[int, int]] = set()
         # (w, h) -> [candidate heap, number of rectangles whose corners it holds]
         self._heaps: dict[tuple[int, int], list] = {}
 
@@ -141,8 +148,13 @@ class BottomLeftPacker:
 
     def reset_to(self, mark: int) -> None:
         """Drop the rectangles placed after ``mark``, and with them the heaps;
-        a rollback that drops nothing (as after a failed ``place``) keeps them."""
+        a rollback that drops nothing (as after a failed ``place``) keeps them.
+        A mark below 0 or above ``mark()`` raises ``ValueError``."""
+        if not 0 <= mark <= len(self._boxes):
+            raise ValueError(f"mark {mark} outside 0..{len(self._boxes)}")
         if mark < len(self._boxes):
+            self._anchors.difference_update(
+                (y, x) for x, y, _, _ in self._boxes[mark:])
             del self._boxes[mark:]
             del self._tops[mark:]
             del self._states[mark + 1:]
@@ -165,14 +177,18 @@ class BottomLeftPacker:
             origin = [(0, 0, 0)] if xmax >= 0 and ymax >= 0 else []
             entry = self._heaps[w, h] = [origin, 0]
         heap, seen = entry
+        anchors = self._anchors
         for first, (x, y, right, top) in enumerate(boxes[seen:n], seen + 1):
-            if right <= xmax and y <= ymax:
+            if right <= xmax and y <= ymax and (y, right) not in anchors:
                 heappush(heap, (y, right, first))
-            if x <= xmax and top <= ymax:
+            if x <= xmax and top <= ymax and (top, x) not in anchors:
                 heappush(heap, (top, x, first))
         entry[1] = n
         while heap:
             y, x, first = heap[0]
+            if (y, x) in anchors:
+                heappop(heap)
+                continue
             xr, yt = x + w + d, y + h + d
             # the boxes placed after the corner's maker, oldest first ...
             for i in range(first, n):
@@ -187,7 +203,7 @@ class BottomLeftPacker:
                     if xr > rx and rr > x and yt > ry and rt > y:
                         break
                 else:
-                    heapreplace(heap, (y, x, n))
+                    heappop(heap)
                     state = memo.new_state()
                     self._add((x, y, xr, yt), state)
                     memo.put(key, (x, y, state))
@@ -197,10 +213,11 @@ class BottomLeftPacker:
         return None
 
     def _add(self, box: tuple[int, int, int, int], state: int) -> None:
-        """Append a placed rectangle's box, its running top and the state
-        id of the sequence it ends."""
+        """Append a placed rectangle's box, its running top, its anchor and
+        the state id of the sequence it ends."""
         tops, top = self._tops, box[3]
         tops.append(top if not tops or top > tops[-1] else tops[-1])
+        self._anchors.add((box[1], box[0]))
         self._boxes.append(box)
         self._states.append(state)
 

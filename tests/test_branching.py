@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from patternpack import cli, search
 from patternpack.branching import (BranchingStuck, _place_compound_unit, affinity,
                                    make_left_child, make_right_child,
                                    select_branching_pair)
-from patternpack.model import Instance, ItemType, Layout, expand_counts
+from patternpack.model import (Instance, ItemType, Layout, SolverConfig, expand_counts,
+                               violates_rules)
 from patternpack.placement import PlacementMemo, place_ids, verify_layout
 
 from helpers import build_node
@@ -226,3 +228,32 @@ def test_children_partition_respects_rules():
         assert not (col.counts_dict().get("A", 0) and col.counts_dict().get("B", 0))
     cid = reg.find_compound("A", "B").id
     assert any(col.counts_dict().get(cid, 0) for col in left.columns)
+
+
+@pytest.mark.parametrize("strategy", ["heuristic_min_heap", "depth_first"])
+def test_every_pool_of_a_budgeted_solve_obeys_its_node_rules(strategy, monkeypatch):
+    """make_right_child checks inherited columns against its new rule only,
+    which is exact only while every pool obeys the node's older rules: the
+    pools children inherit and rescue, and the columns pricing adds."""
+    rules_seen = []
+
+    def obeyed(node):
+        rules_seen.append(len(node.rules))
+        return not any(violates_rules(col.counts_dict(), node.rules, node.registry)
+                       for col in node.columns)
+
+    def checked(step, solves):
+        def wrapper(*args, **kwargs):
+            result = step(*args, **kwargs)
+            node = args[0] if solves else result  # a solved node or a child
+            assert node is None or obeyed(node)
+            return result
+        return wrapper
+
+    for name in ("column_generation", "make_left_child", "make_right_child"):
+        monkeypatch.setattr(search, name, checked(getattr(search, name),
+                                                  name == "column_generation"))
+    search.run(cli.parse_instance("r3"),
+               SolverConfig(rng_seed=0, node_selection=strategy),
+               progress=lambda event: event.nodes_explored >= 50)
+    assert len(rules_seen) > 100 and max(rules_seen) >= 1
