@@ -111,10 +111,12 @@ def parse_instance(path: str | Path,
         text = resources.files("patternpack.data").joinpath(f"{name}.json") \
             .read_text(encoding="utf-8")
     else:
-        p = Path(path)
-        if not p.exists():
-            raise InstanceFormatError(f"{path}: no such file")
-        text = p.read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise InstanceFormatError(f"{path}: no such file") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InstanceFormatError(f"{path}: unreadable ({exc})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -207,7 +209,7 @@ def verify_solution_file(path: str | Path) -> list[str]:
     problems: list[str] = []
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return [f"unreadable solution file: {exc}"]
     if not isinstance(record, dict):
         return ["solution record: must be a JSON object"]
@@ -317,8 +319,7 @@ def _cmd_solve(args) -> int:
         instance = parse_instance(args.instance, args.overproduction)
         cfg = SolverConfig(
             c1=args.c1, c2=args.c2, time_limit_seconds=args.time_limit,
-            rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy],
-            pricing_random_sequences=args.random_sequences)
+            rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy])
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -411,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the solution record to FILE")
     solve.add_argument("--render", default=None, metavar="DIR",
                        help="write one SVG per pattern into DIR")
-    solve.add_argument("--random-sequences", type=int, default=8)
     solve.add_argument("--overproduction", type=float, default=0.15)
     solve.add_argument("--quiet", action="store_true")
     solve.set_defaults(func=_cmd_solve)

@@ -26,10 +26,6 @@ class RmpSolveOutcome:
     fractional: bool
     scores: dict[str, float]  # active type -> pi1 - pi2, registry order
 
-    @property
-    def feasible(self) -> bool:
-        return self.lp_result.status == "optimal"
-
 
 def count_matrix(node: NodeProblem) -> np.ndarray:
     """Types x columns array of item counts: row t is the node's t-th active
@@ -60,16 +56,15 @@ def build_rmp(node: NodeProblem) -> LinearProgram:
 
 
 def solve_rmp(node: NodeProblem,
-              warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcome:
+              warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcome | None:
     """Solve the node's RMP; returns primal values, bins, and type scores.
 
-    An infeasible LP marks the node prunable (outcome.feasible is False);
-    an unbounded LP cannot happen with the to-rows present and raises.
+    None means the LP is infeasible and the node prunable; an unbounded LP
+    cannot happen with the to-rows present and raises.
     """
     res = solve_lp(build_rmp(node), basis=warm_basis)
     if res.status == "infeasible":
-        return RmpSolveOutcome(res, np.zeros(len(node.columns)), 0.0, False,
-                               dict.fromkeys(node.multiplicities, 0.0))
+        return None
     if res.status == "unbounded":
         raise SimplexError("master LP unbounded: a column escapes every to-row")
     x = np.maximum(res.x, 0.0)

@@ -330,8 +330,6 @@ class NodeProblem:
     columns: list[Column]
     registry: TypeRegistry  # shared, append-only compound registry
     rules: frozenset[ApartRule] = frozenset()
-    parent_patterns_used: int = 0
-    bound_hint: float = 0.0
     rng: random.Random = field(default_factory=random.Random)
     memo: "PlacementMemo" = field(default_factory=_own_memo, repr=False,
                                   compare=False)
@@ -386,7 +384,6 @@ class SolverConfig:
     time_limit_seconds: float | None = None
     rng_seed: int = 0
     node_selection: str = "heuristic_min_heap"  # or "depth_first"
-    pricing_random_sequences: int = 8
 
     def __post_init__(self) -> None:
         if not (0 < self.c1 < inf and 0 < self.c2 < inf):
@@ -395,8 +392,6 @@ class SolverConfig:
             raise ValueError("time_limit_seconds must be >= 0")
         if self.node_selection not in ("heuristic_min_heap", "depth_first"):
             raise ValueError(f"unknown node selection {self.node_selection!r}")
-        if self.pricing_random_sequences < 0:
-            raise ValueError("pricing_random_sequences must be >= 0")
 
 
 def node_rng(seed: int, node_id: int) -> random.Random:

@@ -10,12 +10,13 @@ bottom-left placement.  Columns that price out positive are kept.
 
 from typing import Mapping
 
-from .model import (ApartRule, Column, Instance, NodeProblem, SolverConfig,
-                    dense_counts, make_column)
+from .model import (ApartRule, Column, Instance, NodeProblem, dense_counts,
+                    make_column)
 from .placement import BottomLeftPacker
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
 EPS_PROB = 1e-9   # sampling weight floor so every type stays drawable
+RANDOM_SEQUENCES = 8  # randomized draws per pricing round
 
 
 def reduced_cost(counts: Mapping[str, int], scores: Mapping[str, float]) -> float:
@@ -32,9 +33,10 @@ def _eligible(node: NodeProblem) -> list[str]:
     return [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
 
 
-def make_sequences(scores: Mapping[str, float], node: NodeProblem,
-                   cfg: SolverConfig) -> list[tuple[str, ...]]:
-    """Score-sorted, density-sorted, and randomized type sequences.
+def make_sequences(scores: Mapping[str, float],
+                   node: NodeProblem) -> list[tuple[str, ...]]:
+    """Score-sorted, density-sorted, and ``RANDOM_SEQUENCES`` randomized type
+    sequences.
 
     Sorting ties break by registry order; random draws are without
     replacement with weight max(score, EPS_PROB) from the node-local
@@ -49,7 +51,7 @@ def make_sequences(scores: Mapping[str, float], node: NodeProblem,
         types,
         key=lambda t: (-scores.get(t, 0.0) / registry.unit_area(t), registry.order(t)))
     seqs = [tuple(by_score), tuple(by_density)]
-    for _ in range(cfg.pricing_random_sequences):
+    for _ in range(RANDOM_SEQUENCES):
         pool = list(types)
         weights = [max(scores.get(t, 0.0), EPS_PROB) for t in pool]
         drawn: list[str] = []
@@ -117,14 +119,14 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     return make_column(counts, packer.layout(placed_ids), node.registry)
 
 
-def price(node: NodeProblem, scores: Mapping[str, float], instance: Instance,
-          cfg: SolverConfig) -> list[Column]:
+def price(node: NodeProblem, scores: Mapping[str, float],
+          instance: Instance) -> list[Column]:
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
     ends column generation at this node."""
     seen = {col.counts for col in node.columns}
     fresh: list[Column] = []
-    for seq in make_sequences(scores, node, cfg):
+    for seq in make_sequences(scores, node):
         col = greedy_fill(seq, node, instance)
         if col is None:
             continue

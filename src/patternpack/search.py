@@ -64,8 +64,9 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
     Guarantees feasibility of the root master: x_j = from_j / count_j covers
     every lower row.
 
-    The fills read the registry from ``node``; ``registry`` is not read and
-    stays in the signature for callers that pass it by position."""
+    The fills read the registry from ``node``.  ``registry`` is not read; it
+    stays only because the benchmark's ``perfbench/solve.py`` passes it by
+    position."""
     cols: list[Column] = []
     seen = set()
     for t in instance.item_types:
@@ -89,18 +90,18 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  None means the node's master is infeasible.
 
-    Pricing reads the registry from ``node``; ``registry`` is not read and
-    stays in the signature for callers that pass it by position."""
+    Pricing reads the registry from ``node``.  Neither ``cfg`` nor
+    ``registry`` is read; both stay only because the benchmark's
+    ``perfbench/solve.py`` passes them by position."""
     stats = stats if stats is not None else SearchStats()
     warm = None
     while True:
         outcome = solve_rmp(node, warm_basis=warm)
         stats.cg_iterations += 1
-        if not outcome.feasible:
-            return None
-        if deadline is not None and time.monotonic() >= deadline:
+        if outcome is None or (deadline is not None
+                               and time.monotonic() >= deadline):
             return outcome
-        fresh = price(node, outcome.scores, instance, cfg)
+        fresh = price(node, outcome.scores, instance)
         if not fresh:
             return outcome
         node.columns.extend(fresh)
@@ -141,29 +142,32 @@ def _relative_gap(incumbent_bins: int | None, best_bound: float) -> float | None
 
 
 class _OpenNodes:
-    """Min-heap of open nodes.  The n-th push gets the key (0, -n) under
-    depth-first selection, so the newest node pops first, and
-    (parent_patterns_used, n) otherwise."""
+    """Min-heap of open nodes.  Each entry carries the number of patterns its
+    parent's LP solution used and its parent's LP bound.  The n-th push gets
+    the key (0, -n) under depth-first selection, so the newest node pops
+    first, and (parent_patterns_used, n) otherwise."""
 
     def __init__(self, strategy: str):
         self.depth_first = strategy == "depth_first"
-        self._heap: list[tuple[int, int, NodeProblem]] = []
+        self._heap: list[tuple[int, int, float, NodeProblem]] = []
         self._counter = 0
 
-    def push(self, node: NodeProblem) -> None:
+    def push(self, node: NodeProblem, parent_patterns_used: int,
+             bound: float) -> None:
         key = (0, -self._counter) if self.depth_first else \
-            (node.parent_patterns_used, self._counter)
-        heapq.heappush(self._heap, (*key, node))
+            (parent_patterns_used, self._counter)
+        heapq.heappush(self._heap, (*key, bound, node))
         self._counter += 1
 
     def pop(self) -> NodeProblem:
-        return heapq.heappop(self._heap)[2]
+        return heapq.heappop(self._heap)[3]
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def min_bound(self) -> float | None:
-        return min((e[2].bound_hint for e in self._heap), default=None)
+    def bound(self, fallback: float) -> float:
+        """The smallest bound of an open node, or ``fallback`` if none is open."""
+        return min((e[2] for e in self._heap), default=fallback)
 
 
 def run(instance: Instance, cfg: SolverConfig,
@@ -189,7 +193,7 @@ def run(instance: Instance, cfg: SolverConfig,
     stats.columns_generated += len(root.columns)
 
     open_nodes = _OpenNodes(cfg.node_selection)
-    open_nodes.push(root)
+    open_nodes.push(root, 0, 0.0)
     next_id = 1
     incumbent: Solution | None = None
     status = "complete"
@@ -210,7 +214,7 @@ def run(instance: Instance, cfg: SolverConfig,
             status = "time_limit"
             break
         if incumbent is not None and \
-                incumbent.bins <= open_nodes.min_bound() + EPS_INT:
+                incumbent.bins <= open_nodes.bound(incumbent.bins) + EPS_INT:
             break  # gap closed (relative to the heuristic bound)
         node = open_nodes.pop()
         stats.nodes_explored += 1
@@ -218,14 +222,12 @@ def run(instance: Instance, cfg: SolverConfig,
                                     deadline=deadline, stats=stats)
         if outcome is None:
             continue
-        node.bound_hint = outcome.bins
         if not outcome.fractional:
             candidate = _extract_solution(node, outcome, instance)
             if incumbent is None or (candidate.bins, candidate.patterns) < \
                     (incumbent.bins, incumbent.patterns):
                 incumbent = candidate
-                low = open_nodes.min_bound()
-                if emit(outcome.bins if low is None else low):
+                if emit(open_nodes.bound(outcome.bins)):
                     status = "stopped"
                     break
             continue
@@ -233,7 +235,8 @@ def run(instance: Instance, cfg: SolverConfig,
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
             continue
         if deadline is not None and time.monotonic() >= deadline:
-            open_nodes.push(node)  # keep its bound visible in the report
+            # keep its bound visible in the report; nothing pops it again
+            open_nodes.push(node, 0, outcome.bins)
             status = "time_limit"
             break
         try:
@@ -249,22 +252,14 @@ def run(instance: Instance, cfg: SolverConfig,
                                seed=cfg.rng_seed, instance=instance)
         next_id += 1
         for child in (right, left):
-            if child is None:
-                continue
-            child.parent_patterns_used = patterns_used
-            child.bound_hint = outcome.bins
-            open_nodes.push(child)
+            if child is not None:
+                open_nodes.push(child, patterns_used, outcome.bins)
         if stats.nodes_explored % 50 == 0:
-            low = open_nodes.min_bound()
-            if emit(outcome.bins if low is None else low):
+            if emit(open_nodes.bound(outcome.bins)):
                 status = "stopped"
                 break
 
-    remaining = open_nodes.min_bound()
-    if remaining is None:
-        best_bound = float(incumbent.bins) if incumbent else 0.0
-    else:
-        best_bound = remaining
+    best_bound = open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
     if incumbent is None and status == "complete":
         status = "infeasible"
     stats.wall_time_seconds = time.monotonic() - start

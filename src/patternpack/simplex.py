@@ -63,32 +63,32 @@ def _decode_basis(basis: tuple[int, ...], n: int) -> list[int]:
     return [j if j >= 0 else n + (-j - 1) for j in basis]
 
 
-def _pivot_loop(T: np.ndarray, rhs: np.ndarray, r: np.ndarray, basis: np.ndarray,
-                n_allowed: int, m: int) -> str:
-    """Run primal pivots in place until optimal or unbounded.
+def _pivot_loop(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
+                basis: np.ndarray) -> np.ndarray | None:
+    """Maximize cc.x by primal pivots on the tableau, in place; returns the
+    final reduced-cost row, or None if the LP is unbounded.
 
-    Only columns < n_allowed may enter (this keeps phase-1 artificials out of
-    phase 2).  Starts with Dantzig pricing; after 2*(m + n_allowed) consecutive
+    Starts with Dantzig pricing; after 2*(rows + columns) consecutive
     degenerate pivots switches to Bland's rule for guaranteed termination.
     """
+    r = cc - cc[basis] @ T
     bland = False
     degenerate_streak = 0
-    switch_at = 2 * (m + n_allowed)
+    switch_at = 2 * sum(T.shape)
     for _ in range(_MAX_ITER):
-        cand = r[:n_allowed]
         if bland:
-            improving = np.flatnonzero(cand > EPS_OPT)
+            improving = np.flatnonzero(r > EPS_OPT)
             if improving.size == 0:
-                return "optimal"
+                return r
             e = int(improving[0])
         else:
-            e = int(np.argmax(cand))
-            if cand[e] <= EPS_OPT:
-                return "optimal"
+            e = int(np.argmax(r))
+            if r[e] <= EPS_OPT:
+                return r
         col = T[:, e]
         pos = np.flatnonzero(col > _EPS_PIVOT)
         if pos.size == 0:
-            return "unbounded"
+            return None
         ratios = rhs[pos] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + _EPS_PIVOT]
@@ -128,11 +128,9 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     if (rhs < -EPS_FEAS).any():
         return None
     np.maximum(rhs, 0.0, out=rhs)
-    cc = np.concatenate([c, np.zeros(m)])
     basis_arr = np.array(basis, dtype=np.int64)
-    r = cc - cc[basis_arr] @ T
-    status = _pivot_loop(T, rhs, r, basis_arr, n_allowed=n + m, m=m)
-    if status == "unbounded":
+    r = _pivot_loop(T, rhs, np.concatenate([c, np.zeros(m)]), basis_arr)
+    if r is None:
         return LpResult(status="unbounded")
     x = np.zeros(n + m)
     x[basis_arr] = rhs
@@ -144,44 +142,30 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def _phase1_basis(A: np.ndarray, b: np.ndarray) -> list[int] | None:
-    """Feasible basis over [A | I] via artificial variables, or None if the LP
-    is infeasible."""
+    """Feasible basis over [A | I], or None if the LP is infeasible.  Rows
+    with b >= 0 start on their slack, the others on an artificial variable;
+    with b >= 0 throughout this is the slack basis, without a pivot."""
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
-    Af = A * sign[:, None]
-    Sf = np.diag(sign)
     neg_rows = np.flatnonzero(b < 0)
     k = neg_rows.size
     E = np.zeros((m, k))
-    for t, i in enumerate(neg_rows):
-        E[i, t] = 1.0
-    T = np.hstack([Af, Sf, E])
+    E[neg_rows, np.arange(k)] = 1.0
+    T = np.hstack([A * sign[:, None], np.diag(sign), E])
     rhs = b * sign
     cc = np.zeros(n + m + k)
     cc[n + m:] = -1.0
-    basis = np.empty(m, dtype=np.int64)
-    art_of_row = {}
-    for i in range(m):
-        basis[i] = n + i
-    for t, i in enumerate(neg_rows):
-        basis[i] = n + m + t
-        art_of_row[n + m + t] = i
-    r = cc - cc[basis] @ T
-    status = _pivot_loop(T, rhs, r, basis, n_allowed=n + m + k, m=m)
-    if status != "optimal":
+    basis = np.arange(n, n + m)
+    basis[neg_rows] = n + m + np.arange(k)
+    if _pivot_loop(T, rhs, cc, basis) is None:
         raise SimplexError("phase 1 cannot be unbounded")
-    residual = float(rhs[basis >= n + m].sum())
-    if residual > EPS_FEAS:
+    stuck = basis >= n + m
+    if float(rhs[stuck].sum()) > EPS_FEAS:
         return None
-    out = []
-    for i in range(m):
-        j = int(basis[i])
-        if j >= n + m:
-            # artificial stuck at zero: its column is the (sign-flipped) slack
-            # of its origin row, so that slack keeps the basis invertible
-            j = n + art_of_row[j]
-        out.append(j)
-    return out
+    # an artificial stuck at zero stands for the (sign-flipped) slack of its
+    # origin row, so that slack keeps the basis invertible
+    basis[stuck] = n + neg_rows[basis[stuck] - n - m]
+    return basis.tolist()
 
 
 def solve_lp(lp: LinearProgram, basis: tuple[int, ...] | None = None) -> LpResult:
@@ -191,11 +175,6 @@ def solve_lp(lp: LinearProgram, basis: tuple[int, ...] | None = None) -> LpResul
     valid when structural columns are appended later.
     """
     m, n = lp.A.shape
-    if n == 0:
-        if (lp.b < -EPS_FEAS).any():
-            return LpResult(status="infeasible")
-        return LpResult(status="optimal", x=np.zeros(0), objective=0.0,
-                        duals=np.zeros(m), basis=_encode_basis(np.arange(m), 0))
     if m == 0:
         if (lp.c > EPS_OPT).any():
             return LpResult(status="unbounded")
@@ -207,12 +186,9 @@ def solve_lp(lp: LinearProgram, basis: tuple[int, ...] | None = None) -> LpResul
         if warm is not None:
             return warm
 
-    if (lp.b >= 0).all():
-        feasible = list(range(n, n + m))  # slack basis
-    else:
-        feasible = _phase1_basis(lp.A, lp.b)
-        if feasible is None:
-            return LpResult(status="infeasible")
+    feasible = _phase1_basis(lp.A, lp.b)
+    if feasible is None:
+        return LpResult(status="infeasible")
     result = _phase2(lp.A, lp.b, lp.c, feasible)
     if result is None:
         raise SimplexError("phase-1 basis was rejected by phase 2")

@@ -97,6 +97,14 @@ def test_emit_is_byte_stable(tmp_path):
     assert not [key for key in record if "time" in key or "second" in key]
 
 
+def test_verify_reports_a_non_utf8_file(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_bytes(b"\xff\xfe")
+    problems = verify_solution_file(path)
+    assert len(problems) == 1
+    assert problems[0].startswith("unreadable solution file: ")
+
+
 def test_verify_flags_broken_layout(tmp_path):
     report, cfg = _solved_report(6)
     record = solution_record(report, cfg)
@@ -260,6 +268,14 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
 
     missing = tmp_path / "missing.json"
     assert main(["solve", str(missing), "--quiet"]) == 4
+    assert capsys.readouterr().err == f"error: {missing}: no such file\n"
+    for cmd in (["solve", str(tmp_path), "--quiet"], ["oracle", str(tmp_path)]):
+        assert main(cmd) == 4, cmd
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["solve", str(binary), "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {binary}: ")
 
     giant = tmp_path / "giant.json"
     giant.write_text(json.dumps({
@@ -267,8 +283,7 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
         "items": [{"id": "A", "width": 50, "height": 5, "from": 1}],
     }))
     assert main(["solve", str(giant), "--quiet"]) == 3
-    for bad in (["--c1", "0"], ["--c2", "-1"], ["--random-sequences", "-1"],
-                ["--overproduction", "-1"]):
+    for bad in (["--c1", "0"], ["--c2", "-1"], ["--overproduction", "-1"]):
         assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
     for bad in (["--c1", "nan"], ["--c2", "inf"], ["--time-limit", "nan"],

@@ -52,7 +52,7 @@ def test_solve_rmp_integral_case():
     inst = _single_type_instance(2, 3)
     node = build_node(inst, [{"A": 1}])
     out = solve_rmp(node)
-    assert out.feasible
+    assert out is not None
     assert out.x == pytest.approx([2.0])
     assert out.bins == pytest.approx(2.0)
     assert not out.fractional
@@ -81,14 +81,14 @@ def test_solve_rmp_infeasible_marks_node():
     inst = _single_type_instance(2, 3)
     node = build_node(inst, [{"A": 1}], mult={"A": (2, 1)})
     out = solve_rmp(node)
-    assert not out.feasible
+    assert out is None
 
 
 def test_pool_reduced_costs_nonpositive_at_optimum():
     inst = Instance(12, 12, 0, (ItemType("A", 4, 4, 2, 5), ItemType("B", 6, 6, 1, 3)))
     node = build_node(inst, [{"A": 2}, {"B": 1}, {"A": 1, "B": 1}])
     out = solve_rmp(node)
-    assert out.feasible
+    assert out is not None
     for col in node.columns:
         assert reduced_cost(col.counts_dict(), out.scores) <= 1e-9
 

@@ -1,7 +1,7 @@
 import pytest
 
 from patternpack.branching import make_left_child, make_right_child
-from patternpack.model import Instance, ItemType, SolverConfig
+from patternpack.model import Instance, ItemType
 from patternpack.placement import verify_layout
 from patternpack.pricing import greedy_fill, make_sequences, price, reduced_cost
 
@@ -26,7 +26,7 @@ def test_sequences_score_sorted():
     inst = _three_type_instance()
     node = build_node(inst, [])
     scores = {"t1": 3.0, "t2": 1.0, "t3": 2.0}
-    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=0))
+    seqs = make_sequences(scores, node)
     assert seqs[0] == ("t1", "t3", "t2")
 
 
@@ -35,16 +35,15 @@ def test_sequences_density_sorted():
                                 ItemType("t2", 1, 1, 0, 5)))  # area 1
     node = build_node(inst, [])
     scores = {"t1": 2.0, "t2": 2.0}
-    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=0))
+    seqs = make_sequences(scores, node)
     assert seqs[1] == ("t2", "t1")
 
 
 def test_sequences_random_are_permutations_and_deterministic():
     inst = _three_type_instance()
-    cfg = SolverConfig(pricing_random_sequences=4)
     scores = {"t1": -1.0, "t2": 0.0, "t3": -2.0}
-    seqs_a = make_sequences(scores, build_node(inst, [], seed=9), cfg)
-    seqs_b = make_sequences(scores, build_node(inst, [], seed=9), cfg)
+    seqs_a = make_sequences(scores, build_node(inst, [], seed=9))
+    seqs_b = make_sequences(scores, build_node(inst, [], seed=9))
     assert seqs_a == seqs_b
     for s in seqs_a:
         assert sorted(s) == ["t1", "t2", "t3"]
@@ -54,7 +53,7 @@ def test_sequences_skip_exhausted_types():
     inst = _three_type_instance()
     node = build_node(inst, [], mult={"t1": (0, 5), "t2": (0, 0), "t3": (0, 5)})
     scores = {"t1": 1.0, "t2": 9.0, "t3": 2.0}
-    seqs = make_sequences(scores, node, SolverConfig(pricing_random_sequences=1))
+    seqs = make_sequences(scores, node)
     for s in seqs:
         assert "t2" not in s
 
@@ -124,20 +123,20 @@ def test_price_zero_duals_returns_nothing():
     inst = _three_type_instance()
     node = build_node(inst, [])
     scores = {"t1": 0.0, "t2": 0.0, "t3": 0.0}
-    assert price(node, scores, inst, SolverConfig()) == []
+    assert price(node, scores, inst) == []
 
 
 def test_price_filters_pool_duplicates():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
     node = build_node(inst, [{"A": 4}])
-    assert price(node, {"A": 0.5}, inst, SolverConfig()) == []
+    assert price(node, {"A": 0.5}, inst) == []
 
 
 def test_price_returns_positive_column():
     inst = Instance(15, 5, 0, (ItemType("A", 5, 5, 0, 9),))
     node = build_node(inst, [{"A": 1}])
     scores = {"A": 0.5}
-    cols = price(node, scores, inst, SolverConfig())
+    cols = price(node, scores, inst)
     assert len(cols) == 1
     assert cols[0].counts_dict() == {"A": 3}
     assert reduced_cost(cols[0].counts_dict(), scores) == pytest.approx(0.5)
@@ -146,8 +145,8 @@ def test_price_returns_positive_column():
 def test_price_deterministic_for_fixed_seed():
     inst = _three_type_instance()
     scores = {"t1": 0.4, "t2": 0.19, "t3": 0.2}
-    a = price(build_node(inst, [], seed=5), scores, inst, SolverConfig())
-    b = price(build_node(inst, [], seed=5), scores, inst, SolverConfig())
+    a = price(build_node(inst, [], seed=5), scores, inst)
+    b = price(build_node(inst, [], seed=5), scores, inst)
     assert [c.counts for c in a] == [c.counts for c in b]
     for col in a:
         assert verify_layout(col.witness, col.counts_dict(), inst, inst.registry())

@@ -16,12 +16,16 @@ import patternpack
 
 # SHA-256 of the canonical record after a 50-node solve with solver seed 0
 PINNED = {
+    ("r1", "heuristic_min_heap"):
+        "18fcb9a962c5c853a27807ef5f9a6965f76532f31fa23be02317c16c384631b4",
     ("r2", "heuristic_min_heap"):
         "072d0826b20c80e2bfb96a3ef58230a7ef7e9b6d7db77650971d91a699fc9001",
     ("r3", "heuristic_min_heap"):
         "303817fb50f04a2148e9d1786e15cd74494827ee0254622da3dd8aeafc5f52bf",
     ("r3", "depth_first"):
         "1543e54848b60dfcea4443d74a236a2be4e7a9cb211ab454bf0e72a7f9fdb60e",
+    ("r4", "heuristic_min_heap"):
+        "bcdba759c2911ae23fd6772c896b636560b61808c0333751a221999fcc0e19d2",
     ("r5", "heuristic_min_heap"):
         "824e7661463b61286b31fb5feefcf827380fd2c8055f9e3bc0f407672fcad3ad",
 }

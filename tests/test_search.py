@@ -81,6 +81,15 @@ def test_run_zero_demand():
     assert report_objective(rep.solution, SolverConfig()) == 0.0
 
 
+def test_run_without_item_types(tmp_path):
+    cfg = SolverConfig()
+    rep = run(Instance(10, 10, 0, ()), cfg)
+    assert (rep.solution.bins, rep.solution.patterns) == (0, 0)
+    out = tmp_path / "sol.json"
+    emit_solution(rep, cfg, out)
+    assert verify_solution_file(out) == []
+
+
 def test_run_incumbent_verifies_and_meets_ranges():
     inst = tiny_instance(3)
     rep = run(inst, SolverConfig())
@@ -171,16 +180,15 @@ def test_progress_callback_can_stop_the_run():
 ])
 def test_open_nodes_pop_order_and_min_bound(strategy, expected):
     queue = _OpenNodes(strategy)
-    assert len(queue) == 0 and queue.min_bound() is None
+    assert len(queue) == 0 and queue.bound(-1.0) == -1.0
     for k, (used, hint) in enumerate([(5, 3.0), (2, 7.5), (9, 1.25),
                                       (2, 4.0), (5, 6.0)]):
         node = NodeProblem(id=k, parent_id=None, depth=0, multiplicities={},
-                           columns=[], registry=None, parent_patterns_used=used,
-                           bound_hint=hint)
-        queue.push(node)
-    assert queue.min_bound() == 1.25
+                           columns=[], registry=None)
+        queue.push(node, used, hint)
+    assert queue.bound(-1.0) == 1.25
     order = []
     while len(queue):
         order.append(queue.pop().id)
     assert order == expected
-    assert queue.min_bound() is None
+    assert queue.bound(-1.0) == -1.0

@@ -109,3 +109,31 @@ def test_degenerate_lp_terminates():
     res = solve_lp(LinearProgram(c=[1.0, 1.0], A=A, b=b))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(0.0)
+
+
+def test_lp_without_columns():
+    res = solve_lp(LinearProgram(c=np.zeros(0), A=np.zeros((2, 0)), b=[1.0, 2.0]))
+    assert res.status == "optimal"
+    assert res.x.shape == (0,) and res.objective == 0.0
+    assert np.array_equal(res.duals, [0.0, 0.0])
+    assert res.basis == (-1, -2)
+    res = solve_lp(LinearProgram(c=np.zeros(0), A=np.zeros((2, 0)), b=[-1.0, 2.0]))
+    assert res.status == "infeasible"
+
+
+def test_lp_without_rows():
+    res = solve_lp(LinearProgram(c=[1.0, 0.0], A=np.zeros((0, 2)), b=np.zeros(0)))
+    assert res.status == "unbounded"
+    res = solve_lp(LinearProgram(c=[-1.0, 0.0], A=np.zeros((0, 2)), b=np.zeros(0)))
+    assert res.status == "optimal"
+    assert res.objective == 0.0
+
+
+def test_phase1_artificial_left_at_zero_maps_to_its_slack():
+    # x <= 1 and -x <= -1: phase 1 ends with the second row's artificial
+    # basic at zero, and phase 2 must start from that row's slack instead
+    res = solve_lp(LinearProgram(c=[-1.0], A=[[1.0], [-1.0]], b=[1.0, -1.0]))
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([1.0])
+    assert res.duals == pytest.approx([0.0, 1.0])
+    assert res.basis == (0, -1)
