@@ -209,41 +209,37 @@ def run(instance: Instance, cfg: SolverConfig,
             gap=_relative_gap(incumbent.bins if incumbent else None, best_bound))
         return bool(progress(event))
 
-    while len(open_nodes):
-        if deadline is not None and time.monotonic() >= deadline:
-            status = "time_limit"
-            break
-        if incumbent is not None and \
-                incumbent.bins <= open_nodes.bound(incumbent.bins) + EPS_INT:
-            break  # gap closed (relative to the heuristic bound)
-        node = open_nodes.pop()
-        stats.nodes_explored += 1
+    def best_bound() -> float:
+        return open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
+
+    def explore(node: NodeProblem) -> str | None:
+        """Solve, prune or branch one popped node; returns the status that
+        ends the run, if any."""
+        nonlocal incumbent, next_id
         outcome = column_generation(node, instance, cfg, registry,
                                     deadline=deadline, stats=stats)
         if outcome is None:
-            continue
+            return None
         if not outcome.fractional:
             candidate = _extract_solution(node, outcome, instance)
             if incumbent is None or (candidate.bins, candidate.patterns) < \
                     (incumbent.bins, incumbent.patterns):
                 incumbent = candidate
                 if emit(open_nodes.bound(outcome.bins)):
-                    status = "stopped"
-                    break
-            continue
+                    return "stopped"
+            return None
         if incumbent is not None and \
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
-            continue
+            return None
         if deadline is not None and time.monotonic() >= deadline:
             # keep its bound visible in the report; nothing pops it again
             open_nodes.push(node, 0, outcome.bins)
-            status = "time_limit"
-            break
+            return "time_limit"
         try:
             i, j = select_branching_pair(node, outcome.x)
         except BranchingStuck:
             stats.stuck_nodes += 1
-            continue
+            return None
         patterns_used = int(np.sum(outcome.x > EPS_INT))
         right = make_right_child(node, i, j, child_id=next_id,
                                  seed=cfg.rng_seed, instance=instance)
@@ -254,17 +250,30 @@ def run(instance: Instance, cfg: SolverConfig,
         for child in (right, left):
             if child is not None:
                 open_nodes.push(child, patterns_used, outcome.bins)
-        if stats.nodes_explored % 50 == 0:
-            if emit(open_nodes.bound(outcome.bins)):
-                status = "stopped"
-                break
+        return None
 
-    best_bound = open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
+    while len(open_nodes):
+        if deadline is not None and time.monotonic() >= deadline:
+            status = "time_limit"
+            break
+        if incumbent is not None and \
+                incumbent.bins <= open_nodes.bound(incumbent.bins) + EPS_INT:
+            break  # gap closed (relative to the heuristic bound)
+        stats.nodes_explored += 1
+        ended = explore(open_nodes.pop())
+        if ended is None and stats.nodes_explored % 50 == 0 and \
+                emit(best_bound()):
+            ended = "stopped"
+        if ended is not None:
+            status = ended
+            break
+
+    bound = best_bound()
     if incumbent is None and status == "complete":
         status = "infeasible"
     stats.wall_time_seconds = time.monotonic() - start
-    gap = _relative_gap(incumbent.bins if incumbent else None, best_bound)
-    emit(best_bound)
-    return SearchReport(solution=incumbent, best_bound=best_bound, gap=gap,
+    gap = _relative_gap(incumbent.bins if incumbent else None, bound)
+    emit(bound)
+    return SearchReport(solution=incumbent, best_bound=bound, gap=gap,
                         stats=stats, status=status, instance=instance,
                         registry=registry)

@@ -17,7 +17,7 @@ import patternpack
 # SHA-256 of the canonical record after a 50-node solve with solver seed 0
 PINNED = {
     ("r1", "heuristic_min_heap"):
-        "18fcb9a962c5c853a27807ef5f9a6965f76532f31fa23be02317c16c384631b4",
+        "b6469960ddce7dcf2d76b8389e1379cf6375cc72d11eb0b70047ed6e5342be44",
     ("r2", "heuristic_min_heap"):
         "072d0826b20c80e2bfb96a3ef58230a7ef7e9b6d7db77650971d91a699fc9001",
     ("r3", "heuristic_min_heap"):

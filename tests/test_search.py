@@ -1,6 +1,6 @@
 import pytest
 
-from patternpack.cli import emit_solution, verify_solution_file
+from patternpack.cli import emit_solution, parse_instance, verify_solution_file
 from patternpack.master import report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
 from patternpack.oracle import exact_solve
@@ -152,6 +152,14 @@ def test_run_agrees_with_the_oracle_on_tiny_instances(strategy, tmp_path):
         assert rep.solution.patterns >= exact.patterns, k
         emit_solution(rep, cfg, out)
         assert verify_solution_file(out) == [], k
+
+
+def test_a_50_node_budget_stops_at_exactly_50_nodes():
+    # progress fires after every 50th node, whether it branched or not
+    rep = run(parse_instance("r1"), SolverConfig(),
+              progress=lambda event: event.nodes_explored >= 50)
+    assert rep.status == "stopped"
+    assert rep.stats.nodes_explored == 50
 
 
 def test_time_limit_zero_reports_no_incumbent():
