@@ -38,6 +38,8 @@ BUNDLED = ("r1", "r2", "r3", "r4", "r5")
 
 RECORD_FORMAT = "patternpack-solution-1"
 STATUSES = ("complete", "time_limit", "stopped", "infeasible")
+# what best_bound and gap rest on: node LPs over heuristically priced columns
+BOUND_KIND = "heuristic"
 
 
 class InstanceFormatError(ValueError):
@@ -152,6 +154,7 @@ def solution_record(report: SearchReport, cfg: SolverConfig) -> dict:
         "strategy": cfg.node_selection,
         "seed": cfg.rng_seed,
         "status": report.status,
+        "bound": BOUND_KIND,
         "best_bound": round(report.best_bound, 9),
         "nodes_explored": report.stats.nodes_explored,
         "columns_generated": report.stats.columns_generated,
@@ -224,6 +227,8 @@ def verify_solution_file(path: str | Path) -> list[str]:
     status = record.get("status")
     if status not in STATUSES:
         problems.append(f"status: must be one of {', '.join(STATUSES)}")
+    if record.get("bound") != BOUND_KIND:
+        problems.append(f"bound: must be {BOUND_KIND!r}")
     best_bound = record.get("best_bound")
     if not _is_number(best_bound):
         problems.append("best_bound: must be a finite number")
@@ -314,6 +319,10 @@ def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+def _gap_text(gap: float | None) -> str:
+    return "n/a" if gap is None else f"{100 * gap:.1f}% ({BOUND_KIND})"
+
+
 def _cmd_solve(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
@@ -328,7 +337,7 @@ def _cmd_solve(args) -> int:
         return EXIT_INPUT
 
     def show(event) -> bool:
-        gap = "n/a" if event.gap is None else f"{100 * event.gap:.1f}%"
+        gap = _gap_text(event.gap)
         inc = "-" if event.incumbent_bins is None else \
             f"{event.incumbent_bins}/{event.incumbent_patterns}"
         print(f"nodes={event.nodes_explored} incumbent(bins/patterns)={inc} "
@@ -342,9 +351,9 @@ def _cmd_solve(args) -> int:
         print(f"no feasible solution found (best bound {report.best_bound:.2f})")
         return EXIT_NO_INCUMBENT
     sol = report.solution
-    gap = "n/a" if report.gap is None else f"{100 * report.gap:.1f}%"
     print(f"bins={sol.bins} patterns={sol.patterns} "
-          f"objective={report_objective(sol, cfg):.6g} gap={gap} "
+          f"objective={report_objective(sol, cfg):.6g} "
+          f"gap={_gap_text(report.gap)} "
           f"status={report.status} "
           f"time={report.stats.wall_time_seconds:.1f}s "
           f"nodes={report.stats.nodes_explored}")

@@ -1,17 +1,21 @@
-"""Branch-and-price driver: per-node column generation, node selection,
-incumbent management, bounds and gap reporting.
+"""Branch-and-price driver: per-node column generation, a residual-rounding
+dive at the root, node selection, incumbent management, bounds and gap
+reporting.
 
-Open nodes wait in one min-heap.  Depth-first selection pops the newest
-node first; the pattern-minimizing heuristic pops the node whose parent's
+The root is solved first.  When its LP is fractional, ``dive`` rounds it
+into a first incumbent, which then prunes the tree like any other.  Open
+nodes wait in one min-heap.  Depth-first selection pops the newest node
+first; the pattern-minimizing heuristic pops the node whose parent's
 solution used the fewest patterns, ties by insertion order.  Because
 pricing is heuristic, node LP values are not certified lower bounds; the
-reported gap is labeled heuristic everywhere.
+reported bound and gap are labeled heuristic everywhere.
 """
 
 import heapq
 import time
 from dataclasses import dataclass
-from math import ceil
+from itertools import count
+from math import ceil, floor
 from typing import Callable
 
 import numpy as np
@@ -45,6 +49,12 @@ class ProgressEvent:
 
 @dataclass
 class SearchReport:
+    """Outcome of a search.  ``complete`` means that the search ran out of
+    open nodes (each was branched, pruned against the incumbent, infeasible
+    or stuck) or that the incumbent's bins reached the smallest LP value
+    among the open nodes.  Those LP values come from heuristic pricing, so
+    ``complete`` and a gap of 0 do not prove the incumbent optimal."""
+
     solution: Solution | None
     best_bound: float
     gap: float | None          # heuristic: pricing gives no certified bound
@@ -87,13 +97,22 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
 def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
                       registry: TypeRegistry, deadline: float | None = None,
                       stats: SearchStats | None = None) -> RmpSolveOutcome | None:
+    """Solve one node of the search tree by column generation (see
+    ``_generate``).  None means the node's master is infeasible.
+
+    Neither ``cfg`` nor ``registry`` is read; both stay only because the
+    benchmark's ``perfbench/solve.py`` passes them by position.  Its tracer
+    counts calls of this function as explored nodes, so the dive's residual
+    nodes call ``_generate`` directly."""
+    return _generate(node, instance, deadline,
+                     stats if stats is not None else SearchStats())
+
+
+def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
+              stats: SearchStats) -> RmpSolveOutcome | None:
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  None means the node's master is infeasible.
-
-    Pricing reads the registry from ``node``.  Neither ``cfg`` nor
-    ``registry`` is read; both stay only because the benchmark's
-    ``perfbench/solve.py`` passes them by position."""
-    stats = stats if stats is not None else SearchStats()
+    Pricing reads the registry from ``node``."""
     warm = None
     while True:
         outcome = solve_rmp(node, warm_basis=warm)
@@ -109,28 +128,81 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
         warm = outcome.lp_result.basis
 
 
-def _extract_solution(node: NodeProblem, outcome: RmpSolveOutcome,
-                      instance: Instance) -> Solution:
-    registry = node.registry
-    xs = np.rint(outcome.x).astype(int)
-    assignments = tuple((col, int(k))
-                        for col, k in zip(node.columns, xs) if k > 0)
+def _solution(assignments: tuple[tuple[Column, int], ...], instance: Instance,
+              registry: TypeRegistry) -> Solution:
+    """The solution that uses each pattern the given number of times, after
+    checking every witness and every production range; a failed check
+    raises."""
     totals: dict[str, int] = {t.id: 0 for t in instance.item_types}
     for col, k in assignments:
         if not verify_layout(col.witness, col.counts_dict(), instance, registry):
-            raise RuntimeError(f"pattern witness failed verification at node {node.id}")
+            raise RuntimeError(f"pattern witness failed verification: {col.counts}")
         for oid, n in expand_counts(col.counts_dict(), registry).items():
             totals[oid] += n * k
     for t in instance.item_types:
         if not (t.from_count <= totals[t.id] <= t.to_count):
             raise RuntimeError(
                 f"integral solution violates range of {t.id!r}: {totals[t.id]}")
-    bins = int(sum(k for _, k in assignments))
-    patterns = len(assignments)
     return Solution(
         assignments=assignments,
         s=tuple(sorted(totals.items(), key=lambda kv: registry.order(kv[0]))),
-        bins=bins, patterns=patterns)
+        bins=int(sum(k for _, k in assignments)), patterns=len(assignments))
+
+
+def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
+         seed: int, deadline: float | None, stats: SearchStats) -> Solution | None:
+    """Residual rounding from the solved ``root``, the cutting-stock primal
+    heuristic (Vanderbeck 2000; Belov & Scheithauer 2006).
+
+    Each round fixes floor(x_l) copies of each column, lowered so that no
+    ``to`` is exceeded, or one copy of the column with the largest x when
+    every count is 0.  It subtracts what they produce from every (from, to)
+    and solves the residual node by column generation, until every ``from``
+    is met.  A residual node starts from the pool columns that still fit its
+    ``to``, plus ``initial_columns`` for coverage.  Residual nodes take the
+    ids -1, -2, ..., which the search never hands out, share the root's
+    registry and memo, and never join the tree; the root's pool is left as
+    it is.  None means a residual master was infeasible or the deadline
+    passed."""
+    registry = root.registry
+    mult = dict(root.multiplicities)
+    fixed: dict[tuple, list] = {}  # counts -> [column, copies]
+    node = root
+    for node_id in count(-1, -1):
+        room = {tid: hi for tid, (_, hi) in mult.items()}
+        taken = []
+        for col, x in zip(node.columns, outcome.x):
+            k = min(floor(x + EPS_INT), *(room[tid] // n for tid, n in col.counts))
+            if k > 0:
+                taken.append((col, k))
+                for tid, n in col.counts:
+                    room[tid] -= n * k
+        if not taken:
+            taken = [(node.columns[int(np.argmax(outcome.x))], 1)]
+        for col, k in taken:
+            fixed.setdefault(col.counts, [col, 0])[1] += k
+            for tid, n in col.counts:
+                lo, hi = mult[tid]
+                mult[tid] = (max(0, lo - n * k), hi - n * k)
+        if all(lo == 0 for lo, _ in mult.values()):
+            return _solution(tuple((col, k) for col, k in fixed.values()),
+                             instance, registry)
+        node = NodeProblem(
+            id=node_id, parent_id=node.id, depth=node.depth + 1,
+            multiplicities=dict(mult),
+            columns=[col for col in node.columns
+                     if all(n <= mult[tid][1] for tid, n in col.counts)],
+            registry=registry, rules=root.rules, rng=node_rng(seed, node_id),
+            memo=root.memo)
+        seen = {col.counts for col in node.columns}
+        for col in initial_columns(instance, registry, node):
+            if col.counts not in seen:
+                node.columns.append(col)
+                stats.columns_generated += 1
+        outcome = _generate(node, instance, deadline, stats)
+        if outcome is None or (deadline is not None
+                               and time.monotonic() >= deadline):
+            return None
 
 
 def _relative_gap(incumbent_bins: int | None, best_bound: float) -> float | None:
@@ -221,13 +293,21 @@ def run(instance: Instance, cfg: SolverConfig,
         if outcome is None:
             return None
         if not outcome.fractional:
-            candidate = _extract_solution(node, outcome, instance)
+            xs = np.rint(outcome.x).astype(int)
+            candidate = _solution(
+                tuple((col, int(k)) for col, k in zip(node.columns, xs) if k > 0),
+                instance, registry)
             if incumbent is None or (candidate.bins, candidate.patterns) < \
                     (incumbent.bins, incumbent.patterns):
                 incumbent = candidate
                 if emit(open_nodes.bound(outcome.bins)):
                     return "stopped"
             return None
+        if node is root:
+            incumbent = dive(root, outcome, instance, cfg.rng_seed, deadline,
+                             stats)
+            if incumbent is not None and emit(outcome.bins):
+                return "stopped"
         if incumbent is not None and \
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
             return None

@@ -35,3 +35,28 @@ def test_root_lp_bins_matches_the_search_root(monkeypatch):
     with pytest.raises(_RootSolved):
         search.run(inst, cfg)
     assert seen == [bins]
+
+
+def test_search_nodes_and_master_solves_match_the_stats(monkeypatch):
+    """The benchmark's tracer counts calls of ``search.column_generation`` as
+    explored nodes and calls of ``search.solve_rmp`` as column generation
+    iterations, and fails a traced solve whose counts differ from the
+    search's own statistics.  Work outside the tree, such as the root dive,
+    must keep both counts equal."""
+    calls = {"column_generation": 0, "solve_rmp": 0}
+
+    def counted(name):
+        original = getattr(search, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(search, name, wrapper)
+
+    counted("column_generation")
+    counted("solve_rmp")
+    report = search.run(parse_instance("r3"), SolverConfig(),
+                        progress=lambda event: event.nodes_explored >= 50)
+    assert report.solution is not None  # the dive ran
+    assert calls["column_generation"] == report.stats.nodes_explored == 50
+    assert calls["solve_rmp"] == report.stats.cg_iterations

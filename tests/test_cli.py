@@ -160,6 +160,13 @@ def _set(field, value):
                         id=f"{field}={value!r}")
 
 
+def _drop(field):
+    """Tamper: remove a top-level field of the record."""
+    return pytest.param(
+        lambda record: {k: v for k, v in record.items() if k != field},
+        id=f"no-{field}")
+
+
 def _no_incumbent_but_a_gap(record):
     record = {key: value for key, value in record.items() if key not in
               ("bins", "pattern_blocks", "produced", "objective")}
@@ -182,7 +189,8 @@ def _one_bin_record(record, **changes):
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 1),))
     return {**record, "instance": instance_to_data(inst),
             "instance_digest": instance_digest(inst), "bins": 1, "patterns": 1,
-            "produced": {"A": 1}, "best_bound": 1.0, "gap": 0.0,
+            "produced": {"A": 1}, "bound": "heuristic", "best_bound": 1.0,
+            "gap": 0.0,
             "pattern_blocks": [{"counts": {"A": 1}, "x": 1,
                                 "placements": [["A", 0, 0]]}], **changes}
 
@@ -201,6 +209,7 @@ def _one_bin_true(field):
     _no_incumbent_but_bins_and_blocks,
     _set("objective", -5), _set("gap", 7.0), _set("gap", "x"),
     _set("best_bound", None), _set("status", "bogus"),
+    _drop("bound"), _set("bound", "certified"),
     _set("format", "patternpack-solution-0"), _set("status", "infeasible"),
     _no_incumbent_but_a_gap,
     _as_float("bins"), _as_float("patterns"), _as_float("produced"),

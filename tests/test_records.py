@@ -1,9 +1,11 @@
 """Pinned solution records: node-budgeted solves must give the same bytes.
 
 A change that should not alter the search (a faster packer, a refactor)
-proves it here.  The solves run in a child process with one BLAS thread,
-because the LP's results depend on the thread count and numpy fixes it at
-import time.
+proves it here.  A change that alters the search on purpose (a new
+heuristic, a fixed budget) re-pins the records it moves, and only those,
+so the digests that stay show which searches it left alone.  The solves
+run in a child process with one BLAS thread, because the LP's results
+depend on the thread count and numpy fixes it at import time.
 """
 
 import json
@@ -17,17 +19,17 @@ import patternpack
 # SHA-256 of the canonical record after a 50-node solve with solver seed 0
 PINNED = {
     ("r1", "heuristic_min_heap"):
-        "b6469960ddce7dcf2d76b8389e1379cf6375cc72d11eb0b70047ed6e5342be44",
+        "b3b416660eeeeee1fd2b2bc46e4aafc32e7524f86975fe16aafb7e5e1ac69c4f",
     ("r2", "heuristic_min_heap"):
-        "072d0826b20c80e2bfb96a3ef58230a7ef7e9b6d7db77650971d91a699fc9001",
+        "258f84158bc0bf82acf60aa16fc7f4c84e0d9aba5cab795d512604f828083638",
     ("r3", "heuristic_min_heap"):
-        "303817fb50f04a2148e9d1786e15cd74494827ee0254622da3dd8aeafc5f52bf",
+        "df9cb458df0103543915c7528bda8aa7a45f85c6480ef1c80235d5989fedb731",
     ("r3", "depth_first"):
-        "1543e54848b60dfcea4443d74a236a2be4e7a9cb211ab454bf0e72a7f9fdb60e",
+        "4c18a472538f436c209d42bca27a11e3c5b58490348a6152a3a7198d5dd7d74d",
     ("r4", "heuristic_min_heap"):
-        "bcdba759c2911ae23fd6772c896b636560b61808c0333751a221999fcc0e19d2",
+        "b8be652b2d935e61251a0a2a44834c593c48994eb616793f207351ee3c01a516",
     ("r5", "heuristic_min_heap"):
-        "824e7661463b61286b31fb5feefcf827380fd2c8055f9e3bc0f407672fcad3ad",
+        "4017aefeca70abb4e9514704a27e778270ba957db8d7be806f4111484de22791",
 }
 
 CHILD = """

@@ -1,7 +1,10 @@
+from math import ceil
+
 import pytest
 
+from patternpack import search
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
-from patternpack.master import report_objective
+from patternpack.master import EPS_INT, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
 from patternpack.oracle import exact_solve
 from patternpack.placement import verify_layout
@@ -154,12 +157,38 @@ def test_run_agrees_with_the_oracle_on_tiny_instances(strategy, tmp_path):
         assert verify_solution_file(out) == [], k
 
 
-def test_a_50_node_budget_stops_at_exactly_50_nodes():
-    # progress fires after every 50th node, whether it branched or not
-    rep = run(parse_instance("r1"), SolverConfig(),
-              progress=lambda event: event.nodes_explored >= 50)
+def test_a_node_budget_stops_at_exactly_its_node_count():
+    # progress fires after every 50th node, whether it branched or not; the
+    # 150th node of this search is pruned (the dive closes r1 at the root)
+    rep = run(parse_instance("r3"), SolverConfig(),
+              progress=lambda event: event.nodes_explored >= 150)
     assert rep.status == "stopped"
-    assert rep.stats.nodes_explored == 50
+    assert rep.stats.nodes_explored == 150
+
+
+@pytest.mark.parametrize("name", ["r1", "r2", "r3", "r4", "r5"])
+def test_the_root_dive_gives_a_near_lp_incumbent_at_node_1(
+        name, monkeypatch, tmp_path):
+    root_lp = []
+    column_generation = search.column_generation
+
+    def solve_node(*args, **kwargs):
+        outcome = column_generation(*args, **kwargs)
+        root_lp.append(outcome.bins)
+        return outcome
+
+    monkeypatch.setattr(search, "column_generation", solve_node)
+    events = []
+    cfg = SolverConfig()
+    rep = run(parse_instance(name), cfg, progress=lambda event: (
+        events.append(event) or event.incumbent_bins is not None))
+    first = next(e for e in events if e.incumbent_bins is not None)
+    assert first.nodes_explored == 1
+    assert first.incumbent_bins == rep.solution.bins
+    assert rep.solution.bins <= ceil(root_lp[0] - EPS_INT) + 2
+    out = tmp_path / "sol.json"
+    emit_solution(rep, cfg, out)
+    assert verify_solution_file(out) == []
 
 
 def test_time_limit_zero_reports_no_incumbent():
