@@ -167,26 +167,25 @@ def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
     registry = root.registry
     mult = dict(root.multiplicities)
     fixed: dict[tuple, list] = {}  # counts -> [column, copies]
+
+    def fix(col: Column, k: int) -> None:
+        fixed.setdefault(col.counts, [col, 0])[1] += k
+        for tid, n in col.counts:
+            lo, hi = mult[tid]
+            mult[tid] = (max(0, lo - n * k), hi - n * k)
+
     node = root
     for node_id in count(-1, -1):
-        room = {tid: hi for tid, (_, hi) in mult.items()}
-        taken = []
+        fixed_any = False
         for col, x in zip(node.columns, outcome.x):
-            k = min(floor(x + EPS_INT), *(room[tid] // n for tid, n in col.counts))
+            k = min(floor(x + EPS_INT), *(mult[tid][1] // n for tid, n in col.counts))
             if k > 0:
-                taken.append((col, k))
-                for tid, n in col.counts:
-                    room[tid] -= n * k
-        if not taken:
-            taken = [(node.columns[int(np.argmax(outcome.x))], 1)]
-        for col, k in taken:
-            fixed.setdefault(col.counts, [col, 0])[1] += k
-            for tid, n in col.counts:
-                lo, hi = mult[tid]
-                mult[tid] = (max(0, lo - n * k), hi - n * k)
+                fix(col, k)
+                fixed_any = True
+        if not fixed_any:
+            fix(node.columns[int(np.argmax(outcome.x))], 1)
         if all(lo == 0 for lo, _ in mult.values()):
-            return _solution(tuple((col, k) for col, k in fixed.values()),
-                             instance, registry)
+            return _solution(tuple(map(tuple, fixed.values())), instance, registry)
         node = NodeProblem(
             id=node_id, parent_id=node.id, depth=node.depth + 1,
             multiplicities=dict(mult),
