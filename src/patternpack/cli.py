@@ -70,6 +70,9 @@ def _require(mapping, key, kind, where):
 
 def parse_instance_data(data, overproduction_rate: float = 0.15,
                         where: str = "instance") -> Instance:
+    if not (_is_number(overproduction_rate) and overproduction_rate >= 0):
+        raise InstanceFormatError(f"overproduction rate {overproduction_rate!r}: "
+                                  "must be a finite number >= 0")
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{where}: must be a JSON object")
     bin_spec = _require(data, "bin", dict, where)
@@ -232,6 +235,14 @@ def verify_solution_file(path: str | Path) -> list[str]:
     best_bound = record.get("best_bound")
     if not _is_number(best_bound):
         problems.append("best_bound: must be a finite number")
+    if record.get("strategy") not in _STRATEGIES.values():
+        problems.append(
+            f"strategy: must be one of {', '.join(_STRATEGIES.values())}")
+    if not _is_int(record.get("seed")):
+        problems.append("seed: must be an integer")
+    for key in ("nodes_explored", "columns_generated"):
+        if not (_is_int(record.get(key)) and record[key] >= 0):
+            problems.append(f"{key}: must be a non-negative integer")
     if record.get("patterns") is None:  # no incumbent was found
         problems += [f"{key}: present although the record has no incumbent"
                      for key in ("bins", "pattern_blocks", "produced", "objective")
@@ -345,24 +356,28 @@ def _cmd_solve(args) -> int:
         return False
 
     report = run(instance, cfg, progress=show if not args.quiet else None)
-    if args.out:
-        emit_solution(report, cfg, args.out)
-    if report.solution is None:
+    sol = report.solution
+    try:
+        if args.out:
+            emit_solution(report, cfg, args.out)
+        if args.render and sol is not None:
+            out_dir = Path(args.render)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            record = solution_record(report, cfg)
+            for k, block in enumerate(record["pattern_blocks"]):
+                render_pattern(block, instance, out_dir / f"pattern_{k:03d}.svg")
+    except OSError as exc:  # an unwritable --out or --render path
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
+    if sol is None:
         print(f"no feasible solution found (best bound {report.best_bound:.2f})")
         return EXIT_NO_INCUMBENT
-    sol = report.solution
     print(f"bins={sol.bins} patterns={sol.patterns} "
           f"objective={report_objective(sol, cfg):.6g} "
           f"gap={_gap_text(report.gap)} "
           f"status={report.status} "
           f"time={report.stats.wall_time_seconds:.1f}s "
           f"nodes={report.stats.nodes_explored}")
-    if args.render:
-        out_dir = Path(args.render)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        record = solution_record(report, cfg)
-        for k, block in enumerate(record.get("pattern_blocks", [])):
-            render_pattern(block, instance, out_dir / f"pattern_{k:03d}.svg")
     return EXIT_OK
 
 

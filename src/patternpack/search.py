@@ -1,14 +1,14 @@
 """Branch-and-price driver: per-node column generation, a residual-rounding
-dive at the root, node selection, incumbent management, bounds and gap
-reporting.
+dive, node selection, incumbent management, bounds and gap reporting.
 
-The root is solved first.  When its LP is fractional, ``dive`` rounds it
-into a first incumbent, which then prunes the tree like any other.  Open
-nodes wait in one min-heap.  Depth-first selection pops the newest node
-first; the pattern-minimizing heuristic pops the node whose parent's
-solution used the fewest patterns, ties by insertion order.  Because
-pricing is heuristic, node LP values are not certified lower bounds; the
-reported bound and gap are labeled heuristic everywhere.
+The root is solved first.  ``dive`` is the one path from a node LP to a
+solution: it rounds the root's LP and every integral node LP, from the node
+it is given, and a better result becomes the incumbent, which prunes the
+tree.  Open nodes wait in one min-heap.  Depth-first selection pops the
+newest node first; the pattern-minimizing heuristic pops the node whose
+parent's solution used the fewest patterns, ties by insertion order.
+Because pricing is heuristic, node LP values are not certified lower
+bounds; the reported bound and gap are labeled heuristic everywhere.
 """
 
 import heapq
@@ -149,23 +149,25 @@ def _solution(assignments: tuple[tuple[Column, int], ...], instance: Instance,
         bins=int(sum(k for _, k in assignments)), patterns=len(assignments))
 
 
-def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
+def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
          seed: int, deadline: float | None, stats: SearchStats) -> Solution | None:
-    """Residual rounding from the solved ``root``, the cutting-stock primal
-    heuristic (Vanderbeck 2000; Belov & Scheithauer 2006).
+    """Residual rounding from the solved node ``start``, the cutting-stock
+    primal heuristic (Vanderbeck 2000; Belov & Scheithauer 2006), which the
+    search runs on the root's LP and on every integral node LP.
 
     Each round fixes floor(x_l) copies of each column, lowered so that no
-    ``to`` is exceeded, or one copy of the column with the largest x when
-    every count is 0.  It subtracts what they produce from every (from, to)
-    and solves the residual node by column generation, until every ``from``
-    is met.  A residual node starts from the pool columns that still fit its
-    ``to``, plus ``initial_columns`` for coverage.  Residual nodes take the
-    ids -1, -2, ..., which the search never hands out, share the root's
-    registry and memo, and never join the tree; the root's pool is left as
-    it is.  None means a residual master was infeasible or the deadline
-    passed."""
-    registry = root.registry
-    mult = dict(root.multiplicities)
+    ``to`` is exceeded, or, while some ``from`` is unmet, one copy of the
+    column with the largest x when every count is 0; on an integral LP the
+    first round fixes rint(x) copies, in pool order, and ends.  It subtracts
+    what they produce from every (from, to) and solves the residual node by
+    column generation, until every ``from`` is met.  A residual node starts
+    from the pool columns that still fit its ``to``, plus ``initial_columns``
+    for coverage.  Residual nodes take the ids -1, -2, ..., which the search
+    never hands out, share the registry, rules and memo of ``start``, and
+    never join the tree; the pool of ``start`` is left as it is.  None means
+    a residual master was infeasible or the deadline passed."""
+    registry = start.registry
+    mult = dict(start.multiplicities)
     fixed: dict[tuple, list] = {}  # counts -> [column, copies]
 
     def fix(col: Column, k: int) -> None:
@@ -174,7 +176,7 @@ def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             lo, hi = mult[tid]
             mult[tid] = (max(0, lo - n * k), hi - n * k)
 
-    node = root
+    node = start
     for node_id in count(-1, -1):
         fixed_any = False
         for col, x in zip(node.columns, outcome.x):
@@ -182,7 +184,7 @@ def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             if k > 0:
                 fix(col, k)
                 fixed_any = True
-        if not fixed_any:
+        if not fixed_any and any(lo > 0 for lo, _ in mult.values()):
             fix(node.columns[int(np.argmax(outcome.x))], 1)
         if all(lo == 0 for lo, _ in mult.values()):
             return _solution(tuple(map(tuple, fixed.values())), instance, registry)
@@ -191,8 +193,8 @@ def dive(root: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             multiplicities=dict(mult),
             columns=[col for col in node.columns
                      if all(n <= mult[tid][1] for tid, n in col.counts)],
-            registry=registry, rules=root.rules, rng=node_rng(seed, node_id),
-            memo=root.memo)
+            registry=registry, rules=start.rules, rng=node_rng(seed, node_id),
+            memo=start.memo)
         seen = {col.counts for col in node.columns}
         for col in initial_columns(instance, registry, node):
             if col.counts not in seen:
@@ -265,7 +267,7 @@ def run(instance: Instance, cfg: SolverConfig,
 
     open_nodes = _OpenNodes(cfg.node_selection)
     open_nodes.push(root, 0, 0.0)
-    next_id = 1
+    child_ids = count(1)
     incumbent: Solution | None = None
     status = "complete"
 
@@ -286,27 +288,22 @@ def run(instance: Instance, cfg: SolverConfig,
     def explore(node: NodeProblem) -> str | None:
         """Solve, prune or branch one popped node; returns the status that
         ends the run, if any."""
-        nonlocal incumbent, next_id
+        nonlocal incumbent
         outcome = column_generation(node, instance, cfg, registry,
                                     deadline=deadline, stats=stats)
         if outcome is None:
             return None
-        if not outcome.fractional:
-            xs = np.rint(outcome.x).astype(int)
-            candidate = _solution(
-                tuple((col, int(k)) for col, k in zip(node.columns, xs) if k > 0),
-                instance, registry)
-            if incumbent is None or (candidate.bins, candidate.patterns) < \
-                    (incumbent.bins, incumbent.patterns):
+        if node is root or not outcome.fractional:
+            candidate = dive(node, outcome, instance, cfg.rng_seed, deadline,
+                             stats)
+            if candidate is not None and (
+                    incumbent is None or (candidate.bins, candidate.patterns)
+                    < (incumbent.bins, incumbent.patterns)):
                 incumbent = candidate
                 if emit(open_nodes.bound(outcome.bins)):
                     return "stopped"
-            return None
-        if node is root:
-            incumbent = dive(root, outcome, instance, cfg.rng_seed, deadline,
-                             stats)
-            if incumbent is not None and emit(outcome.bins):
-                return "stopped"
+            if not outcome.fractional:
+                return None
         if incumbent is not None and \
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
             return None
@@ -320,12 +317,10 @@ def run(instance: Instance, cfg: SolverConfig,
             stats.stuck_nodes += 1
             return None
         patterns_used = int(np.sum(outcome.x > EPS_INT))
-        right = make_right_child(node, i, j, child_id=next_id,
+        right = make_right_child(node, i, j, child_id=next(child_ids),
                                  seed=cfg.rng_seed, instance=instance)
-        next_id += 1
-        left = make_left_child(node, i, j, child_id=next_id,
+        left = make_left_child(node, i, j, child_id=next(child_ids),
                                seed=cfg.rng_seed, instance=instance)
-        next_id += 1
         for child in (right, left):
             if child is not None:
                 open_nodes.push(child, patterns_used, outcome.bins)

@@ -214,6 +214,10 @@ def _one_bin_true(field):
     _no_incumbent_but_a_gap,
     _as_float("bins"), _as_float("patterns"), _as_float("produced"),
     _one_bin_true("bins"), _one_bin_true("patterns"),
+    _set("strategy", "bogus"), _drop("strategy"), _set("seed", 1.5),
+    _set("seed", None), _set("nodes_explored", -5),
+    _set("nodes_explored", 2.0), _set("columns_generated", -1),
+    _drop("columns_generated"),
 ])
 def test_verify_reports_malformed_records(tmp_path, tamper):
     report, cfg = _solved_report(1)
@@ -296,12 +300,32 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
         assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
     for bad in (["--c1", "nan"], ["--c2", "inf"], ["--time-limit", "nan"],
-                ["--time-limit", "-1"]):
+                ["--time-limit", "-1"], ["--overproduction", "-1"],
+                ["--overproduction", "nan"], ["--overproduction", "inf"]):
         assert main(["solve", str(inst_file), "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
+    # every item of inst_file has its own ``to``, so no rate is ever applied
+    for rate in ("-1", "nan", "inf"):
+        assert main(["oracle", str(inst_file), "--overproduction", rate]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"error: overproduction rate {float(rate)!r}: ")
     assert main(["solve", str(giant), "--quiet", "--c1", "0"]) == 3
     assert main(["oracle", "r1", "--overproduction", "-1"]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_unwritable_outputs(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps({
+        "bin": {"width": 10, "height": 10}, "spacing": 0,
+        "items": [{"id": "A", "width": 5, "height": 5, "from": 4, "to": 4}],
+    }))
+    out = tmp_path / "missing" / "sol.json"
+    assert main(["solve", str(inst_file), "--quiet", "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+    assert main(["solve", str(inst_file), "--quiet", "--render",
+                 str(inst_file)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {inst_file}: ")
 
 
 def test_cli_solve_time_limit_defaults_to_60_seconds():

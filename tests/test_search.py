@@ -1,5 +1,6 @@
 from math import ceil
 
+import numpy as np
 import pytest
 
 from patternpack import search
@@ -58,6 +59,32 @@ def test_column_generation_reaches_full_pattern():
     out = column_generation(node, inst, SolverConfig(), node.registry)
     assert out.bins == pytest.approx(1.0)
     assert any(c.counts_dict() == {"A": 4} for c in node.columns)
+
+
+def _solved_root(inst):
+    root = build_node(inst, [])
+    root.columns = initial_columns(inst, root.registry, root)
+    return root, column_generation(root, inst, SolverConfig(), root.registry)
+
+
+def test_dive_rounds_an_integral_lp_to_its_own_columns():
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 8, 8),
+                                ItemType("B", 10, 5, 6, 6)))
+    root, outcome = _solved_root(inst)
+    assert not outcome.fractional
+    sol = search.dive(root, outcome, inst, 0, None, search.SearchStats())
+    assert sol.assignments == tuple(
+        (col, int(k)) for col, k in zip(root.columns, np.rint(outcome.x))
+        if k > 0)
+    assert sol.bins == 5
+
+
+def test_dive_of_a_node_without_demand_uses_no_bins():
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
+    root, outcome = _solved_root(inst)
+    assert not outcome.fractional and not outcome.x.any()
+    sol = search.dive(root, outcome, inst, 0, None, search.SearchStats())
+    assert (sol.bins, sol.patterns) == (0, 0)
 
 
 def test_run_exact_tiling():
