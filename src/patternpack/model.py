@@ -11,7 +11,7 @@ lives in :mod:`patternpack.cli`.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, inf
+from math import floor, inf, isfinite
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -74,8 +74,8 @@ def derive_to(from_count: int, rate: float) -> int:
     Uses exact decimal arithmetic so e.g. (2000, 0.15) gives 2300, not 2299.
     Floor rounding: the cap is never exceeded, and never below ``from_count``.
     """
-    if rate < 0:
-        raise ValueError("overproduction rate must be >= 0")
+    if not (isfinite(rate) and rate >= 0):
+        raise ValueError(f"overproduction rate {rate!r}: must be a finite number >= 0")
     return floor(Fraction(from_count) * (1 + Fraction(str(rate))))
 
 

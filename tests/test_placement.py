@@ -199,11 +199,16 @@ def _uniform_script(rng):
     spacing = rng.randint(0, 3)
     sizes = []
     for _ in range(rng.randint(1, 4)):
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.4:
             sizes.append((rng.randint(1, max(1, width // 3)),
                           rng.randint(1, max(1, height // 3))))
-        else:
+        elif kind < 0.8:
             sizes.append((rng.randint(1, 90), rng.randint(1, 90)))
+        else:
+            # as wide or as tall as the bin: the largest packed memo keys
+            sizes.append(rng.choice([(width, rng.randint(1, height)),
+                                     (rng.randint(1, width), height)]))
     ops = []
     for _ in range(rng.randint(0, 80)):
         op = rng.choice(("place", "place_or_undo", "mark", "reset"))
@@ -216,13 +221,35 @@ def _uniform_script(rng):
 def test_packer_equals_reference_on_uniform_scripts():
     """Hypothesis seldom draws the long scripts whose rollbacks and memo hits
     interleave; uniform draws of the same shape reach them every run.  Each
-    script runs twice on packers that share one memo."""
+    script runs twice on packers that share one memo, so sizes as wide or as
+    tall as the bin are answered from it too."""
     for k in range(500):
         width, height, spacing, ops = _uniform_script(random.Random(k))
         memo = PlacementMemo()
         for _ in range(2):
             _replay(ops, BottomLeftPacker(width, height, spacing, memo),
                     ReferencePacker(width, height, spacing))
+
+
+def test_a_size_larger_than_the_bin_is_refused_before_the_memo():
+    memo = PlacementMemo()
+    packer = BottomLeftPacker(10, 8, 1, memo)
+    for w, h in ((11, 1), (1, 9), (11, 9)):
+        assert packer.place(w, h) is None
+    assert len(memo) == 0
+    assert packer.place(4, 4) == (0, 0)
+    assert packer.place(11, 1) is None and packer.place(1, 9) is None
+    assert len(memo) == 1 and packer.placements() == [(0, 0, 4, 4)]
+
+
+def test_a_size_of_the_whole_bin_places_at_the_origin():
+    memo = PlacementMemo()
+    for _ in range(2):  # the second answer comes from the memo
+        packer = BottomLeftPacker(10, 8, 1, memo)
+        assert packer.place(10, 8) == (0, 0)
+        assert packer.place(1, 1) is None
+        assert packer.placements() == [(0, 0, 10, 8)]
+    assert len(memo) == 2
 
 
 def test_memo_refuses_a_packer_of_another_bin():

@@ -1,11 +1,17 @@
+import itertools
+import random
+
 import pytest
 
+from patternpack import pricing
 from patternpack.branching import make_left_child, make_right_child
-from patternpack.model import Instance, ItemType
+from patternpack.model import Instance, ItemType, dense_counts
 from patternpack.placement import verify_layout
-from patternpack.pricing import greedy_fill, make_sequences, price, reduced_cost
+from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
+                                 reduced_cost)
+from patternpack.search import initial_columns
 
-from helpers import build_node
+from helpers import build_node, tiny_instance
 
 
 def test_reduced_cost_examples():
@@ -150,3 +156,90 @@ def test_price_deterministic_for_fixed_seed():
     assert [c.counts for c in a] == [c.counts for c in b]
     for col in a:
         assert verify_layout(col.witness, col.counts_dict(), inst, inst.registry())
+
+
+def _price_filling_to_the_end(node, scores, instance):
+    """``price`` without the bound: every sequence is filled to its end, then
+    the same filters and order apply."""
+    seen = {col.counts for col in node.columns}
+    fresh = []
+    for seq in make_sequences(scores, node):
+        col = greedy_fill(seq, node, instance)
+        if col is None or reduced_cost(col.counts_dict(), scores) <= EPS_PRICE \
+                or col.counts in seen:
+            continue
+        seen.add(col.counts)
+        fresh.append(col)
+    fresh.sort(key=lambda c: dense_counts(c.counts_dict(), node.registry))
+    return fresh
+
+
+def _tree_nodes(instance):
+    """The root with its starting pool, then the left and right children of
+    every type pair, and the right children of the left ones: compounds,
+    apart rules and caps, and both together."""
+    root = build_node(instance, [])
+    root.columns = initial_columns(instance, root.registry, root)
+    nodes = [root]
+    types = list(root.multiplicities)
+    child_ids = itertools.count(1)
+    for i, j in itertools.combinations_with_replacement(types, 2):
+        together = (root.to_of(i) >= 2 if i == j
+                    else min(root.to_of(i), root.to_of(j)) >= 1)
+        left = make_left_child(root, i, j, child_id=next(child_ids), seed=0,
+                               instance=instance) if together else None
+        right = make_right_child(root, i, j, child_id=next(child_ids), seed=0,
+                                 instance=instance)
+        nodes += [node for node in (left, right) if node is not None]
+        if left is not None:
+            grand = make_right_child(left, i, i, child_id=next(child_ids),
+                                     seed=0, instance=instance)
+            if grand is not None:
+                nodes.append(grand)
+    return nodes
+
+
+def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
+    """The bound only stops fills whose columns ``price`` would drop: on
+    tiny-instance trees, with zero and negative scores among the positive
+    ones, ``price`` returns the very columns of fills run to their end."""
+    fills = []
+
+    def recorded(seq, node, instance, bound=None):
+        col = greedy_fill(seq, node, instance, bound)
+        fills.append((seq, node, instance, col))
+        return col
+
+    monkeypatch.setattr(pricing, "greedy_fill", recorded)
+    rng = random.Random(4)
+    kept = cut = 0
+    for k in range(30):
+        inst = tiny_instance(k)
+        for node in _tree_nodes(inst):
+            for _ in range(3):
+                scores = {tid: rng.choice([0.0, -rng.uniform(0, 0.5),
+                                           rng.uniform(0, 1.2)])
+                          for tid in node.multiplicities}
+                state = node.rng.getstate()
+                fills.clear()
+                got = price(node, scores, inst)
+                node.rng.setstate(state)
+                assert got == _price_filling_to_the_end(node, scores, inst)
+                kept += len(got)
+                # fills the bound stopped, though run to the end they place
+                cut += sum(col is None and greedy_fill(*args) is not None
+                           for *args, col in fills)
+    assert kept > 50 and cut > 50
+
+
+def test_price_keeps_a_column_that_its_last_units_lift_just_above_eps():
+    """Two 6 x 5 A leave room for three 1 x 5 B but not for a third A, and
+    only with the B does the column price out, by 2e-9.  B is denser, so the
+    bound falls with each A the fill adds; a bound that stops the fill one A
+    early, before the third A fails to place, loses the column."""
+    inst = Instance(15, 5, 0, (ItemType("A", 6, 5, 0, 3), ItemType("B", 1, 5, 0, 15)))
+    scores = {"A": 0.275 + EPS_PRICE, "B": 0.15}
+    cols = price(build_node(inst, []), scores, inst)
+    assert [col.counts_dict() for col in cols] == [{"B": 15}, {"A": 2, "B": 3}]
+    assert EPS_PRICE < reduced_cost(cols[1].counts_dict(), scores) < 3 * EPS_PRICE
+    assert cols == _price_filling_to_the_end(build_node(inst, []), scores, inst)

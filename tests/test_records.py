@@ -18,7 +18,9 @@ import patternpack
 
 # SHA-256 of the canonical record after a solve of the given node budget with
 # solver seed 0; r3 at 250 best-first and 100 depth-first nodes are the trees
-# the benchmark's wide-tree and deep-dive workloads time
+# the benchmark's wide-tree and deep-dive workloads time, and r5 at 100
+# best-first nodes goes twice as deep as the tiny-items workload, where
+# pricing stops more fills early
 PINNED = {
     ("r1", "heuristic_min_heap", 50):
         "b3b416660eeeeee1fd2b2bc46e4aafc32e7524f86975fe16aafb7e5e1ac69c4f",
@@ -36,6 +38,8 @@ PINNED = {
         "84d4b28492c4c94f894278bac3809fd119e730c137905c44431129ba74a4a407",
     ("r3", "depth_first", 100):
         "8a9d3954d343d219c65d62b889197a4132472773abab7e6422ae6d1ae22aef66",
+    ("r5", "heuristic_min_heap", 100):
+        "e54707a90f1d838cf49b5abe1c63e1648b21378e5fcde1dce5f6c46cdc12e2ca",
 }
 
 CHILD = """
