@@ -4,14 +4,17 @@ A fractional master solution is attacked by picking an item-type pair.  The
 left child forces at least one bin to hold the pair together, realized by a
 compound type with a one-bin production range; the right child forbids the
 pair from sharing a bin (a unary cap when the pair is a type with itself).
+Both children, and the search's residual-rounding nodes, are built by
+``derive``, which keeps the given columns that fit and adds coverage fills.
 """
 
 from math import floor
+from typing import Iterable
 
 import numpy as np
 
 from .master import EPS_INT, count_matrix
-from .model import (ApartRule, Instance, ItemType, Layout, NodeProblem,
+from .model import (ApartRule, Column, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
 from .placement import distinct_orders, place_ids, verify_layout
 from .pricing import greedy_fill
@@ -90,33 +93,39 @@ def _normalize_pair(i: str, j: str, order: dict[str, int]) -> tuple[str, str]:
     return (i, j) if order[i] <= order[j] else (j, i)
 
 
-def _coverage_ok(node: NodeProblem, instance: Instance) -> bool:
-    """Guarantee a pure single-type column for every active type with from > 0.
+def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
+           multiplicities: dict[str, tuple[int, int]], columns: Iterable[Column],
+           rules: frozenset[ApartRule]) -> NodeProblem | None:
+    """The node below ``node`` with the given ranges and rules; it shares the
+    registry and memo of ``node`` and draws from ``node_rng(seed, child_id)``.
 
-    With those homogeneous columns present, x_j = from_j / count_j is feasible
-    for every row pair, so the child's RMP is feasible by construction.  A
-    column that merely contains the type is not enough: if every carrier also
-    carries a compound, the compound's to-row throttles them all at once.
-    Rescue columns come from a single-type greedy fill honoring the node's
-    rules; when even that fails the node is genuinely infeasible.
+    Its pool keeps each of ``columns`` that fits the new ``to`` bounds, once,
+    in the given order, then adds a single-type greedy fill for every active
+    type with from > 0, compounds included, that has no single-type column.
+    With those columns x_j = from_j / count_j is feasible for every row pair,
+    so the node's master is feasible by construction.  A column that merely
+    contains the type is not enough: if every carrier also carries a
+    compound, the compound's to-row throttles them all at once.  None means
+    such a fill failed, so the node is infeasible.
     """
-    seen = {c.counts for c in node.columns}
-    # types that already have a single-type column
-    covered = {col.counts[0][0] for col in node.columns if len(col.counts) == 1}
-    for tid, (lo, _) in node.multiplicities.items():
-        if lo <= 0 or tid in covered:
-            continue
-        rescue = greedy_fill((tid,), node, instance)
-        if rescue is None:
-            return False
-        if rescue.counts not in seen:
-            seen.add(rescue.counts)
-            node.columns.append(rescue)
-    return True
-
-
-def _respects_bounds(counts: dict[str, int], node: NodeProblem) -> bool:
-    return all(n <= node.to_of(tid) for tid, n in counts.items())
+    child = NodeProblem(
+        id=child_id, parent_id=node.id, depth=node.depth + 1,
+        multiplicities=multiplicities, columns=[], registry=node.registry,
+        rules=rules, rng=node_rng(seed, child_id), memo=node.memo)
+    seen = set()
+    for col in columns:
+        if col.counts not in seen and all(
+                n <= multiplicities[tid][1] for tid, n in col.counts):
+            seen.add(col.counts)
+            child.columns.append(col)
+    covered = {col.counts[0][0] for col in child.columns if len(col.counts) == 1}
+    for tid, (lo, _) in multiplicities.items():
+        if lo > 0 and tid not in covered:
+            fill = greedy_fill((tid,), child, instance)
+            if fill is None:
+                return None
+            child.columns.append(fill)
+    return child
 
 
 def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
@@ -132,14 +141,8 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     rule = ApartRule(a, b, frozenset(node.multiplicities))
     kept = [c for c in node.columns
             if not rule.violated_by(c.counts_dict(), node.registry)]
-    child = NodeProblem(
-        id=child_id, parent_id=node.id, depth=node.depth + 1,
-        multiplicities=dict(node.multiplicities), columns=kept,
-        registry=node.registry, rules=node.rules | {rule},
-        rng=node_rng(seed, child_id), memo=node.memo)
-    if not _coverage_ok(child, instance):
-        return None
-    return child
+    return derive(node, child_id, seed, instance, dict(node.multiplicities),
+                  kept, node.rules | {rule})
 
 
 def _compound_id(i: str, j: str, registry: TypeRegistry) -> str:
@@ -179,74 +182,39 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     if node.to_of(i) < 1 or (i == j and node.to_of(i) < 2):
         raise ValueError(f"cannot branch together on ({i}, {j}): to-bound exhausted")
     registry = node.registry
-    existing = registry.find_compound(i, j)
-    if existing is None:
-        cid = _compound_id(i, j, registry)
+    ctype = registry.find_compound(i, j)
+    if ctype is None:
         constituents = ((i, 2),) if i == j else tuple(
             sorted(((i, 1), (j, 1)), key=lambda cn: registry.order(cn[0])))
-        ctype = ItemType(id=cid, from_count=1, to_count=1,
-                         constituents=constituents)
+        ctype = ItemType(id=_compound_id(i, j, registry), from_count=1,
+                         to_count=1, constituents=constituents)
         registry.add(ctype)
-        fresh_activation = True
-    else:
-        ctype = existing
-        fresh_activation = ctype.id not in node.multiplicities
+    fresh_activation = ctype.id not in node.multiplicities
 
     mult = dict(node.multiplicities)
     for t in (i, j):
         lo, hi = mult[t]
-        hi -= 1
-        if lo > 0:
-            lo -= 1
-        mult[t] = (lo, hi)
-    if fresh_activation:
-        mult[ctype.id] = (1, 1)
-    else:
-        lo, hi = mult[ctype.id]
-        mult[ctype.id] = (lo + 1, hi + 1)
+        mult[t] = (max(lo - 1, 0), hi - 1)
+    lo, hi = mult.get(ctype.id, (0, 0))
+    mult[ctype.id] = (lo + 1, hi + 1)
 
     if violates_rules({ctype.id: 1}, node.rules, registry):
         # the forced pairing contradicts an inherited apart rule
         return None
-    unit_layout: Layout | None = None
+    pool = []
+    for col in node.columns:
+        cd = col.counts_dict()
+        if all(cd.get(t, 0) >= n for t, n in ctype.constituents):
+            for t, n in ctype.constituents:
+                cd[t] -= n
+            cd[ctype.id] = cd.get(ctype.id, 0) + 1
+            col = make_column(cd, col.witness, registry)
+            if not verify_layout(col.witness, col.counts_dict(), instance, registry):
+                raise RuntimeError("compound substitution changed the rectangle multiset")
+        pool.append(col)
     if fresh_activation:
         unit_layout = _place_compound_unit(ctype, instance, registry)
         if unit_layout is None:
             return None
-
-    child = NodeProblem(
-        id=child_id, parent_id=node.id, depth=node.depth + 1,
-        multiplicities=mult, columns=[], registry=registry,
-        rules=node.rules, rng=node_rng(seed, child_id), memo=node.memo)
-
-    seen: set = set()
-    for col in node.columns:
-        cd = col.counts_dict()
-        together = (cd.get(i, 0) >= 2) if i == j else (
-            cd.get(i, 0) >= 1 and cd.get(j, 0) >= 1)
-        if together:
-            cd[i] = cd.get(i, 0) - (2 if i == j else 1)
-            if i != j:
-                cd[j] = cd.get(j, 0) - 1
-            cd[ctype.id] = cd.get(ctype.id, 0) + 1
-            adjusted = make_column(cd, col.witness, registry)
-            if not verify_layout(adjusted.witness, adjusted.counts_dict(),
-                                 instance, registry):
-                raise RuntimeError("compound substitution changed the rectangle multiset")
-            col = adjusted
-            cd = col.counts_dict()
-        if not _respects_bounds(cd, child):
-            continue
-        if col.counts in seen:
-            continue
-        seen.add(col.counts)
-        child.columns.append(col)
-
-    if fresh_activation:
-        unit = make_column({ctype.id: 1}, unit_layout, registry)
-        if unit.counts not in seen:
-            child.columns.append(unit)
-
-    if not _coverage_ok(child, instance):
-        return None
-    return child
+        pool.append(make_column({ctype.id: 1}, unit_layout, registry))
+    return derive(node, child_id, seed, instance, mult, pool, node.rules)

@@ -4,7 +4,8 @@ dive, node selection, incumbent management, bounds and gap reporting.
 The root is solved first.  ``dive`` is the one path from a node LP to a
 solution: it rounds the root's LP and every integral node LP, from the node
 it is given, and a better result becomes the incumbent, which prunes the
-tree.  Open nodes wait in one min-heap.  Depth-first selection pops the
+tree.  Children and the dive's residual nodes both come from
+``branching.derive``.  Open nodes wait in one min-heap.  Depth-first selection pops the
 newest node first; the pattern-minimizing heuristic pops the node whose
 parent's solution used the fewest patterns, ties by insertion order.
 Because pricing is heuristic, node LP values are not certified lower
@@ -20,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .branching import (BranchingStuck, make_left_child, make_right_child,
-                        select_branching_pair)
+from .branching import (BranchingStuck, derive, make_left_child,
+                        make_right_child, select_branching_pair)
 from .master import EPS_INT, RmpSolveOutcome, solve_rmp
 from .model import (Column, Instance, NodeProblem, Solution, SolverConfig,
                     TypeRegistry, expand_counts, node_rng)
@@ -31,6 +32,9 @@ from .pricing import greedy_fill, price
 
 @dataclass
 class SearchStats:
+    """Counters of one run.  ``columns_generated`` is the root's starting
+    pool plus the columns pricing added; coverage fills are counted nowhere."""
+
     nodes_explored: int = 0
     columns_generated: int = 0
     cg_iterations: int = 0
@@ -160,12 +164,14 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
     column with the largest x when every count is 0; on an integral LP the
     first round fixes rint(x) copies, in pool order, and ends.  It subtracts
     what they produce from every (from, to) and solves the residual node by
-    column generation, until every ``from`` is met.  A residual node starts
-    from the pool columns that still fit its ``to``, plus ``initial_columns``
-    for coverage.  Residual nodes take the ids -1, -2, ..., which the search
-    never hands out, share the registry, rules and memo of ``start``, and
-    never join the tree; the pool of ``start`` is left as it is.  None means
-    a residual master was infeasible or the deadline passed."""
+    column generation, until every ``from`` is met.  Each residual node comes
+    from ``derive``: the previous pool's columns that still fit its ``to``,
+    plus a single-type fill for every type, compounds included, whose
+    ``from`` is unmet and that has no single-type column.  Residual nodes
+    take the ids -1, -2, ..., which the search never hands out, share the
+    registry, rules and memo of ``start``, and never join the tree; the pool
+    of ``start`` is left as it is.  None means a residual master was
+    infeasible, a coverage fill failed or the deadline passed."""
     registry = start.registry
     mult = dict(start.multiplicities)
     fixed: dict[tuple, list] = {}  # counts -> [column, copies]
@@ -188,18 +194,10 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             fix(node.columns[int(np.argmax(outcome.x))], 1)
         if all(lo == 0 for lo, _ in mult.values()):
             return _solution(tuple(map(tuple, fixed.values())), instance, registry)
-        node = NodeProblem(
-            id=node_id, parent_id=node.id, depth=node.depth + 1,
-            multiplicities=dict(mult),
-            columns=[col for col in node.columns
-                     if all(n <= mult[tid][1] for tid, n in col.counts)],
-            registry=registry, rules=start.rules, rng=node_rng(seed, node_id),
-            memo=start.memo)
-        seen = {col.counts for col in node.columns}
-        for col in initial_columns(instance, registry, node):
-            if col.counts not in seen:
-                node.columns.append(col)
-                stats.columns_generated += 1
+        node = derive(node, node_id, seed, instance, dict(mult), node.columns,
+                      start.rules)
+        if node is None:
+            return None
         outcome = _generate(node, instance, deadline, stats)
         if outcome is None or (deadline is not None
                                and time.monotonic() >= deadline):

@@ -102,8 +102,9 @@ def test_right_child_cap_drops_multiples():
 
 def test_right_child_keeps_clean_pool():
     inst = _two_type_instance()
-    node = build_node(inst, [{"A": 1}, {"B": 2}])
+    node = build_node(inst, [{"A": 1}, {"B": 2}, {"A": 1}])
     child = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    # a repeated count vector is kept once, at its first position
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}, {"B": 2}]
 
 
@@ -147,25 +148,29 @@ def test_children_and_their_rescue_fills_share_the_parent_memo():
 
 def test_left_child_creates_compound_and_unit_column():
     inst = _two_type_instance()
-    node = build_node(inst, [{"A": 2}, {"B": 2}])
+    node = build_node(inst, [{"A": 2}, {"A": 6}, {"B": 2}])
     reg = node.registry
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
     assert child.multiplicities[cid] == (1, 1)
     assert child.multiplicities["A"] == (0, 5)
     assert child.multiplicities["B"] == (0, 5)
-    unit = [c for c in child.columns if c.counts_dict() == {cid: 1}]
-    assert len(unit) == 1
-    assert verify_layout(unit[0].witness, unit[0].counts_dict(), inst, reg)
+    # {A: 6} exceeds the new to of A; the unit column comes after the pool
+    assert [c.counts_dict() for c in child.columns] == [{"A": 2}, {"B": 2}, {cid: 1}]
+    unit = child.columns[-1]
+    assert verify_layout(unit.witness, unit.counts_dict(), inst, reg)
 
 
 def test_left_child_adjusts_columns_preserving_expansion():
     inst = _two_type_instance()
-    node = build_node(inst, [{"A": 2, "B": 1}])
+    node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2, "B": 1}])
     reg = node.registry
     before = expand_counts({"A": 2, "B": 1}, reg)
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     cid = reg.find_compound("A", "B").id
+    # {A: 1, B: 1} becomes {cid: 1}, which the unit column repeats: the
+    # count vector is kept once, at its first position
+    assert [c.counts_dict() for c in child.columns] == [{cid: 1}, {"A": 1, cid: 1}]
     adjusted = [c for c in child.columns
                 if c.counts_dict().get(cid, 0) and c.counts_dict().get("A", 0)]
     assert adjusted, "the mixed column should have been rewritten"

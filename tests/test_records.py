@@ -23,23 +23,23 @@ import patternpack
 # pricing stops more fills early
 PINNED = {
     ("r1", "heuristic_min_heap", 50):
-        "b3b416660eeeeee1fd2b2bc46e4aafc32e7524f86975fe16aafb7e5e1ac69c4f",
+        "85821c551e8ac637257c2399ef81389caed559663307810999c846f66e03ff29",
     ("r2", "heuristic_min_heap", 50):
-        "258f84158bc0bf82acf60aa16fc7f4c84e0d9aba5cab795d512604f828083638",
+        "541166db311d4f1f696e6e9d465971170d602f5ba33e65ad57d19b05131af9dc",
     ("r3", "heuristic_min_heap", 50):
-        "df9cb458df0103543915c7528bda8aa7a45f85c6480ef1c80235d5989fedb731",
+        "194249b21d9e5b9d20bb3a4aef1c5ddb0f77d6f34dc022341fce559b92d1e7c9",
     ("r3", "depth_first", 50):
-        "4c18a472538f436c209d42bca27a11e3c5b58490348a6152a3a7198d5dd7d74d",
+        "b952072a412a4825daeaa40d17842d2468f3e3038473d8b522f48e0a1e0f54a3",
     ("r4", "heuristic_min_heap", 50):
-        "b8be652b2d935e61251a0a2a44834c593c48994eb616793f207351ee3c01a516",
+        "67c8cc719981ef6044180a3a6d787a35806c479e0b74efda476afa51fa2418c7",
     ("r5", "heuristic_min_heap", 50):
-        "4017aefeca70abb4e9514704a27e778270ba957db8d7be806f4111484de22791",
+        "fcba12de2b6dc5a0a3167054a0af47f1b66663c21cc96de7b3cf814fc799b3f0",
     ("r3", "heuristic_min_heap", 250):
-        "84d4b28492c4c94f894278bac3809fd119e730c137905c44431129ba74a4a407",
+        "5a2a2a5adf0decbce5182b744c379cfaf4c3650d506c04c9aeef51c64aaba132",
     ("r3", "depth_first", 100):
-        "8a9d3954d343d219c65d62b889197a4132472773abab7e6422ae6d1ae22aef66",
+        "a26922396c5179097f387461d50347b4a5dedc8071e2fc39c61fa2ebc3d51660",
     ("r5", "heuristic_min_heap", 100):
-        "e54707a90f1d838cf49b5abe1c63e1648b21378e5fcde1dce5f6c46cdc12e2ca",
+        "1855121ff87d6f973df42b45fbab31906174885ab603dfa73ed5f0e90d1ac228",
 }
 
 CHILD = """
@@ -47,17 +47,23 @@ import hashlib, json, sys
 from patternpack import cli, search
 from patternpack.model import SolverConfig
 
-out = {}
+out = []
 for name, strategy, budget in json.loads(sys.argv[1]):
     cfg = SolverConfig(rng_seed=0, node_selection=strategy)
     report = search.run(cli.parse_instance(name), cfg,
                         progress=lambda event: event.nodes_explored >= budget)
     canonical = json.dumps(cli.solution_record(report, cfg), sort_keys=True,
                            separators=(",", ":"))
-    out[f"{name} {strategy} {budget}"] = \
-        hashlib.sha256(canonical.encode()).hexdigest()
+    out.append([name, strategy, budget,
+                hashlib.sha256(canonical.encode()).hexdigest()])
 print(json.dumps(out))
 """
+
+
+def _repin(moved):
+    """The moved records as ``PINNED`` entries, ready to paste."""
+    return "".join(f'    ("{name}", "{strategy}", {budget}):\n        "{digest}",\n'
+                   for (name, strategy, budget), digest in moved.items())
 
 
 def test_budgeted_records_match_their_pinned_digests():
@@ -69,6 +75,8 @@ def test_budgeted_records_match_their_pinned_digests():
         [sys.executable, "-c", CHILD, json.dumps(list(PINNED))],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    digests = json.loads(proc.stdout)
-    assert digests == {f"{name} {strategy} {budget}": digest
-                       for (name, strategy, budget), digest in PINNED.items()}
+    digests = {(name, strategy, budget): digest
+               for name, strategy, budget, digest in json.loads(proc.stdout)}
+    moved = {key: digest for key, digest in digests.items()
+             if PINNED.get(key) != digest}
+    assert digests == PINNED, "records moved; their new digests:\n" + _repin(moved)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from patternpack import search
+from patternpack.branching import make_left_child, select_branching_pair
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
 from patternpack.master import EPS_INT, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
@@ -85,6 +86,50 @@ def test_dive_of_a_node_without_demand_uses_no_bins():
     assert not outcome.fractional and not outcome.x.any()
     sol = search.dive(root, outcome, inst, 0, None, search.SearchStats())
     assert (sol.bins, sol.patterns) == (0, 0)
+
+
+def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
+        monkeypatch):
+    # on this instance the root's LP is fractional, so is the together child
+    # of its branching pair, and the dive from it leaves the compound's from > 0
+    inst = tiny_instance(94)
+    root, outcome = _solved_root(inst)
+    i, j = select_branching_pair(root, outcome.x)
+    left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
+    outcome = column_generation(left, inst, SolverConfig(), left.registry)
+    assert outcome.fractional
+    cid = left.registry.find_compound(i, j).id
+    residual = []
+    generate = search._generate
+
+    def solve(node, *args):
+        covered = {col.counts[0][0] for col in node.columns if len(col.counts) == 1}
+        demanded = {tid for tid, (lo, _) in node.multiplicities.items() if lo > 0}
+        assert demanded <= covered, (node.id, demanded - covered)
+        residual.append(demanded)
+        return generate(node, *args)
+
+    monkeypatch.setattr(search, "_generate", solve)
+    sol = search.dive(left, outcome, inst, 0, None, search.SearchStats())
+    assert any(cid in demanded for demanded in residual)
+    totals = sol.totals()
+    for t in inst.item_types:
+        assert t.from_count <= totals[t.id] <= t.to_count
+
+
+def test_columns_generated_counts_the_root_pool_and_what_pricing_added(
+        monkeypatch):
+    added = []
+    for name in ("initial_columns", "price"):
+        def counted(*args, step=getattr(search, name), **kwargs):
+            columns = step(*args, **kwargs)
+            added.append(len(columns))
+            return columns
+        monkeypatch.setattr(search, name, counted)
+    rep = run(parse_instance("r3"), SolverConfig(),
+              progress=lambda event: event.nodes_explored >= 50)
+    assert rep.stats.nodes_explored == 50
+    assert rep.stats.columns_generated == sum(added)
 
 
 def test_run_exact_tiling():
