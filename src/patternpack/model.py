@@ -371,9 +371,6 @@ class Solution:
     bins: int
     patterns: int
 
-    def totals(self) -> dict[str, int]:
-        return dict(self.s)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -346,6 +346,25 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert (out["bins"], out["patterns"]) == (2, 1)
 
+    # each size guard turns into an input error
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({
+        "bin": {"width": 100, "height": 100}, "spacing": 0,
+        "items": [{"id": "A", "width": 1, "height": 1, "from": 9, "to": 9}],
+    }))
+    assert main(["oracle", str(many)]) == 4
+    assert capsys.readouterr().err == (
+        "error: candidate with 9 rectangles exceeds the guard of 8\n")
+    assert main(["oracle", "r1"]) == 4
+    assert capsys.readouterr().err == (
+        "error: 16281876 candidate vectors exceed the guard of 10000\n")
+
+
+def test_every_package_export_exists():
+    missing = [name for name in patternpack.__all__
+               if not hasattr(patternpack, name)]
+    assert missing == []
+
 
 def test_cli_entry_point_runs():
     # the child must import the same patternpack as this process

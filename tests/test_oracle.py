@@ -1,33 +1,34 @@
+import hashlib
+import json
+import random
+
 import pytest
 
-from patternpack.model import ApartRule, Instance, ItemType
-from patternpack.oracle import (OracleGuardError, OracleProblem,
-                                exact_max_fill, exact_min_bins, exact_solve,
-                                exact_solve_problem, feasible_patterns)
+from patternpack.model import Instance, ItemType
+from patternpack.oracle import OracleGuardError, exact_solve, feasible_patterns
 from patternpack.placement import verify_layout
 
+from helpers import random_small_instance, tiny_instance
 
-def test_max_fill_square_quadrant():
-    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 6),))
-    assert exact_max_fill({"A": 6}, inst) == [{"A": 4}]
-
-
-def test_max_fill_two_large_squares_exclude_each_other():
-    inst = Instance(10, 10, 0, (ItemType("A", 6, 6, 0, 1), ItemType("B", 6, 6, 0, 1)))
-    maximal = exact_max_fill({"A": 1, "B": 1}, inst)
-    assert sorted(maximal, key=str) == [{"A": 1}, {"B": 1}]
-
-
-def test_max_fill_empty_caps():
-    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 6),))
-    assert exact_max_fill({}, inst) == [{}]
+# SHA-256 of the canonical JSON list of the oracle's full answers, one per
+# instance: [bins, patterns, assignment], or the guard's message
+PINNED_ANSWERS = "fde45f94bc9a39f1ec856385f7aa81e91ad3a1f29e6b35dc45291477bc430637"
 
 
 def test_vector_guard_refuses():
     inst = Instance(100, 100, 0, tuple(
         ItemType(f"t{k}", 1, 1, 0, 30) for k in range(4)))
-    with pytest.raises(OracleGuardError):
-        exact_max_fill({f"t{k}": 30 for k in range(4)}, inst)
+    # 31^4 count vectors
+    with pytest.raises(OracleGuardError,
+                       match=r"^923521 candidate vectors exceed the guard of 10000$"):
+        exact_solve(inst)
+
+
+def test_rectangle_guard_refuses():
+    inst = Instance(100, 100, 0, (ItemType("A", 1, 1, 9, 9),))
+    with pytest.raises(OracleGuardError, match=r"^candidate with 9 rectangles "
+                                               r"exceeds the guard of 8$"):
+        exact_solve(inst)
 
 
 def test_exact_solve_perfect_tiling():
@@ -58,43 +59,28 @@ def test_exact_solve_mixed_vs_pure():
 
 def test_feasible_patterns_have_verifying_witnesses():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 4), ItemType("B", 9, 4, 0, 2)))
-    problem = OracleProblem.from_instance(inst)
-    pats = feasible_patterns(problem)
+    pats = feasible_patterns(inst)
     assert pats
     for vec, layout in pats.items():
-        counts = {tid: n for tid, n in zip(problem.type_ids, vec) if n}
-        assert verify_layout(layout, counts, inst, problem.registry)
+        counts = {t.id: n for t, n in zip(inst.item_types, vec) if n}
+        assert verify_layout(layout, counts, inst, inst.registry())
 
 
-def test_node_view_conflicts_restrict_patterns():
-    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 2), ItemType("B", 5, 5, 1, 2)))
-    base = OracleProblem.from_instance(inst)
-    conflicted = OracleProblem(
-        instance=inst, registry=base.registry, type_ids=base.type_ids,
-        ranges=base.ranges,
-        rules=frozenset({ApartRule("A", "B", frozenset({"A", "B"}))}))
-    for vec in feasible_patterns(conflicted):
-        assert not (vec[0] > 0 and vec[1] > 0)
-    # apart-branch needs two bins where together one would do
-    assert exact_min_bins(conflicted) == 2
-    assert exact_min_bins(base) == 1
-
-
-def test_node_view_caps_restrict_patterns():
-    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 2, 2),))
-    base = OracleProblem.from_instance(inst)
-    capped = OracleProblem(
-        instance=inst, registry=base.registry, type_ids=base.type_ids,
-        ranges=base.ranges,
-        rules=frozenset({ApartRule("A", "A", frozenset({"A"}))}))
-    assert exact_min_bins(capped) == 2
-    assert exact_min_bins(base) == 1
-
-
-def test_infeasible_view_returns_none():
-    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 2, 2),))
-    base = OracleProblem.from_instance(inst)
-    broken = OracleProblem(
-        instance=inst, registry=base.registry, type_ids=base.type_ids,
-        ranges=((3, 2),))
-    assert exact_solve_problem(broken) is None
+def test_answers_stay_pinned():
+    """The full answers, assignments included, on 200 small instances: the
+    search's differential test compares only bins and a pattern bound, so a
+    change to the reference's assignments would otherwise go unnoticed."""
+    rng = random.Random(1)
+    instances = ([tiny_instance(k) for k in range(100)]
+                 + [random_small_instance(rng) for _ in range(100)])
+    answers = []
+    for inst in instances:
+        try:
+            result = exact_solve(inst)
+        except OracleGuardError as exc:
+            answers.append(str(exc))
+            continue
+        answers.append(None if result is None
+                       else [result.bins, result.patterns, result.assignment])
+    canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_ANSWERS

@@ -112,7 +112,7 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
     monkeypatch.setattr(search, "_generate", solve)
     sol = search.dive(left, outcome, inst, 0, None, search.SearchStats())
     assert any(cid in demanded for demanded in residual)
-    totals = sol.totals()
+    totals = dict(sol.s)
     for t in inst.item_types:
         assert t.from_count <= totals[t.id] <= t.to_count
 
@@ -170,7 +170,7 @@ def test_run_incumbent_verifies_and_meets_ranges():
     rep = run(inst, SolverConfig())
     sol = rep.solution
     reg = inst.registry()
-    totals = sol.totals()
+    totals = dict(sol.s)
     for t in inst.item_types:
         assert t.from_count <= totals[t.id] <= t.to_count
     for col, x in sol.assignments:
