@@ -405,9 +405,6 @@ def _cmd_oracle(args) -> int:
     except OracleGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if result is None:
-        print("no integral solution exists")
-        return EXIT_INFEASIBLE
     print(json.dumps({
         "bins": result.bins,
         "patterns": result.patterns,

@@ -20,6 +20,7 @@ EPS_INT = 1e-6  # integrality detection threshold
 
 @dataclass
 class RmpSolveOutcome:
+    lp: LinearProgram         # the master solved; the next round grows it
     lp_result: LpResult
     x: np.ndarray
     bins: float
@@ -27,42 +28,59 @@ class RmpSolveOutcome:
     scores: dict[str, float]  # active type -> pi1 - pi2, registry order
 
 
-def count_matrix(node: NodeProblem) -> np.ndarray:
+def count_matrix(node: NodeProblem, start: int = 0) -> np.ndarray:
     """Types x columns array of item counts: row t is the node's t-th active
-    type in registry order, column l is ``node.columns[l]``.  Compounds stay
-    opaque."""
+    type in registry order, column l is ``node.columns[start + l]``.
+    Compounds stay opaque."""
     row = {tid: t for t, tid in enumerate(node.multiplicities)}
-    a = np.zeros((len(row), len(node.columns)))
-    for l, col in enumerate(node.columns):
+    columns = node.columns[start:]
+    a = np.zeros((len(row), len(columns)))
+    for l, col in enumerate(columns):
         for tid, n in col.counts:
             a[row[tid], l] = n
     return a
 
 
-def build_rmp(node: NodeProblem) -> LinearProgram:
+def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
+              ) -> LinearProgram:
     """Standard-form LP over the node's column pool.
 
     One variable per column with objective coefficient -1; per active type j
     the row pair (-a_j . x <= -from_j, a_j . x <= to_j), interleaved in
-    registry order.
+    registry order.  ``previous``, a master built earlier for the same node,
+    is grown by the columns past its last one, which is the same LP as a
+    fresh build as long as the pool only grew at its end since.
     """
-    a = count_matrix(node)
+    start = 0 if previous is None else previous.A.shape[1]
+    a = count_matrix(node, start)
     A = np.empty((2 * len(a), a.shape[1]))
     A[0::2] = -a
     A[1::2] = a
+    c = -np.ones(a.shape[1])
+    if previous is not None:
+        return LinearProgram(c=np.concatenate([previous.c, c]),
+                             A=np.hstack([previous.A, A]), b=previous.b)
     b = np.array([bound for lo, hi in node.multiplicities.values()
                   for bound in (-lo, hi)], dtype=float)
-    return LinearProgram(c=-np.ones(a.shape[1]), A=A, b=b)
+    return LinearProgram(c=c, A=A, b=b)
 
 
-def solve_rmp(node: NodeProblem,
-              warm_basis: tuple[int, ...] | None = None) -> RmpSolveOutcome | None:
+def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
+              ) -> RmpSolveOutcome | None:
     """Solve the node's RMP; returns primal values, bins, and type scores.
+
+    ``previous`` is the outcome of the node's last round, after which
+    pricing only appended columns to the pool: its master grows by the new
+    columns' counts and phase 2 starts from its basis.
 
     None means the LP is infeasible and the node prunable; an unbounded LP
     cannot happen with the to-rows present and raises.
     """
-    res = solve_lp(build_rmp(node), basis=warm_basis)
+    if previous is None:
+        lp, basis = build_rmp(node), None
+    else:
+        lp, basis = build_rmp(node, previous.lp), previous.lp_result.basis
+    res = solve_lp(lp, basis=basis)
     if res.status == "infeasible":
         return None
     if res.status == "unbounded":
@@ -74,7 +92,7 @@ def solve_rmp(node: NodeProblem,
     scores = {tid: float(res.duals[2 * t]) - float(res.duals[2 * t + 1])
               for t, tid in enumerate(node.multiplicities)}
     fractional = bool(np.any(np.abs(x - np.round(x)) > EPS_INT))
-    return RmpSolveOutcome(res, x, bins, fractional, scores)
+    return RmpSolveOutcome(lp, res, x, bins, fractional, scores)
 
 
 def report_objective(solution: Solution, cfg: SolverConfig) -> float:

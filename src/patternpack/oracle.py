@@ -88,10 +88,11 @@ def feasible_patterns(instance: Instance) -> dict[tuple[int, ...], Layout]:
 
 def _min_bins(patterns: dict[tuple[int, ...], Layout],
               los: tuple[int, ...], his: tuple[int, ...]
-              ) -> tuple[int, list[tuple[int, ...]]] | None:
+              ) -> tuple[int, list[tuple[int, ...]]]:
     """Fewest bins whose pattern totals land inside every production range,
     via breadth-first search over reachable totals.  Returns (bins, one
-    witnessing pattern list)."""
+    witnessing pattern list).  Every unit vector of a valid instance is a
+    pattern, so some total is always reached; an emptied frontier raises."""
     start = tuple([0] * len(los))
 
     def in_range(s: tuple[int, ...]) -> bool:
@@ -128,12 +129,12 @@ def _min_bins(patterns: dict[tuple[int, ...], Layout],
                     return bins, path(ns, prev)
                 nxt.append(ns)
         frontier = nxt
-    return None
+    raise RuntimeError("no pattern total reaches the production ranges")
 
 
-def exact_solve(instance: Instance) -> OracleResult | None:
+def exact_solve(instance: Instance) -> OracleResult:
     """Exact minimum bins of a tiny instance, then the fewest distinct patterns
-    among bin-minimal solutions; None when no integral solution exists.
+    among bin-minimal solutions.
 
     The pattern count is proved minimal up to subsets of size 6; past that
     the breadth-first witness is reported.  The vector-count, rectangle-count
@@ -145,10 +146,7 @@ def exact_solve(instance: Instance) -> OracleResult | None:
     los = tuple(t.from_count for t in instance.item_types)
     his = tuple(t.to_count for t in instance.item_types)
     patterns = feasible_patterns(instance)
-    best = _min_bins(patterns, los, his)
-    if best is None:
-        return None
-    bins, witness_path = best
+    bins, witness_path = _min_bins(patterns, los, his)
     if bins == 0:
         return OracleResult(0, 0, ())
     pats = sorted(patterns)

@@ -116,10 +116,11 @@ def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
               stats: SearchStats) -> RmpSolveOutcome | None:
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  None means the node's master is infeasible.
-    Pricing reads the registry from ``node``."""
-    warm = None
+    Each round after the first grows the last round's master by the columns
+    pricing appended.  Pricing reads the registry from ``node``."""
+    outcome = None
     while True:
-        outcome = solve_rmp(node, warm_basis=warm)
+        outcome = solve_rmp(node, outcome)
         stats.cg_iterations += 1
         if outcome is None or (deadline is not None
                                and time.monotonic() >= deadline):
@@ -129,7 +130,6 @@ def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
             return outcome
         node.columns.extend(fresh)
         stats.columns_generated += len(fresh)
-        warm = outcome.lp_result.basis
 
 
 def _solution(assignments: tuple[tuple[Column, int], ...], instance: Instance,

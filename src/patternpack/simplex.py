@@ -6,6 +6,20 @@ Returns primal values, objective, and one non-negative dual per row.
 Dantzig pricing with a switch to Bland's rule after a degenerate streak, so
 the solver always terminates.  Warm starts from a previous basis are
 supported when columns were appended; correctness never depends on them.
+
+The bits of ``x``, ``duals`` and ``basis`` are fixed by these operations,
+and a change to any of them re-rolls the search trees:
+- phase 2's two LAPACK solves, ``B^-1 [A | I]`` and ``B^-1 b``, kept apart;
+- the product ``cc[basis] @ T`` that starts the reduced costs, whose bits
+  depend on the BLAS thread count;
+- per pivot, the division of the leaving row by the pivot, one multiply and
+  one subtract per updated entry, and the clip of ``rhs`` at zero;
+- Dantzig's argmax, the ratio test's ties broken by the lowest basic index,
+  the switch to Bland's rule and the tolerances below.
+A pivot leaves out the rows whose entering-column entry is zero.  They
+would only subtract 0*x, which can flip the sign of a zero in the tableau
+and nothing else: the clip turns -0 into +0 in ``rhs``, and the reduced
+costs of the slack columns, which become the duals, never hold a -0.
 """
 
 from dataclasses import dataclass
@@ -63,18 +77,38 @@ def _decode_basis(basis: tuple[int, ...], n: int) -> list[int]:
     return [j if j >= 0 else n + (-j - 1) for j in basis]
 
 
-def _pivot_loop(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
-                basis: np.ndarray) -> np.ndarray | None:
-    """Maximize cc.x by primal pivots on the tableau, in place; returns the
-    final reduced-cost row, or None if the LP is unbounded.
+def _tableau(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
+             basis: np.ndarray) -> np.ndarray:
+    """The (m+1) x (k+1) array that ``_pivot_loop`` pivots on: the m x k
+    tableau ``T`` with ``rhs`` as its last column and the reduced costs of
+    ``cc`` under ``basis`` as its last row.  The corner is never read."""
+    m, k = T.shape
+    M = np.empty((m + 1, k + 1))
+    M[:m, :k] = T
+    M[:m, k] = rhs
+    M[m, :k] = cc - cc[basis] @ T
+    M[m, k] = 0.0
+    return M
+
+
+def _pivot_loop(M: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """Maximize by primal pivots on the array ``M`` built by ``_tableau``,
+    in place; returns the final reduced-cost row (a view of ``M``'s last
+    row), or None if the LP is unbounded.
 
     Starts with Dantzig pricing; after 2*(rows + columns) consecutive
-    degenerate pivots switches to Bland's rule for guaranteed termination.
+    degenerate pivots of the m x k tableau switches to Bland's rule for
+    guaranteed termination.  A pivot divides the leaving row of ``M``,
+    ``rhs`` included, once, and then subtracts one rank-1 update from the
+    other rows whose entering-column entry is nonzero, the reduced-cost row
+    among them.  The rows it leaves out would only subtract 0*x (see the
+    module docstring).
     """
-    r = cc - cc[basis] @ T
+    m, k = M.shape[0] - 1, M.shape[1] - 1
+    rhs, r = M[:m, k], M[m, :k]
     bland = False
     degenerate_streak = 0
-    switch_at = 2 * sum(T.shape)
+    switch_at = 2 * (m + k)
     for _ in range(_MAX_ITER):
         if bland:
             improving = np.flatnonzero(r > EPS_OPT)
@@ -85,26 +119,24 @@ def _pivot_loop(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
             e = int(np.argmax(r))
             if r[e] <= EPS_OPT:
                 return r
-        col = T[:, e]
+        col = M[:m, e]
         pos = np.flatnonzero(col > _EPS_PIVOT)
         if pos.size == 0:
             return None
         ratios = rhs[pos] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + _EPS_PIVOT]
-        leave = int(ties[np.argmin(basis[ties])])
-        piv = T[leave, e]
-        T[leave] /= piv
-        rhs[leave] /= piv
-        theta = rhs[leave]
-        other = col.copy()
-        other[leave] = 0.0
-        T -= np.outer(other, T[leave])
-        rhs -= other * theta
-        r -= r[e] * T[leave]
+        ties = pos[ratios <= ratios.min() + _EPS_PIVOT]
+        leave = int(ties[0]) if ties.size == 1 else \
+            int(ties[np.argmin(basis[ties])])
+        M[leave] /= M[leave, e]
+        M[leave, e] = 0.0  # keep the leaving row out of ``rows``; x/x is 1
+        rows = np.flatnonzero(M[:, e])
+        M[leave, e] = 1.0
+        block = M.take(rows, axis=0)
+        block -= block[:, e, None] * M[leave]
+        M[rows] = block
         basis[leave] = e
         np.maximum(rhs, 0.0, out=rhs)  # clip pivot noise; rhs stays >= 0
-        if theta <= _EPS_PIVOT:
+        if M[leave, k] <= _EPS_PIVOT:
             degenerate_streak += 1
             if degenerate_streak > switch_at:
                 bland = True
@@ -129,11 +161,12 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
         return None
     np.maximum(rhs, 0.0, out=rhs)
     basis_arr = np.array(basis, dtype=np.int64)
-    r = _pivot_loop(T, rhs, np.concatenate([c, np.zeros(m)]), basis_arr)
+    M = _tableau(T, rhs, np.concatenate([c, np.zeros(m)]), basis_arr)
+    r = _pivot_loop(M, basis_arr)
     if r is None:
         return LpResult(status="unbounded")
     x = np.zeros(n + m)
-    x[basis_arr] = rhs
+    x[basis_arr] = M[:m, -1]
     duals = -r[n:n + m]
     np.maximum(duals, 0.0, out=duals)
     obj = float(c @ x[:n])
@@ -152,15 +185,15 @@ def _phase1_basis(A: np.ndarray, b: np.ndarray) -> list[int] | None:
     E = np.zeros((m, k))
     E[neg_rows, np.arange(k)] = 1.0
     T = np.hstack([A * sign[:, None], np.diag(sign), E])
-    rhs = b * sign
     cc = np.zeros(n + m + k)
     cc[n + m:] = -1.0
     basis = np.arange(n, n + m)
     basis[neg_rows] = n + m + np.arange(k)
-    if _pivot_loop(T, rhs, cc, basis) is None:
+    M = _tableau(T, b * sign, cc, basis)
+    if _pivot_loop(M, basis) is None:
         raise SimplexError("phase 1 cannot be unbounded")
     stuck = basis >= n + m
-    if float(rhs[stuck].sum()) > EPS_FEAS:
+    if float(M[:m, -1][stuck].sum()) > EPS_FEAS:
         return None
     # an artificial stuck at zero stands for the (sign-flipped) slack of its
     # origin row, so that slack keeps the basis invertible

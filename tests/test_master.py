@@ -48,6 +48,24 @@ def test_build_rmp_compound_gets_its_own_rows():
     assert lp.A[5].tolist() == [0.0, 1.0]
 
 
+def test_a_grown_master_equals_a_fresh_build():
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 2), ItemType("B", 2, 2, 0, 4)))
+    reg = inst.registry()
+    reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
+    mult = {"A": (1, 2), "B": (0, 4), "C": (1, 1)}
+    node = build_node(inst, [{"A": 1}, {"C": 1}], registry=reg, mult=mult)
+    previous = build_rmp(node)
+    node.columns.extend(build_node(inst, [{"B": 2}, {"A": 1, "C": 1}, {"B": 1, "C": 1}],
+                                   registry=reg, mult=mult).columns)
+    grown, fresh = build_rmp(node, previous), build_rmp(node)
+    assert grown.A.shape == (6, 5) and previous.A.shape == (6, 2)
+    assert np.array_equal(grown.A, fresh.A)
+    assert np.array_equal(grown.b, fresh.b)
+    assert np.array_equal(grown.c, fresh.c)
+    assert grown.A[4:].tolist() == [[0.0, -1.0, 0.0, -1.0, -1.0],   # compound rows
+                                    [0.0, 1.0, 0.0, 1.0, 1.0]]
+
+
 def test_solve_rmp_integral_case():
     inst = _single_type_instance(2, 3)
     node = build_node(inst, [{"A": 1}])

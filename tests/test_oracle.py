@@ -80,7 +80,6 @@ def test_answers_stay_pinned():
         except OracleGuardError as exc:
             answers.append(str(exc))
             continue
-        answers.append(None if result is None
-                       else [result.bins, result.patterns, result.assignment])
+        answers.append([result.bins, result.patterns, result.assignment])
     canonical = json.dumps(answers, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_ANSWERS

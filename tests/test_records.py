@@ -3,9 +3,11 @@
 A change that should not alter the search (a faster packer, a refactor)
 proves it here.  A change that alters the search on purpose (a new
 heuristic, a fixed budget) re-pins the records it moves, and only those,
-so the digests that stay show which searches it left alone.  The solves
-run in a child process with one BLAS thread, because the LP's results
-depend on the thread count and numpy fixes it at import time.
+so the digests that stay show which searches it left alone.  The master
+LPs' own bits are pinned too, because a change to the LP kernel can move
+them in runs whose records stay the same.  The solves run in a child
+process with one BLAS thread, because the LP's results depend on the
+thread count and numpy fixes it at import time.
 """
 
 import json
@@ -60,23 +62,75 @@ print(json.dumps(out))
 """
 
 
+# SHA-256 over the bytes of ``x``, ``duals`` and ``basis`` of every master LP
+# that a solve of the given node budget returns, in order: a kernel change
+# that moves the LP's bits fails here before it moves a final record
+PINNED_LP_BITS = {
+    ("r3", "depth_first", 20):
+        "4c053867f10a5dc3704eee250b36cf85575ad9cd632b2b106ac3e89b92f51536",
+    ("r5", "heuristic_min_heap", 20):
+        "9fd8c50ed2757a64cee605cc8582fa30ef7f1b3e5071d4d6e88dfc63f3b98186",
+}
+
+LP_CHILD = """
+import hashlib, json, sys
+import numpy as np
+from patternpack import cli, search
+from patternpack.model import SolverConfig
+
+out = []
+for name, strategy, budget in json.loads(sys.argv[1]):
+    digest = hashlib.sha256()
+    solve_rmp = search.solve_rmp
+
+    def hashed(*args, **kwargs):
+        outcome = solve_rmp(*args, **kwargs)
+        if outcome is None:
+            digest.update(b"infeasible")
+        else:
+            res = outcome.lp_result
+            for part in (res.x, res.duals, np.array(res.basis, dtype=np.int64)):
+                digest.update(part.size.to_bytes(4, "little") + part.tobytes())
+        return outcome
+
+    search.solve_rmp = hashed
+    cfg = SolverConfig(rng_seed=0, node_selection=strategy)
+    search.run(cli.parse_instance(name), cfg,
+               progress=lambda event: event.nodes_explored >= budget)
+    search.solve_rmp = solve_rmp
+    out.append([name, strategy, budget, digest.hexdigest()])
+print(json.dumps(out))
+"""
+
+
 def _repin(moved):
-    """The moved records as ``PINNED`` entries, ready to paste."""
+    """The moved digests as pin entries, ready to paste."""
     return "".join(f'    ("{name}", "{strategy}", {budget}):\n        "{digest}",\n'
                    for (name, strategy, budget), digest in moved.items())
 
 
-def test_budgeted_records_match_their_pinned_digests():
+def _assert_pinned(code, pinned, what):
+    """Run ``code`` in a child with one BLAS thread over the keys of
+    ``pinned`` and compare the ``[name, strategy, budget, digest]`` rows it
+    prints with the pins."""
     src = str(Path(patternpack.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
                filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(list(PINNED))],
+        [sys.executable, "-c", code, json.dumps(list(pinned))],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     digests = {(name, strategy, budget): digest
                for name, strategy, budget, digest in json.loads(proc.stdout)}
     moved = {key: digest for key, digest in digests.items()
-             if PINNED.get(key) != digest}
-    assert digests == PINNED, "records moved; their new digests:\n" + _repin(moved)
+             if pinned.get(key) != digest}
+    assert digests == pinned, f"{what} moved; their new digests:\n" + _repin(moved)
+
+
+def test_budgeted_records_match_their_pinned_digests():
+    _assert_pinned(CHILD, PINNED, "records")
+
+
+def test_master_lp_bits_match_their_pinned_digest():
+    _assert_pinned(LP_CHILD, PINNED_LP_BITS, "LP bits")

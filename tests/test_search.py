@@ -6,10 +6,11 @@ import pytest
 from patternpack import search
 from patternpack.branching import make_left_child, select_branching_pair
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
-from patternpack.master import EPS_INT, report_objective
+from patternpack.master import EPS_INT, build_rmp, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
 from patternpack.oracle import exact_solve
 from patternpack.placement import verify_layout
+from patternpack.simplex import solve_lp
 from patternpack.search import (_OpenNodes, column_generation,
                                 initial_columns, run)
 
@@ -117,6 +118,36 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
         assert t.from_count <= totals[t.id] <= t.to_count
 
 
+def test_every_round_solves_the_master_a_fresh_build_would(monkeypatch):
+    # a together child carries a compound's row pair; each round after its
+    # first grows the last round's master by the columns pricing appended
+    inst = tiny_instance(94)
+    root, outcome = _solved_root(inst)
+    i, j = select_branching_pair(root, outcome.x)
+    left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
+    cid = left.registry.find_compound(i, j).id
+    grown = []
+    solve_rmp = search.solve_rmp
+
+    def checked(node, previous=None):
+        outcome = solve_rmp(node, previous)
+        fresh = build_rmp(node)
+        for field in ("A", "b", "c"):
+            assert np.array_equal(getattr(outcome.lp, field), getattr(fresh, field))
+        if previous is not None:
+            grown.append(node.columns[previous.lp.A.shape[1]:])
+            want = solve_lp(fresh, basis=previous.lp_result.basis)
+            got = outcome.lp_result
+            assert got.basis == want.basis
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got.duals.tobytes() == want.duals.tobytes()
+        return outcome
+
+    monkeypatch.setattr(search, "solve_rmp", checked)
+    column_generation(left, inst, SolverConfig(), left.registry)
+    assert cid in left.multiplicities and grown and all(grown)
+
+
 def test_columns_generated_counts_the_root_pool_and_what_pricing_added(
         monkeypatch):
     added = []
@@ -221,7 +252,7 @@ def test_run_agrees_with_the_oracle_on_tiny_instances(strategy, tmp_path):
         inst = tiny_instance(k)
         exact = exact_solve(inst)
         rep = run(inst, cfg)
-        assert exact is not None and rep.solution is not None, k
+        assert rep.solution is not None, k
         assert rep.solution.bins == exact.bins, k
         # pricing is heuristic, so the search may use more patterns
         assert rep.solution.patterns >= exact.patterns, k

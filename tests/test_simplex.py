@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from patternpack import simplex
 from patternpack.simplex import (EPS_DUAL, LinearProgram, SimplexError,
                                  solve_lp)
 
@@ -137,3 +138,25 @@ def test_phase1_artificial_left_at_zero_maps_to_its_slack():
     assert res.x == pytest.approx([1.0])
     assert res.duals == pytest.approx([0.0, 1.0])
     assert res.basis == (0, -1)
+
+
+def test_a_cycling_lp_is_solved_by_blands_rule(monkeypatch):
+    # Beale's example (1955): every pivot from the slack basis is degenerate,
+    # and Dantzig's rule with the lowest-index tie-break cycles through six
+    # bases, so only the switch to Bland's rule reaches the optimum 5/4
+    lp = LinearProgram(c=[0.75, -20.0, 0.5, -6.0],
+                       A=[[0.25, -8.0, -1.0, 9.0],
+                          [0.5, -12.0, -0.5, 3.0],
+                          [0.0, 0.0, 1.0, 0.0]],
+                       b=[0.0, 0.0, 1.0])
+    res = solve_lp(lp)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(1.25)
+    assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert abs(res.objective - float(res.duals @ lp.b)) <= EPS_DUAL
+    assert (lp.c - res.duals @ lp.A <= 1e-9).all()
+    # the switch comes after 2 * (3 rows + 7 columns) degenerate pivots; a
+    # pivot limit one past it leaves Dantzig's rule no way out of the cycle
+    monkeypatch.setattr(simplex, "_MAX_ITER", 2 * (3 + 7) + 1)
+    with pytest.raises(SimplexError, match="pivot limit exceeded"):
+        solve_lp(lp)
