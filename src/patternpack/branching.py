@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .master import EPS_INT, count_matrix
+from .master import EPS_INT, RmpSolveOutcome
 from .model import (ApartRule, Column, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
 from .placement import distinct_orders, place_ids, verify_layout
@@ -24,12 +24,11 @@ class BranchingStuck(RuntimeError):
     """Fractional solution but no admissible branching pair exists."""
 
 
-def affinity(node: NodeProblem, x: np.ndarray) -> np.ndarray:
-    """How frequently items of each type pair share bins under the values x:
+def affinity(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How frequently items of each type pair share bins under the values x
+    of the columns of the count matrix a (``RmpSolveOutcome.counts``):
     rho[i][i] = sum_l a_il (a_il - 1)/2 x_l and rho[i][j] = sum_l a_il a_jl x_l,
-    a symmetric matrix over the node's active types in registry order.
-    Counts stay at node level; compounds are not expanded."""
-    a = count_matrix(node)
+    a symmetric matrix over the rows of a.  Compounds are not expanded."""
     xv = np.asarray(x, dtype=float)
     rho = (a * xv) @ a.T
     diag = ((a * (a - 1.0) / 2.0) * xv).sum(axis=1)
@@ -41,16 +40,19 @@ def _fractional_part(value: float) -> float:
     return max(0.0, value - floor(value + EPS_INT))
 
 
-def select_branching_pair(node: NodeProblem, x: np.ndarray) -> tuple[str, str]:
-    """Pair (i, j) to branch on, diagonal pairs allowed.
+def select_branching_pair(node: NodeProblem,
+                          outcome: RmpSolveOutcome) -> tuple[str, str]:
+    """Pair (i, j) to branch on, diagonal pairs allowed, read from the
+    node's solved master ``outcome``.
 
-    First choice: the pair with the largest |rho - round(rho)|.  Fallback when
-    all affinities are integral: pick the most fractional pooled column among
-    those with two or more types (or one type with to > 1), then its largest-
-    area type, pairing it with itself when another item of it may join a bin,
-    otherwise with the column's next-largest-area type.
+    First choice: the pair with the largest |rho - round(rho)|, the first in
+    the node's type order on a tie.  Fallback when all affinities are
+    integral: pick the most fractional pooled column among those with two or
+    more types (or one type with to > 1), then its largest-area type, pairing
+    it with itself when another item of it may join a bin, otherwise with
+    the column's next-largest-area type.
     """
-    rho = affinity(node, x)
+    rho = affinity(outcome.counts, outcome.x)
     ids = tuple(node.multiplicities)
     frac = np.abs(rho - np.round(rho))
     best_val = 0.0
@@ -72,7 +74,7 @@ def select_branching_pair(node: NodeProblem, x: np.ndarray) -> tuple[str, str]:
             continue
         if len(positive) == 1 and node.to_of(positive[0]) <= 1:
             continue
-        candidates.append((-_fractional_part(float(x[l])), l, col))
+        candidates.append((-_fractional_part(float(outcome.x[l])), l, col))
     candidates.sort()
     for _, l, col in candidates:
         by_area = sorted(
@@ -87,10 +89,6 @@ def select_branching_pair(node: NodeProblem, x: np.ndarray) -> tuple[str, str]:
                 return (i, j)
     raise BranchingStuck(
         f"node {node.id}: fractional solution but no admissible pair")
-
-
-def _normalize_pair(i: str, j: str, order: dict[str, int]) -> tuple[str, str]:
-    return (i, j) if order[i] <= order[j] else (j, i)
 
 
 def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
@@ -135,9 +133,8 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     enforces it.  The pool already obeys the node's older rules, so only the
     new one is checked.  The new rule's basis is this node's active type set,
     so items inside compounds created later in the subtree still count
-    against it."""
-    order = {tid: k for k, tid in enumerate(node.multiplicities)}
-    a, b = (i, i) if i == j else _normalize_pair(i, j, order)
+    against it.  The rule names the pair in the node's type order."""
+    a, b = sorted((i, j), key=list(node.multiplicities).index)
     rule = ApartRule(a, b, frozenset(node.multiplicities))
     kept = [c for c in node.columns
             if not rule.violated_by(c.counts_dict(), node.registry)]

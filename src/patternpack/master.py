@@ -25,13 +25,18 @@ class RmpSolveOutcome:
     x: np.ndarray
     bins: float
     fractional: bool
-    scores: dict[str, float]  # active type -> pi1 - pi2, registry order
+    scores: dict[str, float]  # active type -> pi1 - pi2, node's type order
+
+    @property
+    def counts(self) -> np.ndarray:
+        """``count_matrix`` of the node solved: a view of the upper rows."""
+        return self.lp.A[1::2]
 
 
 def count_matrix(node: NodeProblem, start: int = 0) -> np.ndarray:
     """Types x columns array of item counts: row t is the node's t-th active
-    type in registry order, column l is ``node.columns[start + l]``.
-    Compounds stay opaque."""
+    type, in the order in which the node's path activated the types, column
+    l is ``node.columns[start + l]``.  Compounds stay opaque."""
     row = {tid: t for t, tid in enumerate(node.multiplicities)}
     columns = node.columns[start:]
     a = np.zeros((len(row), len(columns)))
@@ -46,8 +51,8 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
     """Standard-form LP over the node's column pool.
 
     One variable per column with objective coefficient -1; per active type j
-    the row pair (-a_j . x <= -from_j, a_j . x <= to_j), interleaved in
-    registry order.  ``previous``, a master built earlier for the same node,
+    the row pair (-a_j . x <= -from_j, a_j . x <= to_j), interleaved in the
+    node's type order.  ``previous``, a master built earlier for the same node,
     is grown by the columns past its last one, which is the same LP as a
     fresh build as long as the pool only grew at its end since.
     """
@@ -66,25 +71,23 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
 
 
 def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
-              ) -> RmpSolveOutcome | None:
+              ) -> RmpSolveOutcome:
     """Solve the node's RMP; returns primal values, bins, and type scores.
 
     ``previous`` is the outcome of the node's last round, after which
     pricing only appended columns to the pool: its master grows by the new
     columns' counts and phase 2 starts from its basis.
 
-    None means the LP is infeasible and the node prunable; an unbounded LP
-    cannot happen with the to-rows present and raises.
+    The pool makes the master feasible (``branching.derive``) and its
+    to-rows bound it, so an infeasible or unbounded LP raises.
     """
     if previous is None:
         lp, basis = build_rmp(node), None
     else:
         lp, basis = build_rmp(node, previous.lp), previous.lp_result.basis
     res = solve_lp(lp, basis=basis)
-    if res.status == "infeasible":
-        return None
-    if res.status == "unbounded":
-        raise SimplexError("master LP unbounded: a column escapes every to-row")
+    if res.status != "optimal":
+        raise SimplexError(f"node {node.id}: master LP {res.status}")
     x = np.maximum(res.x, 0.0)
     bins = float(x.sum())
     if abs(bins + res.objective) > EPS_DUAL * max(1.0, bins):

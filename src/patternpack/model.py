@@ -326,7 +326,7 @@ class NodeProblem:
     id: int
     parent_id: int | None
     depth: int
-    multiplicities: dict[str, tuple[int, int]]  # active type -> (from, to)
+    multiplicities: dict[str, tuple[int, int]]  # in activation order: type -> (from, to)
     columns: list[Column]
     registry: TypeRegistry  # shared, append-only compound registry
     rules: frozenset[ApartRule] = frozenset()

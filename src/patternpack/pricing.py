@@ -50,7 +50,8 @@ def reduced_cost(counts: Mapping[str, int], scores: Mapping[str, float]) -> floa
 
 
 def _eligible(node: NodeProblem) -> list[str]:
-    """Active types that may still appear in a column (to > 0), registry order."""
+    """Active types that may still appear in a column (to > 0), in the
+    node's type order."""
     return [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
 
 

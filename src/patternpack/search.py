@@ -54,8 +54,8 @@ class ProgressEvent:
 @dataclass
 class SearchReport:
     """Outcome of a search.  ``complete`` means that the search ran out of
-    open nodes (each was branched, pruned against the incumbent, infeasible
-    or stuck) or that the incumbent's bins reached the smallest LP value
+    open nodes (each was branched, pruned against the incumbent, integral or
+    stuck) or that the incumbent's bins reached the smallest LP value
     among the open nodes.  Those LP values come from heuristic pricing, so
     ``complete`` and a gap of 0 do not prove the incumbent optimal."""
 
@@ -100,9 +100,9 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
 
 def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
                       registry: TypeRegistry, deadline: float | None = None,
-                      stats: SearchStats | None = None) -> RmpSolveOutcome | None:
+                      stats: SearchStats | None = None) -> RmpSolveOutcome:
     """Solve one node of the search tree by column generation (see
-    ``_generate``).  None means the node's master is infeasible.
+    ``_generate``).
 
     Neither ``cfg`` nor ``registry`` is read; both stay only because the
     benchmark's ``perfbench/solve.py`` passes them by position.  Its tracer
@@ -113,17 +113,16 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
 
 
 def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
-              stats: SearchStats) -> RmpSolveOutcome | None:
+              stats: SearchStats) -> RmpSolveOutcome:
     """Alternate master solves and pricing until pricing returns nothing or
-    the time budget runs out.  None means the node's master is infeasible.
-    Each round after the first grows the last round's master by the columns
-    pricing appended.  Pricing reads the registry from ``node``."""
+    the time budget runs out.  Each round after the first grows the last
+    round's master by the columns pricing appended.  Pricing reads the
+    registry from ``node``."""
     outcome = None
     while True:
         outcome = solve_rmp(node, outcome)
         stats.cg_iterations += 1
-        if outcome is None or (deadline is not None
-                               and time.monotonic() >= deadline):
+        if deadline is not None and time.monotonic() >= deadline:
             return outcome
         fresh = price(node, outcome.scores, instance)
         if not fresh:
@@ -170,8 +169,8 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
     ``from`` is unmet and that has no single-type column.  Residual nodes
     take the ids -1, -2, ..., which the search never hands out, share the
     registry, rules and memo of ``start``, and never join the tree; the pool
-    of ``start`` is left as it is.  None means a residual master was
-    infeasible, a coverage fill failed or the deadline passed."""
+    of ``start`` is left as it is.  None means a coverage fill failed or the
+    deadline passed."""
     registry = start.registry
     mult = dict(start.multiplicities)
     fixed: dict[tuple, list] = {}  # counts -> [column, copies]
@@ -199,8 +198,7 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
         if node is None:
             return None
         outcome = _generate(node, instance, deadline, stats)
-        if outcome is None or (deadline is not None
-                               and time.monotonic() >= deadline):
+        if deadline is not None and time.monotonic() >= deadline:
             return None
 
 
@@ -289,8 +287,6 @@ def run(instance: Instance, cfg: SolverConfig,
         nonlocal incumbent
         outcome = column_generation(node, instance, cfg, registry,
                                     deadline=deadline, stats=stats)
-        if outcome is None:
-            return None
         if node is root or not outcome.fractional:
             candidate = dive(node, outcome, instance, cfg.rng_seed, deadline,
                              stats)
@@ -310,7 +306,7 @@ def run(instance: Instance, cfg: SolverConfig,
             open_nodes.push(node, 0, outcome.bins)
             return "time_limit"
         try:
-            i, j = select_branching_pair(node, outcome.x)
+            i, j = select_branching_pair(node, outcome)
         except BranchingStuck:
             stats.stuck_nodes += 1
             return None

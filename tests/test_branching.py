@@ -5,9 +5,11 @@ from patternpack import cli, search
 from patternpack.branching import (BranchingStuck, _place_compound_unit, affinity,
                                    make_left_child, make_right_child,
                                    select_branching_pair)
+from patternpack.master import RmpSolveOutcome, build_rmp, count_matrix, solve_rmp
 from patternpack.model import (Instance, ItemType, Layout, SolverConfig, expand_counts,
                                violates_rules)
 from patternpack.placement import PlacementMemo, place_ids, verify_layout
+from patternpack.simplex import LpResult
 
 from helpers import build_node
 
@@ -18,17 +20,25 @@ def _two_type_instance(**kw):
                      ItemType("B", kw.get("bw", 4), kw.get("bh", 4), 0, 6)))
 
 
+def _outcome(node, x):
+    """A solved master of ``node`` whose primal values are ``x``."""
+    x = np.asarray(x, dtype=float)
+    return RmpSolveOutcome(lp=build_rmp(node), lp_result=LpResult("optimal", x),
+                           x=x, bins=float(x.sum()),
+                           fractional=bool(np.any(x != np.round(x))), scores={})
+
+
 def test_affinity_zero_for_unit_column():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1}])
-    rho = affinity(node, np.array([1.0]))
+    rho = affinity(count_matrix(node), np.array([1.0]))
     assert np.allclose(rho, 0.0)
 
 
 def test_affinity_formula():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2, "B": 1}])
-    rho = affinity(node, np.array([1.5]))
+    rho = affinity(count_matrix(node), np.array([1.5]))
     ids = tuple(node.multiplicities)
     a, b = ids.index("A"), ids.index("B")
     assert rho[a, a] == pytest.approx(1.5)   # 2*1/2*1.5
@@ -39,7 +49,7 @@ def test_affinity_formula():
 def test_affinity_integral_for_integral_inputs():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 3, "B": 2}, {"A": 1}])
-    rho = affinity(node, np.array([2.0, 5.0]))
+    rho = affinity(count_matrix(node), np.array([2.0, 5.0]))
     assert np.allclose(rho, np.round(rho))
 
 
@@ -47,16 +57,18 @@ def test_select_pair_prefers_fractional_affinity():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2, "B": 2}, {"A": 2}])
     # rho_AA = 3.0 and rho_AB = 6.0 are integral; rho_BB = 1.5 is not
-    pair = select_branching_pair(node, np.array([1.5, 1.5]))
+    pair = select_branching_pair(node, _outcome(node, [1.5, 1.5]))
     assert pair == ("B", "B")
 
 
-def test_select_pair_ties_break_in_registry_order():
+def test_select_pair_ties_break_in_node_order():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2, "B": 2}])
     # rho_AA = rho_BB = 1.5 tie at |frac| = 0.5; rho_AB = 6.0
-    pair = select_branching_pair(node, np.array([1.5]))
-    assert pair == ("A", "A")
+    assert select_branching_pair(node, _outcome(node, [1.5])) == ("A", "A")
+    # the node's type order decides, not the registry's
+    node.multiplicities = {"B": (0, 6), "A": (0, 6)}
+    assert select_branching_pair(node, _outcome(node, [1.5])) == ("B", "B")
 
 
 def test_select_pair_fallback_area_dominant_with_to_one():
@@ -65,7 +77,7 @@ def test_select_pair_fallback_area_dominant_with_to_one():
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 1}],
                       mult={"A": (0, 1), "B": (0, 1)})
     # rho_AB = 1.0 integral, diagonals zero; x is still fractional
-    pair = select_branching_pair(node, np.array([1.0, 0.5]))
+    pair = select_branching_pair(node, _outcome(node, [1.0, 0.5]))
     assert pair == ("B", "A")  # B covers the larger area, to_B == 1
 
 
@@ -73,7 +85,7 @@ def test_select_pair_fallback_diagonal_when_to_allows():
     inst = _two_type_instance()
     node = build_node(inst, [{"B": 3}], mult={"A": (0, 6), "B": (0, 3)})
     # rho_BB = 3*2/2 * 7/3 = 7.0 integral although x is fractional
-    pair = select_branching_pair(node, np.array([7.0 / 3.0]))
+    pair = select_branching_pair(node, _outcome(node, [7.0 / 3.0]))
     assert pair == ("B", "B")
 
 
@@ -81,7 +93,7 @@ def test_select_pair_stuck_when_no_candidate():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1}], mult={"A": (0, 1), "B": (0, 6)})
     with pytest.raises(BranchingStuck):
-        select_branching_pair(node, np.array([0.5]))
+        select_branching_pair(node, _outcome(node, [0.5]))
 
 
 def test_right_child_drops_mixed_columns():
@@ -188,6 +200,30 @@ def test_left_child_rebranch_increments_existing_compound():
     assert grand.multiplicities[cid] == (2, 2)
     assert grand.multiplicities["A"] == (0, 4)
     assert len(reg) == 3  # no second compound registered
+
+
+def test_a_left_child_activates_a_reused_compound_after_its_other_types():
+    """A node's types come in the order its path activated them.  A compound
+    registered in another subtree joins a node after the types it already
+    has, one registered later included, and the master's row pairs follow."""
+    inst = Instance(20, 20, 0, tuple(ItemType(t, 4, 4, 1, 6) for t in "ABC"))
+    root = build_node(inst, [{"A": 1}, {"B": 1}, {"C": 1}, {"A": 1, "B": 1, "C": 1}])
+    reg = root.registry
+    make_left_child(root, "A", "B", child_id=1, seed=0, instance=inst)
+    sibling = make_left_child(root, "B", "C", child_id=2, seed=0, instance=inst)
+    grand = make_left_child(sibling, "A", "B", child_id=3, seed=0, instance=inst)
+    ab, bc = reg.find_compound("A", "B").id, reg.find_compound("B", "C").id
+    assert [t.id for t in reg] == ["A", "B", "C", ab, bc]
+    assert list(grand.multiplicities) == ["A", "B", "C", bc, ab]
+    lp = build_rmp(grand)
+    for t, (tid, (lo, hi)) in enumerate(grand.multiplicities.items()):
+        assert lp.b[2 * t:2 * t + 2].tolist() == [-lo, hi]
+        assert lp.A[2 * t + 1].tolist() == [col.counts_dict().get(tid, 0)
+                                            for col in grand.columns]
+    assert lp.A[-1].tolist() != lp.A[-3].tolist()  # the two compounds' rows differ
+    outcome = solve_rmp(grand)
+    assert list(outcome.scores) == list(grand.multiplicities)
+    assert np.array_equal(outcome.counts, count_matrix(grand))
 
 
 def test_left_child_diagonal_decrements_twice():

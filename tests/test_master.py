@@ -6,6 +6,7 @@ from patternpack.master import (build_rmp, count_matrix, report_objective,
 from patternpack.model import (Instance, ItemType, Layout, Solution,
                                SolverConfig, make_column)
 from patternpack.pricing import reduced_cost
+from patternpack.simplex import SimplexError
 
 from helpers import build_node
 
@@ -93,13 +94,13 @@ def test_solve_rmp_zero_demand():
     assert not out.fractional
 
 
-def test_solve_rmp_infeasible_marks_node():
-    # from=2 but the only column cannot reach it under to=... rows conflict:
+def test_solve_rmp_raises_on_an_infeasible_master():
+    # a node's pool makes its master feasible, so an empty one is an error:
     # -x <= -2 together with x <= 1 is empty
     inst = _single_type_instance(2, 3)
     node = build_node(inst, [{"A": 1}], mult={"A": (2, 1)})
-    out = solve_rmp(node)
-    assert out is None
+    with pytest.raises(SimplexError, match="infeasible"):
+        solve_rmp(node)
 
 
 def test_pool_reduced_costs_nonpositive_at_optimum():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from patternpack import search
-from patternpack.branching import make_left_child, select_branching_pair
+from patternpack.branching import affinity, make_left_child, select_branching_pair
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
-from patternpack.master import EPS_INT, build_rmp, report_objective
+from patternpack.master import EPS_INT, build_rmp, count_matrix, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
 from patternpack.oracle import exact_solve
 from patternpack.placement import verify_layout
@@ -95,7 +95,7 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
     # of its branching pair, and the dive from it leaves the compound's from > 0
     inst = tiny_instance(94)
     root, outcome = _solved_root(inst)
-    i, j = select_branching_pair(root, outcome.x)
+    i, j = select_branching_pair(root, outcome)
     left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
     outcome = column_generation(left, inst, SolverConfig(), left.registry)
     assert outcome.fractional
@@ -118,12 +118,65 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
         assert t.from_count <= totals[t.id] <= t.to_count
 
 
+def test_branching_reads_the_counts_of_the_solved_master():
+    # the left child's master grew over several rounds; its count rows are
+    # the pool's count matrix, and the pair is the one that matrix gives
+    inst = tiny_instance(94)
+    root, outcome = _solved_root(inst)
+    i, j = select_branching_pair(root, outcome)
+    left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
+    n_start = len(left.columns)
+    outcome = column_generation(left, inst, SolverConfig(), left.registry)
+    assert len(left.columns) > n_start and outcome.fractional
+    a = count_matrix(left)
+    assert outcome.counts.shape == a.shape and np.array_equal(outcome.counts, a)
+    rho = affinity(a, outcome.x)
+    frac = np.triu(np.abs(rho - np.round(rho)))
+    p, q = np.unravel_index(np.argmax(frac), frac.shape)
+    assert frac[p, q] > EPS_INT
+    ids = tuple(left.multiplicities)
+    assert select_branching_pair(left, outcome) == (ids[p], ids[q])
+
+
+@pytest.mark.parametrize("strategy", ["heuristic_min_heap", "depth_first"])
+def test_every_master_of_a_budgeted_solve_is_feasible_by_construction(
+        strategy, monkeypatch):
+    """x = from_j / count_j on one single-type column per type with from > 0,
+    0 elsewhere, meets every row of the master at each tree node and each
+    residual node of the dives, so solve_rmp never meets an empty master."""
+    solved = []
+    generate = search._generate
+
+    def checked(node, *args):
+        single = {}
+        for l, col in enumerate(node.columns):
+            if len(col.counts) == 1:
+                single.setdefault(col.counts[0][0], (l, col.counts[0][1]))
+        x = np.zeros(len(node.columns))
+        for tid, (lo, _) in node.multiplicities.items():
+            if lo > 0:
+                assert tid in single, (node.id, tid)
+                l, n = single[tid]
+                x[l] = lo / n
+        lp = build_rmp(node)
+        assert (lp.A @ x <= lp.b + 1e-9).all(), node.id
+        solved.append(node.id)
+        return generate(node, *args)
+
+    monkeypatch.setattr(search, "_generate", checked)
+    rep = run(parse_instance("r3"), SolverConfig(rng_seed=0, node_selection=strategy),
+              progress=lambda event: event.nodes_explored >= 50)
+    assert rep.stats.nodes_explored == 50
+    assert sum(i >= 0 for i in solved) == 50
+    assert any(i < 0 for i in solved)  # the dives' residual nodes
+
+
 def test_every_round_solves_the_master_a_fresh_build_would(monkeypatch):
     # a together child carries a compound's row pair; each round after its
     # first grows the last round's master by the columns pricing appended
     inst = tiny_instance(94)
     root, outcome = _solved_root(inst)
-    i, j = select_branching_pair(root, outcome.x)
+    i, j = select_branching_pair(root, outcome)
     left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
     cid = left.registry.find_compound(i, j).id
     grown = []
