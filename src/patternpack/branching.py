@@ -69,10 +69,7 @@ def select_branching_pair(node: NodeProblem,
     order = {tid: k for k, tid in enumerate(ids)}
     candidates = []
     for l, col in enumerate(node.columns):
-        positive = [tid for tid, _ in col.counts]
-        if not positive:
-            continue
-        if len(positive) == 1 and node.to_of(positive[0]) <= 1:
+        if len(col.counts) == 1 and node.to_of(col.counts[0][0]) <= 1:
             continue
         candidates.append((-_fractional_part(float(outcome.x[l])), l, col))
     candidates.sort()

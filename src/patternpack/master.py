@@ -54,20 +54,19 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
     the row pair (-a_j . x <= -from_j, a_j . x <= to_j), interleaved in the
     node's type order.  ``previous``, a master built earlier for the same node,
     is grown by the columns past its last one, which is the same LP as a
-    fresh build as long as the pool only grew at its end since.
+    fresh build as long as the pool only grew at its end since; without it,
+    the master with no columns is grown.
     """
-    start = 0 if previous is None else previous.A.shape[1]
-    a = count_matrix(node, start)
+    if previous is None:
+        b = np.array([bound for lo, hi in node.multiplicities.values()
+                      for bound in (-lo, hi)], dtype=float)
+        previous = LinearProgram(c=np.empty(0), A=np.empty((len(b), 0)), b=b)
+    a = count_matrix(node, previous.A.shape[1])
     A = np.empty((2 * len(a), a.shape[1]))
     A[0::2] = -a
     A[1::2] = a
-    c = -np.ones(a.shape[1])
-    if previous is not None:
-        return LinearProgram(c=np.concatenate([previous.c, c]),
-                             A=np.hstack([previous.A, A]), b=previous.b)
-    b = np.array([bound for lo, hi in node.multiplicities.values()
-                  for bound in (-lo, hi)], dtype=float)
-    return LinearProgram(c=c, A=A, b=b)
+    return LinearProgram(c=np.concatenate([previous.c, -np.ones(a.shape[1])]),
+                         A=np.hstack([previous.A, A]), b=previous.b)
 
 
 def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
@@ -81,14 +80,11 @@ def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
     The pool makes the master feasible (``branching.derive``) and its
     to-rows bound it, so an infeasible or unbounded LP raises.
     """
-    if previous is None:
-        lp, basis = build_rmp(node), None
-    else:
-        lp, basis = build_rmp(node, previous.lp), previous.lp_result.basis
-    res = solve_lp(lp, basis=basis)
+    lp = build_rmp(node, previous and previous.lp)
+    res = solve_lp(lp, basis=previous and previous.lp_result.basis)
     if res.status != "optimal":
         raise SimplexError(f"node {node.id}: master LP {res.status}")
-    x = np.maximum(res.x, 0.0)
+    x = res.x  # >= 0: the simplex clips its basic values at zero
     bins = float(x.sum())
     if abs(bins + res.objective) > EPS_DUAL * max(1.0, bins):
         raise SimplexError("bins and LP objective disagree beyond tolerance")

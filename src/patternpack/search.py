@@ -51,19 +51,26 @@ class ProgressEvent:
     gap: float | None
 
 
+STATUSES = ("complete", "time_limit", "stopped")  # how a run can end
+
+
 @dataclass
 class SearchReport:
-    """Outcome of a search.  ``complete`` means that the search ran out of
-    open nodes (each was branched, pruned against the incumbent, integral or
-    stuck) or that the incumbent's bins reached the smallest LP value
-    among the open nodes.  Those LP values come from heuristic pricing, so
-    ``complete`` and a gap of 0 do not prove the incumbent optimal."""
+    """Outcome of a search.  ``status`` is one of ``STATUSES``: ``complete``
+    means that the search ran out of open nodes (each was branched, pruned
+    against the incumbent, integral or stuck) or that the incumbent's bins
+    reached the smallest LP value among the open nodes; ``time_limit`` and
+    ``stopped`` (by the progress callback) leave the node at hand, or its
+    children, open with its LP value, so ``best_bound`` counts it.  The LP
+    values come from heuristic pricing, so ``complete`` and a gap of 0 do
+    not prove the incumbent optimal.  The root's dive finds an incumbent
+    unless the time runs out first."""
 
     solution: Solution | None
     best_bound: float
     gap: float | None          # heuristic: pricing gives no certified bound
     stats: SearchStats
-    status: str                # complete | time_limit | stopped | infeasible
+    status: str
     instance: Instance
     registry: TypeRegistry     # includes compound types created while branching
 
@@ -81,19 +88,14 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
     The fills read the registry from ``node``.  ``registry`` is not read; it
     stays only because the benchmark's ``perfbench/solve.py`` passes it by
     position."""
-    cols: list[Column] = []
-    seen = set()
-    for t in instance.item_types:
-        col = greedy_fill((t.id,), node, instance)
-        if col is not None and col.counts not in seen:
-            seen.add(col.counts)
-            cols.append(col)
+    cols = [col for t in instance.item_types
+            if (col := greedy_fill((t.id,), node, instance)) is not None]
     reg = node.registry
     by_area = tuple(sorted(
         (t.id for t in instance.item_types),
         key=lambda tid: (-reg.unit_area(tid), reg.order(tid))))
     mixed = greedy_fill(by_area, node, instance)
-    if mixed is not None and mixed.counts not in seen:
+    if mixed is not None and mixed.counts not in {c.counts for c in cols}:
         cols.append(mixed)
     return cols
 
@@ -148,7 +150,7 @@ def _solution(assignments: tuple[tuple[Column, int], ...], instance: Instance,
                 f"integral solution violates range of {t.id!r}: {totals[t.id]}")
     return Solution(
         assignments=assignments,
-        s=tuple(sorted(totals.items(), key=lambda kv: registry.order(kv[0]))),
+        s=tuple(totals.items()),
         bins=int(sum(k for _, k in assignments)), patterns=len(assignments))
 
 
@@ -287,6 +289,7 @@ def run(instance: Instance, cfg: SolverConfig,
         nonlocal incumbent
         outcome = column_generation(node, instance, cfg, registry,
                                     deadline=deadline, stats=stats)
+        ended = None
         if node is root or not outcome.fractional:
             candidate = dive(node, outcome, instance, cfg.rng_seed, deadline,
                              stats)
@@ -295,16 +298,19 @@ def run(instance: Instance, cfg: SolverConfig,
                     < (incumbent.bins, incumbent.patterns)):
                 incumbent = candidate
                 if emit(open_nodes.bound(outcome.bins)):
-                    return "stopped"
-            if not outcome.fractional:
-                return None
+                    ended = "stopped"
+        if ended is None and deadline is not None and \
+                time.monotonic() >= deadline:
+            ended = "time_limit"  # its LP or dive may have been cut short
+        if ended is not None:
+            # keep its bound visible in the report; nothing pops it again
+            open_nodes.push(node, 0, outcome.bins)
+            return ended
+        if not outcome.fractional:
+            return None
         if incumbent is not None and \
                 ceil(outcome.bins - EPS_INT) >= incumbent.bins:
             return None
-        if deadline is not None and time.monotonic() >= deadline:
-            # keep its bound visible in the report; nothing pops it again
-            open_nodes.push(node, 0, outcome.bins)
-            return "time_limit"
         try:
             i, j = select_branching_pair(node, outcome)
         except BranchingStuck:
@@ -337,8 +343,6 @@ def run(instance: Instance, cfg: SolverConfig,
             break
 
     bound = best_bound()
-    if incumbent is None and status == "complete":
-        status = "infeasible"
     stats.wall_time_seconds = time.monotonic() - start
     gap = _relative_gap(incumbent.bins if incumbent else None, bound)
     emit(bound)

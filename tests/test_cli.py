@@ -278,6 +278,13 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", str(inst_file), "--quiet", "--out", str(out)]) == 0
     assert verify_solution_file(out) == []
     assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("OK: solution file verifies\n")
+    record = json.loads(out.read_text())
+    out.write_text(json.dumps({**record, "status": "bogus", "seed": None}))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL: status: must be one of complete, time_limit, stopped\n"
+        "FAIL: seed: must be an integer\n")
 
     missing = tmp_path / "missing.json"
     assert main(["solve", str(missing), "--quiet"]) == 4
@@ -295,7 +302,9 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
         "bin": {"width": 10, "height": 10}, "spacing": 0,
         "items": [{"id": "A", "width": 50, "height": 5, "from": 1}],
     }))
-    assert main(["solve", str(giant), "--quiet"]) == 3
+    for cmd in (["solve", str(giant), "--quiet"], ["oracle", str(giant)]):
+        assert main(cmd) == 3, cmd
+        assert capsys.readouterr().err.startswith("infeasible: "), cmd
     for bad in (["--c1", "0"], ["--c2", "-1"], ["--overproduction", "-1"]):
         assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
@@ -312,6 +321,35 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert main(["solve", str(giant), "--quiet", "--c1", "0"]) == 3
     assert main(["oracle", "r1", "--overproduction", "-1"]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_progress_renders_and_names_the_status(
+        tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps({
+        "bin": {"width": 10, "height": 10}, "spacing": 0,
+        "items": [{"id": "A", "width": 5, "height": 5, "from": 5, "to": 5},
+                  {"id": "B", "width": 10, "height": 5, "from": 1, "to": 1}],
+    }))
+    svg = tmp_path / "svg"
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(inst_file), "--render", str(svg),
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("bins=2 patterns=2 ")
+    progress = captured.err.splitlines()
+    assert progress and all(line.startswith("nodes=") for line in progress)
+    assert "incumbent(bins/patterns)=2/2 " in progress[-1]
+    blocks = json.loads(out.read_text())["pattern_blocks"]
+    drawn = sorted(svg.iterdir())
+    assert [path.name for path in drawn] == ["pattern_000.svg", "pattern_001.svg"]
+    for path, block in zip(drawn, blocks):
+        assert path.read_text().count("<rect") == 1 + len(block["placements"])
+
+    # no incumbent means the time ran out, and the message says so
+    assert main(["solve", str(inst_file), "--quiet", "--time-limit", "0"]) == 2
+    assert capsys.readouterr().out == (
+        "no solution found: status=time_limit bound=0.00\n")
 
 
 def test_cli_solve_reports_unwritable_outputs(tmp_path, capsys):

@@ -1,12 +1,17 @@
-"""Every name a ``patternpack`` module imports is used there.
+"""Every name a ``patternpack`` module imports is used there, and every name
+it defines is read somewhere.
 
-No linter runs on this repository, so this is the check that catches an
-import a refactor left behind."""
+No linter runs on this repository, so these are the checks that catch an
+import or a helper a refactor left behind."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "patternpack"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "patternpack"
+# where a definition may be read: the package, its tests and the benchmark
+READERS = ("src", "tests", "perfbench")
 
 
 def _annotations(node: ast.AST) -> list[ast.AST]:
@@ -68,3 +73,79 @@ def test_every_module_uses_what_it_imports():
     unused = {path.name: names for path in modules
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Each module-level function, class and constant of ``tree`` and each
+    method of its classes, dunders left out, with the node defining it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body if isinstance(
+                item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in found if not _is_dunder(name)]
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often ``tree`` reads each name: as a variable, as an attribute, or
+    as a string that is an identifier (``getattr``, a monkeypatch, the
+    benchmark's tracer table, ``__all__``)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found[node.value] += 1
+    return found
+
+
+def unread_definitions(source: str, everywhere: Counter) -> list[str]:
+    """Names ``source`` defines that ``everywhere`` reads only inside their
+    own definition, each with its line."""
+    return [f"{name} (line {node.lineno})"
+            for name, node in definitions(ast.parse(source))
+            if everywhere[name] <= reads(node)[name]]
+
+
+def test_the_check_finds_an_unread_definition_and_only_that():
+    source = '''
+__version__ = "1"
+LIMIT = 3
+UNUSED = 4
+class Queue:
+    def __len__(self):
+        return 0
+    def push(self, item):
+        return self.spare(item)
+    def spare(self, item):
+        return LIMIT
+    def idle(self):
+        return self.idle()
+def countdown(n):
+    return countdown(n - 1) if n else Queue()
+'''
+    everywhere = reads(ast.parse(source)) + reads(ast.parse(
+        "import m\nm.countdown(2)\ngetattr(m, 'push')"))
+    assert unread_definitions(source, everywhere) == [
+        "UNUSED (line 4)", "idle (line 12)"]
+
+
+def test_every_definition_is_read():
+    everywhere = sum((reads(ast.parse(path.read_text()))
+                      for top in READERS for path in (REPO / top).rglob("*.py")),
+                     Counter())
+    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if (names := unread_definitions(path.read_text(), everywhere))}
+    assert unread == {}

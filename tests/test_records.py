@@ -85,12 +85,9 @@ for name, strategy, budget in json.loads(sys.argv[1]):
 
     def hashed(*args, **kwargs):
         outcome = solve_rmp(*args, **kwargs)
-        if outcome is None:
-            digest.update(b"infeasible")
-        else:
-            res = outcome.lp_result
-            for part in (res.x, res.duals, np.array(res.basis, dtype=np.int64)):
-                digest.update(part.size.to_bytes(4, "little") + part.tobytes())
+        res = outcome.lp_result
+        for part in (res.x, res.duals, np.array(res.basis, dtype=np.int64)):
+            digest.update(part.size.to_bytes(4, "little") + part.tobytes())
         return outcome
 
     search.solve_rmp = hashed

@@ -1,3 +1,4 @@
+import random
 from math import ceil
 
 import numpy as np
@@ -14,7 +15,7 @@ from patternpack.simplex import solve_lp
 from patternpack.search import (_OpenNodes, column_generation,
                                 initial_columns, run)
 
-from helpers import build_node, tiny_instance
+from helpers import build_node, random_small_instance, tiny_instance
 
 
 def _initial_columns(inst):
@@ -353,6 +354,77 @@ def test_time_limit_zero_reports_no_incumbent():
     assert rep.solution is None
     assert rep.status == "time_limit"
     assert rep.gap is None
+
+
+class _Clock:
+    """Stands in for ``search.time``: it reads 0 for its first ``n`` reads
+    and then lies past every deadline, so the time limit cuts a run at a
+    chosen point."""
+
+    def __init__(self, n: int):
+        self.reads_left = n
+
+    def monotonic(self) -> float:
+        self.reads_left -= 1
+        return 0.0 if self.reads_left >= 0 else 1e9
+
+
+def _cut_run(inst, n, monkeypatch):
+    monkeypatch.setattr(search, "time", _Clock(n))
+    return run(inst, SolverConfig(time_limit_seconds=1.0))
+
+
+def _small_draw(k):
+    rng = random.Random(1)
+    for _ in range(k):
+        random_small_instance(rng)
+    return random_small_instance(rng)
+
+
+@pytest.mark.parametrize("inst, n", [
+    # the clock runs out while the root is solved, and its cut-short LP is
+    # integral, so the root looks finished
+    pytest.param(tiny_instance(39), 2, id="tiny39-read2"),
+    pytest.param(tiny_instance(41), 2, id="tiny41-read2"),
+    # ... or while a node deeper in the tree is solved
+    pytest.param(_small_draw(6), 16, id="draw6-read16"),
+])
+def test_a_node_cut_by_the_clock_ends_the_run_at_the_time_limit(
+        inst, n, monkeypatch):
+    rep = _cut_run(inst, n, monkeypatch)
+    assert rep.status == "time_limit"
+    assert rep.best_bound <= rep.solution.bins
+
+
+def test_a_run_the_clock_cut_is_complete_only_if_it_finished(monkeypatch):
+    for k in range(50):
+        inst = tiny_instance(k)
+        full = run(inst, SolverConfig())
+        for n in range(1, 6):
+            rep = _cut_run(inst, n, monkeypatch)
+            if rep.status == "complete":
+                assert (rep.solution.bins, rep.solution.patterns,
+                        rep.stats.nodes_explored) == (
+                    full.solution.bins, full.solution.patterns,
+                    full.stats.nodes_explored), (k, n)
+
+
+def test_a_run_stopped_at_a_new_incumbent_keeps_the_node_bound(monkeypatch):
+    root_lp = []
+    column_generation = search.column_generation
+
+    def solve_node(*args, **kwargs):
+        outcome = column_generation(*args, **kwargs)
+        root_lp.append(outcome.bins)
+        return outcome
+
+    monkeypatch.setattr(search, "column_generation", solve_node)
+    rep = run(parse_instance("r1"), SolverConfig(),
+              progress=lambda event: event.nodes_explored >= 1)
+    assert rep.status == "stopped"
+    assert rep.stats.nodes_explored == 1
+    assert rep.best_bound == root_lp[0] < rep.solution.bins
+    assert rep.gap > 0
 
 
 def test_progress_callback_can_stop_the_run():
