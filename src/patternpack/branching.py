@@ -133,8 +133,16 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     against it.  The rule names the pair in the node's type order."""
     a, b = sorted((i, j), key=list(node.multiplicities).index)
     rule = ApartRule(a, b, frozenset(node.multiplicities))
-    kept = [c for c in node.columns
-            if not rule.violated_by(c.counts_dict(), node.registry)]
+    units = {tid: rule.units(tid, node.registry) for tid in node.multiplicities}
+    kept = []
+    for col in node.columns:
+        ca = cb = 0
+        for tid, n in col.counts:
+            da, db = units[tid]
+            ca += n * da
+            cb += n * db
+        if rule.admits(ca, cb):
+            kept.append(col)
     return derive(node, child_id, seed, instance, dict(node.multiplicities),
                   kept, node.rules | {rule})
 

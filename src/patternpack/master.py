@@ -60,13 +60,19 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
     if previous is None:
         b = np.array([bound for lo, hi in node.multiplicities.values()
                       for bound in (-lo, hi)], dtype=float)
-        previous = LinearProgram(c=np.empty(0), A=np.empty((len(b), 0)), b=b)
-    a = count_matrix(node, previous.A.shape[1])
-    A = np.empty((2 * len(a), a.shape[1]))
-    A[0::2] = -a
-    A[1::2] = a
-    return LinearProgram(c=np.concatenate([previous.c, -np.ones(a.shape[1])]),
-                         A=np.hstack([previous.A, A]), b=previous.b)
+        A_old, c_old = np.empty((len(b), 0)), np.empty(0)
+    else:
+        A_old, c_old, b = previous.A, previous.c, previous.b
+    start = A_old.shape[1]
+    a = count_matrix(node, start)
+    A = np.empty((len(b), start + a.shape[1]))
+    A[:, :start] = A_old
+    np.negative(a, A[0::2, start:])
+    A[1::2, start:] = a
+    c = np.empty(A.shape[1])
+    c[:start] = c_old
+    c[start:] = -1.0
+    return LinearProgram(c=c, A=A, b=b)
 
 
 def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
@@ -88,9 +94,10 @@ def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None
     bins = float(x.sum())
     if abs(bins + res.objective) > EPS_DUAL * max(1.0, bins):
         raise SimplexError("bins and LP objective disagree beyond tolerance")
-    scores = {tid: float(res.duals[2 * t]) - float(res.duals[2 * t + 1])
+    duals = res.duals.tolist()
+    scores = {tid: duals[2 * t] - duals[2 * t + 1]
               for t, tid in enumerate(node.multiplicities)}
-    fractional = bool(np.any(np.abs(x - np.round(x)) > EPS_INT))
+    fractional = bool((abs(x - x.round()) > EPS_INT).any())
     return RmpSolveOutcome(lp, res, x, bins, fractional, scores)
 
 

@@ -12,10 +12,13 @@ and a change to any of them re-rolls the search trees:
 - phase 2's two LAPACK solves, ``B^-1 [A | I]`` and ``B^-1 b``, kept apart;
 - the product ``cc[basis] @ T`` that starts the reduced costs, whose bits
   depend on the BLAS thread count;
+- per pivot, the ratio test's division ``rhs_i / col_i`` over the candidate
+  rows, those whose entering-column entry ``col_i`` exceeds ``_EPS_PIVOT``;
 - per pivot, the division of the leaving row by the pivot, one multiply and
   one subtract per updated entry, and the clip of ``rhs`` at zero;
-- Dantzig's argmax, the ratio test's ties broken by the lowest basic index,
-  the switch to Bland's rule and the tolerances below.
+- Dantzig's argmax, the ratio test's ties within ``_EPS_PIVOT`` of the least
+  ratio broken by the lowest basic index, the switch to Bland's rule and the
+  tolerances below.
 A pivot leaves out the rows whose entering-column entry is zero.  They
 would only subtract 0*x, which can flip the sign of a zero in the tableau
 and nothing else: the clip turns -0 into +0 in ``rhs``, and the reduced
@@ -69,8 +72,8 @@ class LpResult:
     basis: tuple[int, ...] | None = None  # stable encoding: j structural, -(i+1) slack i
 
 
-def _encode_basis(basis: np.ndarray, n: int) -> tuple[int, ...]:
-    return tuple(int(j) if j < n else -(int(j) - n + 1) for j in basis)
+def _encode_basis(basis: list[int], n: int) -> tuple[int, ...]:
+    return tuple(j if j < n else n - 1 - j for j in basis)
 
 
 def _decode_basis(basis: tuple[int, ...], n: int) -> list[int]:
@@ -86,7 +89,7 @@ def _tableau(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
     M = np.empty((m + 1, k + 1))
     M[:m, :k] = T
     M[:m, k] = rhs
-    M[m, :k] = cc - cc[basis] @ T
+    np.subtract(cc, cc.take(basis) @ T, M[m, :k])
     M[m, k] = 0.0
     return M
 
@@ -98,14 +101,19 @@ def _pivot_loop(M: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
 
     Starts with Dantzig pricing; after 2*(rows + columns) consecutive
     degenerate pivots of the m x k tableau switches to Bland's rule for
-    guaranteed termination.  A pivot divides the leaving row of ``M``,
-    ``rhs`` included, once, and then subtracts one rank-1 update from the
-    other rows whose entering-column entry is nonzero, the reduced-cost row
-    among them.  The rows it leaves out would only subtract 0*x (see the
-    module docstring).
+    guaranteed termination.  The ratio test divides ``rhs`` by the entering
+    column over the rows whose entry exceeds ``_EPS_PIVOT``, in buffers that
+    live for this call.  A pivot divides the leaving row of ``M``, ``rhs``
+    included, once, and then subtracts one rank-1 update from the other rows
+    whose entering-column entry is nonzero, the reduced-cost row among them.
+    The rows it leaves out would only subtract 0*x (see the module
+    docstring).
     """
     m, k = M.shape[0] - 1, M.shape[1] - 1
     rhs, r = M[:m, k], M[m, :k]
+    candidate = np.empty(m, dtype=bool)
+    ratio = np.empty(m)
+    eps_pivot = np.array(_EPS_PIVOT)  # 0-d: no scalar conversion per call
     bland = False
     degenerate_streak = 0
     switch_at = 2 * (m + k)
@@ -116,27 +124,33 @@ def _pivot_loop(M: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
                 return r
             e = int(improving[0])
         else:
-            e = int(np.argmax(r))
+            e = int(r.argmax())
             if r[e] <= EPS_OPT:
                 return r
         col = M[:m, e]
-        pos = np.flatnonzero(col > _EPS_PIVOT)
-        if pos.size == 0:
+        np.greater(col, eps_pivot, candidate)
+        ratio.fill(np.inf)
+        np.divide(rhs, col, ratio, where=candidate)
+        least = ratio[ratio.argmin()]
+        if least < np.inf:
+            ties = (ratio <= least + _EPS_PIVOT).nonzero()[0]
+        elif candidate.any():  # every candidate's ratio overflowed
+            ties = candidate.nonzero()[0]
+        else:
             return None
-        ratios = rhs[pos] / col[pos]
-        ties = pos[ratios <= ratios.min() + _EPS_PIVOT]
         leave = int(ties[0]) if ties.size == 1 else \
-            int(ties[np.argmin(basis[ties])])
-        M[leave] /= M[leave, e]
-        M[leave, e] = 0.0  # keep the leaving row out of ``rows``; x/x is 1
-        rows = np.flatnonzero(M[:, e])
-        M[leave, e] = 1.0
+            int(ties[basis[ties].argmin()])
+        row = M[leave]
+        row /= row[e]
+        row[e] = 0.0  # keep the leaving row out of ``rows``; x/x is 1
+        rows = M[:, e].nonzero()[0]
+        row[e] = 1.0
         block = M.take(rows, axis=0)
-        block -= block[:, e, None] * M[leave]
+        block -= block[:, e:e + 1] * row
         M[rows] = block
         basis[leave] = e
         np.maximum(rhs, 0.0, out=rhs)  # clip pivot noise; rhs stays >= 0
-        if M[leave, k] <= _EPS_PIVOT:
+        if rhs[leave] <= _EPS_PIVOT:
             degenerate_streak += 1
             if degenerate_streak > switch_at:
                 bland = True
@@ -150,18 +164,22 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     """Phase 2 from a (claimed feasible) basis over [A | I].  None if the basis
     is unusable, so the caller can fall back to a cold start."""
     m, n = A.shape
-    D = np.hstack([A, np.eye(m)])
-    B = D[:, basis]
+    D = np.zeros((m, n + m))
+    D[:, :n] = A
+    D.reshape(-1)[n::n + m + 1] = 1.0  # the diagonal of I
+    basis_arr = np.array(basis, dtype=np.int64)
+    B = D.take(basis_arr, axis=1)
     try:
         T = np.linalg.solve(B, D)
         rhs = np.linalg.solve(B, b)
     except np.linalg.LinAlgError:
         return None
-    if (rhs < -EPS_FEAS).any():
+    if rhs.min() < -EPS_FEAS:
         return None
     np.maximum(rhs, 0.0, out=rhs)
-    basis_arr = np.array(basis, dtype=np.int64)
-    M = _tableau(T, rhs, np.concatenate([c, np.zeros(m)]), basis_arr)
+    cc = np.zeros(n + m)
+    cc[:n] = c
+    M = _tableau(T, rhs, cc, basis_arr)
     r = _pivot_loop(M, basis_arr)
     if r is None:
         return LpResult(status="unbounded")
@@ -171,7 +189,7 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     np.maximum(duals, 0.0, out=duals)
     obj = float(c @ x[:n])
     return LpResult(status="optimal", x=x[:n], objective=obj, duals=duals,
-                    basis=_encode_basis(basis_arr, n))
+                    basis=_encode_basis(basis_arr.tolist(), n))
 
 
 def _phase1_basis(A: np.ndarray, b: np.ndarray) -> list[int] | None:
@@ -179,13 +197,16 @@ def _phase1_basis(A: np.ndarray, b: np.ndarray) -> list[int] | None:
     with b >= 0 start on their slack, the others on an artificial variable;
     with b >= 0 throughout this is the slack basis, without a pivot."""
     m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    neg_rows = np.flatnonzero(b < 0)
+    negative = b < 0
+    sign = np.where(negative, -1.0, 1.0)
+    neg_rows = negative.nonzero()[0]
     k = neg_rows.size
-    E = np.zeros((m, k))
-    E[neg_rows, np.arange(k)] = 1.0
-    T = np.hstack([A * sign[:, None], np.diag(sign), E])
-    cc = np.zeros(n + m + k)
+    width = n + m + k
+    T = np.zeros((m, width))  # [sign*A | diag(sign) | artificials]
+    np.multiply(A, sign[:, None], T[:, :n])
+    T.reshape(-1)[n::width + 1] = sign
+    T[neg_rows, n + m + np.arange(k)] = 1.0
+    cc = np.zeros(width)
     cc[n + m:] = -1.0
     basis = np.arange(n, n + m)
     basis[neg_rows] = n + m + np.arange(k)
@@ -214,7 +235,8 @@ def solve_lp(lp: LinearProgram, basis: tuple[int, ...] | None = None) -> LpResul
         return LpResult(status="optimal", x=np.zeros(n), objective=0.0,
                         duals=np.zeros(0), basis=())
 
-    if basis is not None and len(basis) == m:
+    if basis is not None and len(basis) == m and -m <= min(basis) \
+            and max(basis) < n:
         warm = _phase2(lp.A, lp.b, lp.c, _decode_basis(basis, n))
         if warm is not None:
             return warm

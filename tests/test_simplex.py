@@ -101,6 +101,35 @@ def test_warm_start_with_garbage_basis_falls_back():
     res = solve_lp(lp, basis=(0, 0))  # duplicate => singular basis
     assert res.status == "optimal"
     assert res.x == pytest.approx([2.0])
+    # a column past the LP, a slack past its rows, a slack before them:
+    # each is unusable, so the solve is the cold one
+    cold = solve_lp(lp)
+    for basis in [(5, -1), (0, -7), (-3, -1)]:
+        res = solve_lp(lp, basis=basis)
+        assert res.status == "optimal", basis
+        assert res.basis == cold.basis
+        assert np.array_equal(res.x, cold.x)
+
+
+def test_ratio_test_ties_within_eps_pivot_leave_by_lowest_basic_index():
+    # both rows bound x0; their ratios 1 and 1 - 5e-10 tie within _EPS_PIVOT,
+    # so slack 0 (basic index 1) leaves before slack 1 (basic index 2)
+    res = solve_lp(LinearProgram(c=[1.0, 0.0], A=[[1.0, 1.0], [1.0, 0.0]],
+                                 b=[1.0, 1.0 - 5e-10]))
+    assert res.basis == (0, -2)
+    assert res.x[0] == 1.0
+    # 5e-9 apart they do not tie, and the smaller ratio's row leaves
+    res = solve_lp(LinearProgram(c=[1.0, 0.0], A=[[1.0, 1.0], [1.0, 0.0]],
+                                 b=[1.0, 1.0 - 5e-9]))
+    assert res.basis == (-1, 0)
+
+
+def test_ratio_test_never_pivots_on_an_entry_within_eps_pivot():
+    # row 0's ratio 1e-12 / 5e-10 would be the smallest, but its entry is
+    # no larger than _EPS_PIVOT, so row 1 leaves
+    res = solve_lp(LinearProgram(c=[1.0], A=[[5e-10], [1.0]], b=[1e-12, 2.0]))
+    assert res.basis == (-1, 0)
+    assert res.x.tolist() == [2.0]
 
 
 def test_degenerate_lp_terminates():
