@@ -4,12 +4,12 @@ Candidate-point scheme: the origin plus, for every placed rectangle, the two
 offset corners (x + w + d, y) and (x, y + h + d).  Each rectangle goes to the
 feasible candidate with minimal y, ties broken by minimal x.  No clearance is
 required towards the bin edges.  Candidates are derived from the placed
-rectangles, not stored.  A candidate is tested first against the rectangles
-placed after the one that made its corner, where its blocker usually is;
-rectangles lying wholly below it are skipped.  Pricing drives a packer one
-rectangle at a time; branching and the oracle lay out type-id sequences with
-``place_ids``, trying the orders ``distinct_orders`` lists.  The verifier
-sweeps over x, so it compares only pairs that are not already apart along x.
+rectangles, not stored.  A candidate is tested against the placed
+rectangles oldest first, skipping those that lie wholly below it.  Pricing
+drives a packer one rectangle at a time; branching and the oracle lay out
+type-id sequences with ``place_ids``, trying the orders ``distinct_orders``
+lists.  The verifier sweeps over x, so it compares only pairs that are not
+already apart along x.
 
 A ``PlacementMemo`` answers placements a run has already made.  Where a
 rectangle goes, or whether it fits at all, depends only on the rectangles
@@ -105,18 +105,14 @@ class BottomLeftPacker:
     sequence one element at a time equals a batch run on the whole sequence.
     Between rollbacks rectangles are only added, so a candidate blocked for
     a w x h rectangle stays blocked.  The heap for (w, h) holds in-bin
-    candidates as (y, x, first), where ``first`` is one past the index of
-    the rectangle that made the corner, and 0 for the origin.
+    candidates as (y, x).
 
-    A candidate is tested against rectangles first..n-1, oldest first: the
-    right-hand neighbour of its maker, or the rectangle above it one row
-    later, is usually the blocker.  Then it is tested against rectangles
-    first-1 down to ``bisect_right(_tops, y)``.  ``_tops[i]`` is the highest
-    clearance-box top among rectangles 0..i, so every rectangle before that
-    index ends at or below y and cannot block.  Only rectangles that cannot
-    block are skipped, so the verdict is that of a test against every
-    rectangle; only the order and the count of tests change.  Blocked tops
-    are popped, and the first clear top is the (y, x)-minimal feasible
+    A candidate is tested against rectangles ``bisect_right(_tops, y)`` to
+    n-1, oldest first.  ``_tops[i]`` is the highest clearance-box top among
+    rectangles 0..i, so every rectangle before that index ends at or below y
+    and cannot block.  Only rectangles that cannot block are skipped, so the
+    verdict is that of a test against every rectangle.  Blocked tops are
+    popped, and the first clear top is the (y, x)-minimal feasible
     candidate; it is popped too.
 
     A box covers its own anchor (x, y) for every size, and no two boxes share
@@ -210,34 +206,26 @@ class BottomLeftPacker:
         xmax, ymax = self.bin_width - w, self.bin_height - h
         entry = self._heaps.get((w, h))
         if entry is None:
-            entry = self._heaps[w, h] = [[(0, 0, 0)], 0]
+            entry = self._heaps[w, h] = [[(0, 0)], 0]
         heap, seen = entry
         anchors = self._anchors
-        for first, (x, y, right, top) in enumerate(boxes[seen:n], seen + 1):
+        for x, y, right, top in boxes[seen:n]:
             if right <= xmax and y <= ymax and (y, right) not in anchors:
-                heappush(heap, (y, right, first))
+                heappush(heap, (y, right))
             if x <= xmax and top <= ymax and (top, x) not in anchors:
-                heappush(heap, (top, x, first))
+                heappush(heap, (top, x))
         entry[1] = n
         while heap:
-            y, x, first = heappop(heap)
+            y, x = heappop(heap)
             if (y, x) in anchors:
                 continue
             xr, yt = x + w + d, y + h + d
-            # the boxes placed after the corner's maker, oldest first ...
-            for i in range(first, n):
+            for i in range(bisect_right(tops, y), n):
                 rx, ry, rr, rt = boxes[i]
                 if xr > rx and rr > x and yt > ry and rt > y:
                     break
             else:
-                # ... then the older ones, newest first, down to the last
-                # box whose running top rises above y
-                for i in range(first - 1, bisect_right(tops, y) - 1, -1):
-                    rx, ry, rr, rt = boxes[i]
-                    if xr > rx and rr > x and yt > ry and rt > y:
-                        break
-                else:
-                    return x, y
+                return x, y
         return None
 
     def placements(self) -> list[Rect]:

@@ -97,7 +97,8 @@ def _tableau(T: np.ndarray, rhs: np.ndarray, cc: np.ndarray,
 def _pivot_loop(M: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
     """Maximize by primal pivots on the array ``M`` built by ``_tableau``,
     in place; returns the final reduced-cost row (a view of ``M``'s last
-    row), or None if the LP is unbounded.
+    row), or None if the LP is unbounded.  Raises ``SimplexError`` when
+    every ratio of the entering column overflows, or at the pivot limit.
 
     Starts with Dantzig pricing; after 2*(rows + columns) consecutive
     degenerate pivots of the m x k tableau switches to Bland's rule for
@@ -134,8 +135,8 @@ def _pivot_loop(M: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
         least = ratio[ratio.argmin()]
         if least < np.inf:
             ties = (ratio <= least + _EPS_PIVOT).nonzero()[0]
-        elif candidate.any():  # every candidate's ratio overflowed
-            ties = candidate.nonzero()[0]
+        elif candidate.any():
+            raise SimplexError("every ratio of the entering column overflowed")
         else:
             return None
         leave = int(ties[0]) if ties.size == 1 else \
@@ -188,6 +189,8 @@ def _phase2(A: np.ndarray, b: np.ndarray, c: np.ndarray,
     duals = -r[n:n + m]
     np.maximum(duals, 0.0, out=duals)
     obj = float(c @ x[:n])
+    if not (np.isfinite(obj) and np.isfinite(x).all() and np.isfinite(duals).all()):
+        raise SimplexError("optimal solution is not finite")
     return LpResult(status="optimal", x=x[:n], objective=obj, duals=duals,
                     basis=_encode_basis(basis_arr.tolist(), n))
 

@@ -259,6 +259,34 @@ def test_compound_unit_tries_other_orders_after_the_canonical_one():
         (("B", 0, 0), ("A", 4, 0), ("C", 0, 6)))
 
 
+def test_a_compound_of_eight_rectangles_tries_largest_area_first():
+    inst = Instance(8, 2, 0, (ItemType("S", 1, 1, 0, 7), ItemType("B", 4, 2, 0, 1)))
+    reg = inst.registry()
+    reg.add(ItemType("U", constituents=(("S", 7), ("B", 1)), from_count=1, to_count=1))
+    # seven unit squares along the floor leave no room for B
+    assert reg.expansion("U") == ("S",) * 7 + ("B",)
+    assert place_ids(reg.expansion("U"), inst, reg) is None
+    layout = _place_compound_unit(reg["U"], inst, reg)
+    assert layout is not None and layout == place_ids(("B",) + ("S",) * 7, inst, reg)
+
+
+def test_a_compound_of_eight_rectangles_tries_only_two_orders():
+    """Past seven rectangles the unit is a heuristic: an order that fits
+    may go untried."""
+    inst = Instance(8, 8, 0, (ItemType("P", 2, 5, 0, 3), ItemType("Q", 2, 2, 0, 3),
+                              ItemType("R", 8, 1, 0, 2)))
+    reg = inst.registry()
+    reg.add(ItemType("U", constituents=(("P", 3), ("Q", 3), ("R", 2)),
+                     from_count=1, to_count=1))
+    canonical = ("P",) * 3 + ("Q",) * 3 + ("R",) * 2
+    largest_first = ("P",) * 3 + ("R",) * 2 + ("Q",) * 3
+    assert reg.expansion("U") == canonical
+    assert place_ids(canonical, inst, reg) is None
+    assert place_ids(largest_first, inst, reg) is None
+    assert place_ids(("Q",) + ("P",) * 3 + ("Q",) * 2 + ("R",) * 2, inst, reg) is not None
+    assert _place_compound_unit(reg["U"], inst, reg) is None
+
+
 def test_children_partition_respects_rules():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}])

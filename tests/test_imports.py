@@ -1,5 +1,5 @@
-"""Every name a ``patternpack`` module imports is used there, and every name
-it defines is read somewhere.
+"""Every name a ``patternpack`` module or a test file imports is used there,
+and every name a module defines is read somewhere.
 
 No linter runs on this repository, so these are the checks that catch an
 import or a helper a refactor left behind."""
@@ -68,9 +68,11 @@ def f(memo: "PlacementMemo | None") -> float:
 
 
 def test_every_module_uses_what_it_imports():
+    """The package's modules and the test files; the benchmark is left out."""
     modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 10
-    unused = {path.name: names for path in modules
+    tests = sorted((REPO / "tests").glob("*.py"))
+    assert len(modules) >= 10 and len(tests) >= 10
+    unused = {str(path.relative_to(REPO)): names for path in modules + tests
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
 

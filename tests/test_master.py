@@ -3,8 +3,7 @@ import pytest
 
 from patternpack.master import (build_rmp, count_matrix, report_objective,
                                 solve_rmp)
-from patternpack.model import (Instance, ItemType, Layout, Solution,
-                               SolverConfig, make_column)
+from patternpack.model import Instance, ItemType, Solution, SolverConfig
 from patternpack.pricing import reduced_cost
 from patternpack.simplex import SimplexError
 

@@ -1,17 +1,22 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from patternpack import pricing
 from patternpack.branching import make_left_child, make_right_child
-from patternpack.model import Instance, ItemType, dense_counts
+from patternpack.master import build_rmp
+from patternpack.model import (Instance, ItemType, NodeProblem, SolverConfig,
+                               dense_counts, make_column, node_rng)
+from patternpack.oracle import OracleGuardError, feasible_patterns
 from patternpack.placement import verify_layout
 from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
                                  reduced_cost)
-from patternpack.search import initial_columns
+from patternpack.search import column_generation, initial_columns
+from patternpack.simplex import solve_lp
 
-from helpers import build_node, tiny_instance
+from helpers import build_node, random_small_instance, tiny_instance
 
 
 def test_reduced_cost_examples():
@@ -243,3 +248,44 @@ def test_price_keeps_a_column_that_its_last_units_lift_just_above_eps():
     assert [col.counts_dict() for col in cols] == [{"B": 15}, {"A": 2, "B": 3}]
     assert EPS_PRICE < reduced_cost(cols[1].counts_dict(), scores) < 3 * EPS_PRICE
     assert cols == _price_filling_to_the_end(build_node(inst, []), scores, inst)
+
+
+def _empty_root(instance) -> NodeProblem:
+    """A root node without columns, built as ``search.run`` builds it."""
+    return NodeProblem(
+        id=0, parent_id=None, depth=0,
+        multiplicities={t.id: (t.from_count, t.to_count) for t in instance.item_types},
+        columns=[], registry=instance.registry(), rng=node_rng(0, 0))
+
+
+def test_pricing_quality_against_every_placeable_pattern():
+    """Heuristic pricing against the oracle's complete pattern set, on the
+    oracle's sample.  The root LP can only be at or above the exact one; how
+    often it stays above is pricing's measured quality.  A pricing change
+    that moves these counts pins the new ones and says so."""
+    rng = random.Random(1)
+    sample = ([tiny_instance(k) for k in range(100)]
+              + [random_small_instance(rng) for _ in range(100)])
+    admitted = above = ceiling_above = 0
+    for instance in sample:
+        try:
+            patterns = feasible_patterns(instance)
+        except OracleGuardError:
+            continue
+        admitted += 1
+        # the exact root LP: the master over every placeable count vector
+        root = _empty_root(instance)
+        ids = [t.id for t in instance.item_types]
+        root.columns = [make_column(dict(zip(ids, vec)), layout, root.registry)
+                        for vec, layout in patterns.items()]
+        res = solve_lp(build_rmp(root))
+        assert res.status == "optimal"
+        exact = -res.objective
+        root = _empty_root(instance)
+        root.columns = initial_columns(instance, root.registry, root)
+        heuristic = column_generation(root, instance, SolverConfig(rng_seed=0),
+                                      root.registry).bins
+        assert heuristic >= exact - 1e-6
+        above += heuristic > exact + 1e-6
+        ceiling_above += math.ceil(heuristic - 1e-6) != math.ceil(exact - 1e-6)
+    assert (admitted, above, ceiling_above) == (197, 12, 3)

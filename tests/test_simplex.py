@@ -41,6 +41,21 @@ def test_dimension_mismatch_raises():
         LinearProgram(c=[1.0, 2.0], A=[[1.0]], b=[1.0])
 
 
+def test_a_pivot_whose_every_ratio_overflows_raises():
+    # the optimum x = 7.5e312 is not a float, so no optimum can be reported
+    lp = LinearProgram(c=[1.0], A=[[1e-8], [2e-8]], b=[1e305, 1.5e305])
+    with np.errstate(over="ignore"), \
+            pytest.raises(SimplexError, match="every ratio"):
+        solve_lp(lp)
+
+
+def test_an_optimum_whose_objective_overflows_raises():
+    lp = LinearProgram(c=[1e308, 1e308], A=[[1.0, 0.0], [0.0, 1.0]], b=[10.0, 10.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(SimplexError, match="not finite"):
+        solve_lp(lp)
+
+
 def test_resolve_is_deterministic():
     rng = random.Random(21)
     for _ in range(30):
