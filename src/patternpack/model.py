@@ -224,6 +224,16 @@ class ApartRule:
             return ca <= 1
         return ca <= 0 or cb <= 0
 
+    def room(self, ca: int, cb: int, da: int, db: int) -> int | float:
+        """How many more units of da items of a and db items of b a bin
+        holding an admitted ca and cb takes before the rule refuses one, or
+        ``inf``.  ``admits`` only turns false as items are added, so the
+        admitted units are a prefix: a cap takes (1 - ca) // da more, and a
+        pair takes none or every one."""
+        if self.is_cap:
+            return (1 - ca) // da if da else inf
+        return inf if self.admits(ca + da, cb + db) else 0
+
     def violated_by(self, counts: Mapping[str, int],
                     registry: TypeRegistry) -> bool:
         ca = cb = 0

@@ -25,6 +25,16 @@ that rebuilds a basic column, whose rc is 0 up to rounding.  A unit of t changes
 the bound by score - inflated area * rho <= 0, so at each type the fill
 works out how many units it may add before the bound falls below the cut,
 and tests nothing per unit.
+
+The apart rules are settled per type in the same way.  A rule only refuses
+more as items are added, so the units of t it admits are a prefix, and
+``ApartRule.room`` says how long: a cap admits (1 - items of a) // (items
+of a per unit) more, a pair none or all.  The fill places units of t up to
+the least of these limits and the bound's, and advances the rule tallies,
+the rc, the free area and the placed ids once per type.  A fill that the
+rules stop short of the bound's limit is not cut, as the bound did not
+stop it.  A unit of one rectangle needs no rollback, since a failed
+``place`` changes nothing; only a compound unit marks the packer first.
 """
 
 from math import inf
@@ -100,9 +110,11 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     """Fill one bin along the sequence; returns the resulting column or None.
 
     For each type in order the count is raised while the node's to-bound and
-    apart rules permit and the accumulated multiset still places.  A compound
-    unit contributes all its constituent rectangles or the increment is
-    rolled back.  The packer answers repeated placements from ``node.memo``.
+    apart rules permit and the accumulated multiset still places; the rules'
+    limit is worked out once per type, as the module docstring says.  A
+    compound unit contributes all its constituent rectangles or the
+    increment is rolled back.  The packer answers repeated placements from
+    ``node.memo``.
 
     ``bound`` maps every type of the sequence to (score, inflated unit area,
     max(score, 0) / inflated unit area).  With it the fill also returns None
@@ -111,15 +123,9 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     """
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing, node.memo)
+    place = packer.place
     # per apart rule, the items of (a, b) in the bin so far; they obey the rule
     tallies: dict[ApartRule, list[int]] = {}
-
-    def admitted(steps: list) -> bool:
-        for rule, tally, da, db in steps:
-            if not rule.admits(tally[0] + da, tally[1] + db):
-                return False
-        return True
-
     # per type of the sequence: (score, inflated unit area, rho from it on,
     # slope = score - area * rho <= 0)
     if bound is None:
@@ -144,32 +150,46 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
             return None
         _, hi = node.multiplicities[tid]
         n = start = counts.get(tid, 0)
-        stop = min(hi, n + int((value - limit) / -slope) + 1) if slope < 0 else hi
+        stop = hi
+        if slope < 0:
+            # inf when the slope is subnormal, so compared before int()
+            units = (value - limit) / -slope
+            if units < hi - n:
+                stop = n + int(units) + 1
         unit, dims, rules = node.fill_unit(tid)
-        # only a rule that one unit of tid adds to can refuse another unit
-        steps = [(rule, tallies.setdefault(rule, [0, 0]), da, db)
-                 for rule, da, db in rules]
-        while n < stop and admitted(steps):
-            mark = packer.mark()
-            ok = True
-            for w, h in dims:
-                if packer.place(w, h) is None:
-                    ok = False
-                    break
-            if not ok:
+        # only a rule that one unit of tid adds to can refuse another unit;
+        # the fill tries units of tid up to ``end``
+        end, steps = stop, []
+        for rule, da, db in rules:
+            tally = tallies.setdefault(rule, [0, 0])
+            end = min(end, n + rule.room(tally[0], tally[1], da, db))
+            steps.append((tally, da, db))
+        if len(dims) == 1:
+            (w, h), = dims
+            while n < end and place(w, h) is not None:
+                n += 1
+        else:
+            while n < end:
+                mark = packer.mark()
+                for w, h in dims:
+                    if place(w, h) is None:
+                        break
+                else:
+                    n += 1
+                    continue
                 packer.reset_to(mark)
                 break
-            n += 1
-            placed_ids.extend(unit)
-            for _, tally, da, db in steps:
-                tally[0] += da
-                tally[1] += db
         if n > start:
             if n == stop < hi:
                 return None
+            k = n - start
             counts[tid] = n
-            rc += (n - start) * score
-            room -= (n - start) * area
+            placed_ids.extend(unit * k)
+            for tally, da, db in steps:
+                tally[0] += k * da
+                tally[1] += k * db
+            rc += k * score
+            room -= k * area
     if not counts:
         return None
     return make_column(counts, packer.layout(placed_ids), node.registry)

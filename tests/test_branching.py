@@ -128,14 +128,26 @@ def test_right_child_rescues_coverage():
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
 
 
+class _CountingProbes(dict):
+    """A memo generation that counts the packer's probes of it."""
+
+    def __init__(self, memo):
+        super().__init__()
+        self.memo = memo
+
+    def get(self, key, default=None):
+        self.memo.asked += 1
+        return super().get(key, default)
+
+
 class _CountingMemo(PlacementMemo):
+    """A memo that counts lookups: every ``place`` that gets past the size
+    checks probes the new generation first."""
+
     def __init__(self):
         super().__init__()
         self.asked = 0
-
-    def get(self, key):
-        self.asked += 1
-        return super().get(key)
+        self._new = _CountingProbes(self)
 
 
 def test_children_and_their_rescue_fills_share_the_parent_memo():

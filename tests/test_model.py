@@ -1,4 +1,6 @@
+import itertools
 from dataclasses import replace
+from math import inf
 
 import pytest
 from hypothesis import given, strategies as st
@@ -120,6 +122,27 @@ def test_find_compound_matches_pair_and_diagonal():
         for (i, j), want in expected.items():
             found = reg.find_compound(i, j)
             assert (found.id if found else None) == want, (compounds, i, j)
+
+
+def test_apart_rule_room_is_the_admitted_prefix():
+    """``room`` is the largest k with every j <= k units admitted, and inf
+    once k reaches 6 (no rule stops between 2 and 6 units), for cap and
+    pair rules, every admitted state up to 3 items and up to 3 items of a
+    and b a unit."""
+    tried = 0
+    for cap, ca, cb, da, db in itertools.product(
+            (True, False), range(4), range(4), range(4), range(4)):
+        if not (da or db) or (cap and (ca != cb or da != db)):
+            continue
+        rule = ApartRule("A", "A" if cap else "B", frozenset({"A", "B"}))
+        if not rule.admits(ca, cb):
+            continue
+        k = 0
+        while k < 6 and rule.admits(ca + (k + 1) * da, cb + (k + 1) * db):
+            k += 1
+        assert rule.room(ca, cb, da, db) == (inf if k == 6 else k), (rule, ca, cb, da, db)
+        tried += 1
+    assert tried == 6 + 7 * 15  # caps: ca in 0..1; pairs: ca or cb is 0
 
 
 def test_apart_rule_basis_sees_through_later_compounds():

@@ -242,6 +242,30 @@ def test_a_size_larger_than_the_bin_is_refused_before_the_memo():
     assert len(memo) == 1 and packer.placements() == [(0, 0, 4, 4)]
 
 
+def test_a_negative_side_is_refused():
+    """A memo key packs (state, w, h) one to one only for 0 <= w <= W, so a
+    negative side would read the answer of another state and size."""
+    memo = PlacementMemo()
+    packer = BottomLeftPacker(10, 8, 1, memo)
+    assert packer.place(4, 4) == (0, 0)
+    for w, h in ((-1, 4), (4, -1), (-11, 2), (-1, -1)):
+        with pytest.raises(ValueError):
+            packer.place(w, h)
+    assert len(memo) == 1 and packer.placements() == [(0, 0, 4, 4)]
+
+
+def test_a_zero_side_is_refused_at_clearance_zero():
+    """At clearance 0 a 0 x 0 box covers nothing, not even its own anchor,
+    so the anchor rule would refuse a second 0 x 0 at (0, 0) that a test
+    against every placed rectangle accepts."""
+    packer = BottomLeftPacker(10, 10, 0)
+    for w, h in ((0, 0), (0, 3), (3, 0)):
+        with pytest.raises(ValueError):
+            packer.place(w, h)
+    assert packer.placements() == []
+    assert packer.place(1, 1) == (0, 0)
+
+
 def test_a_size_of_the_whole_bin_places_at_the_origin():
     memo = PlacementMemo()
     for _ in range(2):  # the second answer comes from the memo

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patternpack import pricing
 from patternpack.branching import make_left_child, make_right_child
@@ -10,7 +11,7 @@ from patternpack.master import build_rmp
 from patternpack.model import (Instance, ItemType, NodeProblem, SolverConfig,
                                dense_counts, make_column, node_rng)
 from patternpack.oracle import OracleGuardError, feasible_patterns
-from patternpack.placement import verify_layout
+from patternpack.placement import BottomLeftPacker, verify_layout
 from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
                                  reduced_cost)
 from patternpack.search import column_generation, initial_columns
@@ -235,6 +236,143 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
                 cut += sum(col is None and greedy_fill(*args) is not None
                            for *args, col in fills)
     assert kept > 50 and cut > 50
+
+
+def _fill_unit_by_unit(sequence, node, instance, bound=None):
+    """``greedy_fill`` one unit at a time: before each unit every rule the
+    unit adds to is asked whether the bin admits it, and a unit whose
+    rectangles do not all place is rolled back to the packer's mark."""
+    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
+                              instance.spacing, node.memo)
+    tallies = {}
+    if bound is None:
+        limit, terms = -math.inf, [(0.0, 0, 0.0, 0.0)] * len(sequence)
+    else:
+        limit, terms, rho = pricing.CUT_PRICE, [], 0.0
+        for tid in reversed(sequence):
+            score, area, ratio = bound[tid]
+            rho = max(rho, ratio)
+            terms.append((score, area, rho, score - area * rho))
+        terms.reverse()
+    d = instance.spacing
+    rc, room = -1.0, (instance.bin_width + d) * (instance.bin_height + d)
+    counts, placed_ids = {}, []
+    for tid, (score, area, rho, slope) in zip(sequence, terms):
+        value = rc + room * rho
+        if value < limit:
+            return None
+        _, hi = node.multiplicities[tid]
+        n = start = counts.get(tid, 0)
+        stop = min(hi, n + int(min((value - limit) / -slope, hi)) + 1) \
+            if slope < 0 else hi
+        unit, dims, rules = node.fill_unit(tid)
+        steps = [(rule, tallies.setdefault(rule, [0, 0]), da, db)
+                 for rule, da, db in rules]
+        while n < stop and all(rule.admits(tally[0] + da, tally[1] + db)
+                               for rule, tally, da, db in steps):
+            mark = packer.mark()
+            if not all(packer.place(w, h) is not None for w, h in dims):
+                packer.reset_to(mark)
+                break
+            n += 1
+            placed_ids.extend(unit)
+            for _, tally, da, db in steps:
+                tally[0] += da
+                tally[1] += db
+        if n > start:
+            if n == stop < hi:
+                return None
+            counts[tid] = n
+            rc += (n - start) * score
+            room -= (n - start) * area
+    if not counts:
+        return None
+    return make_column(counts, packer.layout(placed_ids), node.registry)
+
+
+def _with_place_calls(fill, *args):
+    """What ``fill(*args)`` returns, and (w, h, answer) of every
+    ``BottomLeftPacker.place`` call it made, in order."""
+    calls = []
+    place = BottomLeftPacker.place
+
+    def recorded(packer, w, h):
+        spot = place(packer, w, h)
+        calls.append((w, h, spot))
+        return spot
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BottomLeftPacker, "place", recorded)
+        return fill(*args), calls
+
+
+@st.composite
+def ruled_nodes(draw):
+    """A small instance, a path of together and apart branches below its
+    root, and scores: compounds, caps and pair rules on one path."""
+    width, height = draw(st.integers(3, 14)), draw(st.integers(3, 14))
+    types = []
+    for k in range(draw(st.integers(1, 3))):
+        lo = draw(st.integers(0, 1))
+        types.append(ItemType(f"t{k}", draw(st.integers(1, width // 2)),
+                              draw(st.integers(1, height // 2)),
+                              lo, lo + draw(st.integers(0, 6))))
+    instance = Instance(width, height, draw(st.integers(0, 2)), tuple(types))
+    branches = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                       st.booleans()), max_size=4))
+    scores = draw(st.lists(st.floats(-0.5, 1.2), min_size=12, max_size=12))
+    return instance, branches, scores
+
+
+@settings(max_examples=150, deadline=None)
+@given(ruled_nodes())
+def test_greedy_fill_equals_a_fill_unit_by_unit(case):
+    """On every node of a random branch path, each sequence ``price`` fills
+    gives the column of a fill that checks the rules and rolls back unit by
+    unit, through the same ``place`` calls: without a bound, and with the
+    bound ``price`` builds."""
+    instance, branches, draws = case
+    node = build_node(instance, [])
+    nodes = [node]
+    for child_id, (a, b, together) in enumerate(branches, 1):
+        active = [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
+        if not active:
+            break
+        i, j = active[a % len(active)], active[b % len(active)]
+        if together and node.to_of(i) >= (2 if i == j else 1) and node.to_of(j) >= 1:
+            child = make_left_child(node, i, j, child_id=child_id, seed=0,
+                                    instance=instance)
+        else:
+            child = make_right_child(node, i, j, child_id=child_id, seed=0,
+                                     instance=instance)
+        if child is not None:
+            node = child
+            nodes.append(node)
+    fills = []
+
+    def recorded(seq, node, instance, bound=None):
+        fills.append((seq, bound))
+        return greedy_fill(seq, node, instance, bound)
+
+    for node in nodes:
+        scores = dict(zip(node.multiplicities, draws))
+        fills.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pricing, "greedy_fill", recorded)
+            price(node, scores, instance)
+        for seq, bound in fills + [(seq, None) for seq, _ in fills]:
+            want = _with_place_calls(_fill_unit_by_unit, seq, node, instance, bound)
+            assert _with_place_calls(greedy_fill, seq, node, instance, bound) == want
+
+
+def test_a_subnormal_negative_score_leaves_the_fill_uncut():
+    """B's score of -5e-324 makes the bound's slope so flat that the number
+    of B units before the cut is inf as a float; the fill then runs to B's
+    to-bound instead of raising ``OverflowError``."""
+    inst = Instance(3, 3, 0, (ItemType("A", 1, 1, 0, 4), ItemType("B", 1, 1, 0, 4)))
+    bound = {"A": (1.0, 1, 1.0), "B": (-5e-324, 1, 0.0)}
+    col = greedy_fill(("A", "B"), build_node(inst, []), inst, bound)
+    assert col.counts_dict() == {"A": 4, "B": 4}
 
 
 def test_price_keeps_a_column_that_its_last_units_lift_just_above_eps():
