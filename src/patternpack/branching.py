@@ -16,7 +16,7 @@ import numpy as np
 from .master import EPS_INT, RmpSolveOutcome
 from .model import (ApartRule, Column, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
-from .placement import distinct_orders, place_ids, verify_layout
+from .placement import first_layout, place_ids, verify_layout
 from .pricing import greedy_fill
 
 
@@ -163,13 +163,13 @@ def _place_compound_unit(ctype: ItemType, instance: Instance,
     canonical order first, then every other distinct order of a bundle of up
     to 7 rectangles, or largest area first for a bigger one."""
     unit = registry.expansion(ctype.id)
-    orders = distinct_orders(unit) if len(unit) <= 7 else (unit, sorted(
-        unit, key=lambda oid: (-registry.unit_area(oid), registry.order(oid))))
-    for order in orders:
-        layout = place_ids(order, instance, registry)
-        if layout is not None:
-            return layout
-    return None
+    if len(unit) <= 7:
+        return first_layout(unit, instance, registry)
+    layout = place_ids(unit, instance, registry)
+    if layout is None:
+        layout = place_ids(sorted(unit, key=lambda oid: (
+            -registry.unit_area(oid), registry.order(oid))), instance, registry)
+    return layout
 
 
 def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,

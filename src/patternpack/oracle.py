@@ -14,8 +14,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .model import Instance, Layout, TypeRegistry
-from .placement import distinct_orders, place_ids
+from .model import Instance, Layout
+from .placement import first_layout
 
 _MAX_VECTORS = 10_000
 _MAX_RECTS = 8
@@ -33,57 +33,39 @@ class OracleResult:
     assignment: tuple[tuple[tuple[tuple[str, int], ...], int], ...]  # (pattern, x)
 
 
-def _try_place_vector(vec: tuple[int, ...], instance: Instance,
-                      registry: TypeRegistry) -> Layout | None:
-    """First bottom-left layout over the distinct orders of the vector's
-    rectangle multiset."""
-    expanded: list[str] = []
-    area = 0
-    for t, n in zip(instance.item_types, vec):
-        expanded.extend([t.id] * n)
-        area += t.width * t.height * n
-    if area > instance.bin_width * instance.bin_height:
-        return None
-    if len(expanded) > _MAX_RECTS:
-        raise OracleGuardError(
-            f"candidate with {len(expanded)} rectangles exceeds the guard of {_MAX_RECTS}")
-    for order in distinct_orders(expanded):
-        layout = place_ids(order, instance, registry)
-        if layout is not None:
-            return layout
-    return None
-
-
 def feasible_patterns(instance: Instance) -> dict[tuple[int, ...], Layout]:
     """Every placeable nonzero count vector within the ``to`` caps, with a
-    witness.
+    witness, in increasing total count.
 
-    Placement feasibility is downward closed, so vectors are visited in
-    increasing total count and a vector is skipped outright when removing one
-    unit already fails.
+    Every vector within the bin's area is tried: bottom-left placeability is
+    not downward closed, so a vector can place although one with a unit
+    fewer does not.  The rectangle guard sees the candidates before any is
+    placed, and names the fewest rectangles among those it refuses.
     """
-    caps = [t.to_count for t in instance.item_types]
+    types = instance.item_types
     span = 1
-    for c in caps:
-        span *= c + 1
+    for t in types:
+        span *= t.to_count + 1
     if span > _MAX_VECTORS:
         raise OracleGuardError(
             f"{span} candidate vectors exceed the guard of {_MAX_VECTORS}")
+    area = instance.bin_width * instance.bin_height
+    vectors = sorted(itertools.product(*(range(t.to_count + 1) for t in types)),
+                     key=sum)
+    candidates = [vec for vec in vectors if any(vec) and sum(
+        t.width * t.height * n for t, n in zip(types, vec)) <= area]
+    for vec in candidates:
+        if sum(vec) > _MAX_RECTS:
+            raise OracleGuardError(
+                f"candidate with {sum(vec)} rectangles exceeds the guard of {_MAX_RECTS}")
     registry = instance.registry()
-    placeable: dict[tuple[int, ...], Layout | None] = {}
-    vectors = sorted(itertools.product(*(range(c + 1) for c in caps)), key=sum)
-    for vec in vectors:
-        parents_ok = True
-        for t in range(len(vec)):
-            if vec[t] > 0:
-                parent = vec[:t] + (vec[t] - 1,) + vec[t + 1:]
-                if placeable[parent] is None:
-                    parents_ok = False
-                    break
-        placeable[vec] = (_try_place_vector(vec, instance, registry)
-                          if parents_ok else None)
-    return {vec: layout for vec, layout in placeable.items()
-            if layout is not None and any(vec)}
+    patterns: dict[tuple[int, ...], Layout] = {}
+    for vec in candidates:
+        layout = first_layout([t.id for t, n in zip(types, vec) for _ in range(n)],
+                              instance, registry)
+        if layout is not None:
+            patterns[vec] = layout
+    return patterns
 
 
 def _min_bins(patterns: dict[tuple[int, ...], Layout],

@@ -8,8 +8,8 @@ rectangles, not stored, and each is handled as the one int y * (W + 1) + x,
 W the bin width, so that heaps and sets compare and hash ints.  A candidate
 is tested against the placed rectangles oldest first, skipping those that
 lie wholly below it.  Pricing drives a packer one rectangle at a time;
-branching and the oracle lay out type-id sequences with ``place_ids``,
-trying the orders ``distinct_orders`` lists.  The verifier sweeps over x,
+``place_ids`` lays out one type-id sequence, and ``first_layout`` searches
+the distinct orderings of a multiset of them.  The verifier sweeps over x,
 so it compares only pairs that are not already apart along x.
 
 A ``PlacementMemo`` answers placements a run has already made.  Where a
@@ -29,7 +29,7 @@ from bisect import bisect_right
 from collections import Counter
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
@@ -56,8 +56,7 @@ class PlacementMemo:
     ((next state * (W + 1) + x) * (H + 1) + y) for the answer.  The packing
     is one to one because 0 <= w, x <= W and 0 <= h, y <= H, which is why
     the packer refuses a size outside 1..W x 1..H before it asks the memo.
-    ``BottomLeftPacker.place`` probes ``_new`` itself and calls ``get``
-    only when that misses.
+    ``BottomLeftPacker.place`` probes the generations itself.
 
     Entries live in two generations of at most ``MEMO_ENTRIES`` (16384)
     each; a 50-node r5 search then misses 1% more often than with no limit.
@@ -83,15 +82,6 @@ class PlacementMemo:
         elif self.bin != shape:
             raise ValueError(f"memo of a {self.bin} bin given a {shape} packer")
 
-    def get(self, key: int):
-        """The recorded answer for a packed (state, w, h), or ``_MISS``."""
-        hit = self._new.get(key, _MISS)
-        if hit is _MISS:
-            hit = self._old.pop(key, _MISS)
-            if hit is not _MISS:
-                self.put(key, hit)
-        return hit
-
     def put(self, key: int, answer: int | None) -> None:
         new = self._new
         new[key] = answer
@@ -105,10 +95,12 @@ class BottomLeftPacker:
     Placing rectangle k depends only on rectangles 1..k-1, so feeding a
     sequence one element at a time equals a batch run on the whole sequence.
     Between rollbacks rectangles are only added, so a candidate blocked for
-    a w x h rectangle stays blocked.  The heap for (w, h) holds in-bin
-    candidates packed as y * (W + 1) + x.  Every pushed corner and every
-    anchor has 0 <= x <= W, so the packed ints order as the (y, x) pairs do
-    and the heap top is the (y, x)-minimal candidate; ``divmod`` unpacks it.
+    a w x h rectangle stays blocked, but new corners can make a refused size
+    fit: only within one state does a larger size inherit a smaller size's
+    refusal.  The heap for (w, h) holds in-bin candidates packed as
+    y * (W + 1) + x.  Every pushed corner and every anchor has 0 <= x <= W,
+    so the packed ints order as the (y, x) pairs do and the heap top is the
+    (y, x)-minimal candidate; ``divmod`` unpacks it.
 
     A candidate is tested against rectangles ``bisect_right(_tops, y)`` to
     n-1, oldest first.  ``_tops[i]`` is the highest clearance-box top among
@@ -194,7 +186,9 @@ class BottomLeftPacker:
         key = self._bases[-1] + w * column + h
         hit = memo._new.get(key, _MISS)
         if hit is _MISS:
-            hit = memo.get(key)
+            hit = memo._old.pop(key, _MISS)
+            if hit is not _MISS:
+                memo.put(key, hit)
         if hit is None:
             return None
         stride = self._stride
@@ -275,32 +269,45 @@ def place_ids(ids: Sequence[str], instance: Instance,
     return packer.layout(ids)
 
 
-def distinct_orders(ids: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Every distinct ordering of ``ids`` once, ``ids`` itself first.
+def first_layout(ids: Sequence[str], instance: Instance,
+                 registry: TypeRegistry) -> Layout | None:
+    """The layout of the first distinct ordering of ``ids`` that places
+    every rectangle, or None if none does.
 
-    The orders come in the sequence in which ``itertools.permutations(ids)``
+    Orderings come in the sequence in which ``itertools.permutations(ids)``
     first produces each: every level walks the remaining positions in
-    increasing order and skips a value that level has already tried.
+    increasing order and skips an id that level has already tried.  One
+    packer keeps a placed prefix for every ordering that shares it, and a
+    refused rectangle skips every ordering that starts with its prefix.  A
+    placement depends only on its prefix, so the answer is that of
+    ``place_ids`` on each ordering in turn.
     """
     ids = tuple(ids)
+    sizes = [(registry[oid].width, registry[oid].height) for oid in ids]
+    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
+                              instance.spacing)
     free = [True] * len(ids)
-    prefix: list[str] = []
+    order: list[str] = []
 
-    def extend() -> Iterator[tuple[str, ...]]:
-        if len(prefix) == len(ids):
-            yield tuple(prefix)
-            return
+    def extend() -> bool:
+        if len(order) == len(ids):
+            return True
         tried = set()
         for k, oid in enumerate(ids):
             if free[k] and oid not in tried:
                 tried.add(oid)
+                if packer.place(*sizes[k]) is None:
+                    continue
                 free[k] = False
-                prefix.append(oid)
-                yield from extend()
-                prefix.pop()
+                order.append(oid)
+                if extend():
+                    return True
+                order.pop()
                 free[k] = True
+                packer.reset_to(len(order))
+        return False
 
-    return extend()
+    return packer.layout(order) if extend() else None
 
 
 def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,

@@ -12,7 +12,7 @@ from helpers import random_small_instance, tiny_instance
 
 # SHA-256 of the canonical JSON list of the oracle's full answers, one per
 # instance: [bins, patterns, assignment], or the guard's message
-PINNED_ANSWERS = "fde45f94bc9a39f1ec856385f7aa81e91ad3a1f29e6b35dc45291477bc430637"
+PINNED_ANSWERS = "ee0452965c469e2bb7c47e7daf29144dc75dcfeea8704fd023944dc20b69a53f"
 
 
 def test_vector_guard_refuses():
@@ -55,6 +55,19 @@ def test_exact_solve_mixed_vs_pure():
     result = exact_solve(inst)
     assert (result.bins, result.patterns) == (1, 1)
     assert dict(result.assignment[0][0]) == {"A": 1, "B": 1}
+
+
+def test_a_vector_places_although_one_with_a_unit_fewer_does_not():
+    """Bottom-left placeability is not downward closed: (1, 3, 2) places, in
+    the order B, B, C, C, A, B, while (0, 3, 2) places in no order, so every
+    vector has to be tried.  One bin holds the whole instance."""
+    inst = Instance(7, 5, 0, (ItemType("A", 1, 2, 1, 1), ItemType("B", 5, 1, 3, 3),
+                              ItemType("C", 2, 3, 2, 2)))
+    pats = feasible_patterns(inst)
+    assert (0, 3, 2) not in pats
+    assert verify_layout(pats[1, 3, 2], {"A": 1, "B": 3, "C": 2}, inst)
+    result = exact_solve(inst)
+    assert (result.bins, result.patterns) == (1, 1)
 
 
 def test_feasible_patterns_have_verifying_witnesses():

@@ -1,13 +1,14 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from patternpack import placement
 from patternpack.model import Instance, ItemType, Layout, TypeRegistry
-from patternpack.placement import (BottomLeftPacker, PlacementMemo, distinct_orders,
+from patternpack.placement import (BottomLeftPacker, PlacementMemo, first_layout,
                                    place_ids, separated, verify_layout)
 
 from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
@@ -105,6 +106,17 @@ def test_rollback_restores_state():
     packer.reset_to(packer.mark())  # a rollback that removes nothing
     assert packer.place(4, 4) == (0, 5)
     assert packer.placements() == [(0, 0, 4, 4), (5, 0, 4, 4), (0, 5, 4, 4)]
+
+
+def test_a_refused_size_can_fit_after_more_rectangles():
+    """A blocked candidate stays blocked, but a later rectangle brings new
+    corners, and a size refused before can fit at one of them."""
+    packer = BottomLeftPacker(5, 5, 0)
+    assert packer.place(2, 1) == (0, 0)
+    assert packer.place(3, 2) == (2, 0)
+    assert packer.place(4, 1) is None
+    assert packer.place(1, 1) == (0, 1)
+    assert packer.place(4, 1) == (0, 2)
 
 
 def test_reset_to_refuses_a_mark_outside_the_placed_rectangles():
@@ -339,9 +351,87 @@ def test_layout_labels_the_boxes_in_placement_order():
     (), ("A",), ("A", "A"), ("A", "B", "C"), ("A", "C", "A", "B"),
     ("B", "A", "B", "A", "C"), ("A", "A", "B", "A", "C", "B", "A")])
 def test_distinct_orders_equals_deduplicated_permutations(ids):
-    orders = list(distinct_orders(ids))
+    """``first_layout`` reaches the distinct orderings of ``ids`` in
+    ``itertools.permutations`` order, ``ids`` itself first: a bin that holds
+    everything, with the last rectangle of every ordering refused."""
+    inst = Instance(20, 20, 0, (ItemType("A", 1, 1, 0, 4), ItemType("B", 1, 2, 0, 2),
+                                ItemType("C", 2, 1, 0, 1)))
+    name = {(1, 1): "A", (1, 2): "B", (2, 1): "C"}
+    place, orders = BottomLeftPacker.place, []
+
+    def refuse_last(packer, w, h):
+        if packer.mark() < len(ids) - 1:
+            return place(packer, w, h)
+        orders.append(tuple(name[r[2:]] for r in packer.placements()) + (name[w, h],))
+        return None
+
+    with mock.patch.object(BottomLeftPacker, "place", refuse_last):
+        found = first_layout(ids, inst, inst.registry())
+    if found is not None:  # only the empty multiset has no last rectangle
+        orders.append(tuple(oid for oid, _, _ in found.placements))
     assert orders == list(dict.fromkeys(itertools.permutations(ids)))
     assert orders[0] == ids
+
+
+def _counting_place(calls: list):
+    """Patches ``BottomLeftPacker.place`` to append each call's size."""
+    place = BottomLeftPacker.place
+
+    def counted(packer, w, h):
+        calls.append((w, h))
+        return place(packer, w, h)
+
+    return mock.patch.object(BottomLeftPacker, "place", counted)
+
+
+@st.composite
+def multisets_to_lay_out(draw):
+    """A bin, up to three types that may share a size, and up to six ids
+    drawn from them with repeats; often nothing places."""
+    width, height = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    sizes = draw(st.lists(st.tuples(st.integers(1, width), st.integers(1, height)),
+                          min_size=1, max_size=3))
+    inst = Instance(width, height, draw(st.integers(0, 1)), tuple(
+        ItemType(f"t{k}", w, h, 0, 6) for k, (w, h) in enumerate(sizes)))
+    ids = draw(st.lists(st.sampled_from([t.id for t in inst.item_types]), max_size=6))
+    return inst, tuple(ids)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multisets_to_lay_out())
+@example((Instance(4, 4, 0, (ItemType("A", 4, 4, 0, 1), ItemType("B", 1, 1, 0, 3))),
+          ("B", "A", "B", "B")))
+def test_first_layout_is_the_first_ordering_that_places(case):
+    """The first ordering, in ``itertools.permutations`` order without
+    repeats, that ``place_ids`` lays out whole; and one ``place`` call per
+    distinct prefix that those orderings try up to it."""
+    inst, ids = case
+    registry = inst.registry()
+    expected, tried = None, set()
+    for order in dict.fromkeys(itertools.permutations(ids)):
+        packer = BottomLeftPacker(inst.bin_width, inst.bin_height, inst.spacing)
+        for k, oid in enumerate(order, 1):
+            tried.add(order[:k])
+            if packer.place(registry[oid].width, registry[oid].height) is None:
+                break
+        else:
+            expected = place_ids(order, inst, registry)
+            break
+    calls = []
+    with _counting_place(calls):
+        assert first_layout(ids, inst, registry) == expected
+    assert len(calls) == len(tried)
+
+
+def test_a_refused_prefix_costs_one_place_call_for_all_its_orderings():
+    """Five squares the size of the bin: each of the 120 orderings is refused
+    at its second rectangle, and the 24 that share a first square share its
+    placement and the four refusals after it."""
+    inst = Instance(4, 4, 0, tuple(ItemType(k, 4, 4, 0, 1) for k in "ABCDE"))
+    calls = []
+    with _counting_place(calls):
+        assert first_layout("ABCDE", inst, inst.registry()) is None
+    assert len(calls) == 5 + 5 * 4
 
 
 def test_verify_layout_accepts_constructed_layout():
