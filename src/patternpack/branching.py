@@ -92,7 +92,7 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
            multiplicities: dict[str, tuple[int, int]], columns: Iterable[Column],
            rules: frozenset[ApartRule]) -> NodeProblem | None:
     """The node below ``node`` with the given ranges and rules; it shares the
-    registry and memo of ``node`` and draws from ``node_rng(seed, child_id)``.
+    registry and packer of ``node`` and draws from ``node_rng(seed, child_id)``.
 
     Its pool keeps each of ``columns`` that fits the new ``to`` bounds, once,
     in the given order, then adds a single-type greedy fill for every active
@@ -106,7 +106,7 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=multiplicities, columns=[], registry=node.registry,
-        rules=rules, rng=node_rng(seed, child_id), memo=node.memo)
+        rules=rules, rng=node_rng(seed, child_id), packer=node.packer)
     seen = set()
     for col in columns:
         if col.counts not in seen and all(

@@ -9,7 +9,9 @@ Instance files are JSON documents::
 ``to`` may be omitted per item; it is then derived from the overproduction
 rate at load time.  Solution files are JSON as well, self-contained (they
 embed the instance so layouts can be re-verified later) and free of timings,
-so a fixed instance, seed and search give the same bytes on every run.
+so a fixed instance, seed and search give the same bytes on every run with
+the same BLAS thread count.  The bits of the master LP depend on that count
+(see ``search.run``), and some searches take another tree under another.
 """
 
 import argparse

@@ -15,7 +15,7 @@ from math import floor, inf, isfinite
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 if TYPE_CHECKING:
-    from .placement import PlacementMemo
+    from .placement import BottomLeftPacker
 
 
 class InvalidInstanceError(ValueError):
@@ -321,17 +321,12 @@ def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int
     return tuple(counts.get(t.id, 0) for t in registry)
 
 
-def _own_memo() -> "PlacementMemo":
-    from .placement import PlacementMemo  # placement imports this module
-    return PlacementMemo()
-
-
 @dataclass
 class NodeProblem:
     """One branch-and-bound node: inherited columns plus the rules added on
     the path from the root.  The rule set only grows downwards.  Its greedy
-    fills place through ``memo``, which children share with their parent; a
-    node built without one gets its own."""
+    fills place through ``packer``, which children share with their parent; a
+    node's first fill builds one if it has none."""
 
     id: int
     parent_id: int | None
@@ -341,8 +336,8 @@ class NodeProblem:
     registry: TypeRegistry  # shared, append-only compound registry
     rules: frozenset[ApartRule] = frozenset()
     rng: random.Random = field(default_factory=random.Random)
-    memo: "PlacementMemo" = field(default_factory=_own_memo, repr=False,
-                                  compare=False)
+    packer: "BottomLeftPacker | None" = field(default=None, repr=False,
+                                              compare=False)
     # type -> fill_unit(type); valid for the node's life, as rules never change
     _fill_units: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -402,5 +397,10 @@ class SolverConfig:
 
 
 def node_rng(seed: int, node_id: int) -> random.Random:
-    """Node-local deterministic generator."""
+    """Deterministic generator of node ``node_id`` under solver seed ``seed``.
+
+    Not node-local for every seed: ``random.Random`` seeds with the absolute
+    value of its argument, so at seed 0 the dive's residual node -k draws
+    the same stream as tree node k.  Mending it moves every record whose
+    run dives, so it waits for ROADMAP item 2."""
     return random.Random(seed * 1_000_003 + node_id)

@@ -12,17 +12,18 @@ lie wholly below it.  Pricing drives a packer one rectangle at a time;
 the distinct orderings of a multiset of them.  The verifier sweeps over x,
 so it compares only pairs that are not already apart along x.
 
-A ``PlacementMemo`` answers placements a run has already made.  Where a
-rectangle goes, or whether it fits at all, depends only on the rectangles
-placed so far, and those depend only on the sequence of sizes that placed
-successfully.  A packer names that sequence by a state id: 0 for the empty
-bin, and a fresh id for each successful placement the memo has not seen.
-The memo maps (state id, w, h) to (x, y, next state id), or to None for a
-rectangle that does not fit, so a recorded answer is exact.  Ids come from a
-counter that never restarts, so an id names one sequence for the memo's
-whole life, even after the entries that minted it are retired.  A rectangle
-wider or taller than the bin never fits, so it is refused before the memo;
-a side below 1 raises ``ValueError``.
+A packer remembers the placements it has made.  Where a rectangle goes, or
+whether it fits at all, depends only on the rectangles placed so far, and
+those depend only on the sequence of sizes that placed successfully.  A
+packer names that sequence by a state id: 0 for the empty bin, and a fresh
+id for each successful placement it has not seen.  Its memo maps (state id,
+w, h) to (x, y, next state id), or to None for a rectangle that does not
+fit, so a recorded answer is exact.  Ids come from a counter that never
+restarts, so an id names one sequence for the packer's whole life, even
+after the entries that minted it are retired.  A rectangle wider or taller
+than the bin never fits, so it is refused before the memo; a side below 1
+raises ``ValueError``.  A run keeps one packer for its greedy fills, and
+each fill starts from ``reset_to(0)``.
 """
 
 from bisect import bisect_right
@@ -35,7 +36,7 @@ from .model import Instance, Layout, RegistryError, TypeRegistry, expand_counts
 
 Rect = tuple[int, int, int, int]  # (x, y, w, h)
 
-MEMO_ENTRIES = 16384  # entries per memo generation; a memo holds two
+MEMO_ENTRIES = 16384  # entries per memo generation; a packer holds two
 _MISS = object()
 
 
@@ -45,48 +46,6 @@ def separated(r1: Rect, r2: Rect, d: int) -> bool:
     x2, y2, w2, h2 = r2
     return (x1 + w1 + d <= x2 or x2 + w2 + d <= x1
             or y1 + h1 + d <= y2 or y2 + h2 + d <= y1)
-
-
-class PlacementMemo:
-    """What ``BottomLeftPacker.place`` returned for a size after a state:
-    (x, y, next state id), or None when the rectangle did not fit.
-
-    Keys and answers are packed into one int each, for a W x H bin:
-    ((state * (W + 1) + w) * (H + 1) + h) for the key and
-    ((next state * (W + 1) + x) * (H + 1) + y) for the answer.  The packing
-    is one to one because 0 <= w, x <= W and 0 <= h, y <= H, which is why
-    the packer refuses a size outside 1..W x 1..H before it asks the memo.
-    ``BottomLeftPacker.place`` probes the generations itself.
-
-    Entries live in two generations of at most ``MEMO_ENTRIES`` (16384)
-    each; a 50-node r5 search then misses 1% more often than with no limit.
-    When the new generation is full it becomes the old one and the previous
-    old one is dropped; a hit in the old generation moves to the new one.  A
-    memo serves packers of one bin only: the first packer fixes it.
-    """
-
-    def __init__(self):
-        self.bin: tuple[int, int, int] | None = None  # (width, height, spacing)
-        self._ids = count(1)  # state 0 is the empty bin
-        self._new: dict = {}
-        self._old: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._new) + len(self._old)
-
-    def bind(self, bin_width: int, bin_height: int, spacing: int) -> None:
-        """Fix the memo's bin, or refuse a packer of another bin."""
-        shape = (bin_width, bin_height, spacing)
-        if self.bin is None:
-            self.bin = shape
-        elif self.bin != shape:
-            raise ValueError(f"memo of a {self.bin} bin given a {shape} packer")
-
-    def put(self, key: int, answer: int | None) -> None:
-        new = self._new
-        new[key] = answer
-        if len(new) >= MEMO_ENTRIES:
-            self._old, self._new = new, {}
 
 
 class BottomLeftPacker:
@@ -122,28 +81,40 @@ class BottomLeftPacker:
     Verdicts and placements stay those of the full test; only fewer
     candidates pass through the heaps.
 
+    The memo's keys and answers are packed into one int each:
+    ((state * (W + 1) + w) * (H + 1) + h) for the key and
+    ((next state * (W + 1) + x) * (H + 1) + y) for the answer.  The packing
+    is one to one because 0 <= w, x <= W and 0 <= h, y <= H.  Entries live in
+    two generations of at most ``MEMO_ENTRIES`` (16384) each; a 50-node r5
+    search then misses 1% more often than with no limit.  When the new
+    generation is full it becomes the old one and the previous old one is
+    dropped; a hit in the old generation moves to the new one.
+
     ``place`` raises ``ValueError`` for a side below 1: both packings hold
     only for sizes from 1 to the bin's sides, and a 0 x 0 box at clearance 0
     would not cover its anchor.  It refuses a size larger than the bin, then
-    probes the memo's new generation inline and its old one only on a miss
-    there.  A hit appends the box and touches no heap: every candidate is
-    still tested against every box that can block it, and the next search
-    for a size picks up the corners of the boxes placed since its last one.
-    A packer built without a memo gets its own.
+    probes the memo's new generation and its old one only on a miss there.
+    A hit appends the box and touches no heap: every candidate is still
+    tested against every box that can block it, and the next search for a
+    size picks up the corners of the boxes placed since its last one.
+    ``reset_to(0)`` leaves a packer that places as a new one holding the same
+    memo would: no boxes, tops or anchors, and no heaps, since a search in
+    an empty bin always places.
     """
 
-    def __init__(self, bin_width: int, bin_height: int, spacing: int,
-                 memo: PlacementMemo | None = None):
+    def __init__(self, bin_width: int, bin_height: int, spacing: int):
         self.bin_width = bin_width
         self.bin_height = bin_height
         self.spacing = spacing
-        self._memo = memo if memo is not None else PlacementMemo()
-        self._memo.bind(bin_width, bin_height, spacing)
+        # the memo's two generations, and the state ids; state 0 is the empty bin
+        self._new: dict[int, int | None] = {}
+        self._old: dict[int, int | None] = {}
+        self._ids = count(1)
         # strides of the memo's packed keys and answers
         self._column = bin_height + 1
         self._stride = (bin_width + 1) * self._column
-        # _bases[k]: the memo's state id after the first k rectangles times
-        # the stride, so that a size's key is _bases[-1] + w * column + h
+        # _bases[k]: the state id after the first k rectangles times the
+        # stride, so that a size's key is _bases[-1] + w * column + h
         self._bases = [0]
         # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
         self._boxes: list[tuple[int, int, int, int]] = []
@@ -167,9 +138,12 @@ class BottomLeftPacker:
         if not 0 <= mark <= len(self._boxes):
             raise ValueError(f"mark {mark} outside 0..{len(self._boxes)}")
         if mark < len(self._boxes):
-            row = self._row
-            self._anchors.difference_update(
-                y * row + x for x, y, _, _ in self._boxes[mark:])
+            if mark:
+                row = self._row
+                self._anchors.difference_update(
+                    y * row + x for x, y, _, _ in self._boxes[mark:])
+            else:
+                self._anchors.clear()
             del self._boxes[mark:]
             del self._tops[mark:]
             del self._bases[mark + 1:]
@@ -182,34 +156,28 @@ class BottomLeftPacker:
             raise ValueError(f"rectangle {w} x {h} has a side below 1")
         if w > self.bin_width or h > self.bin_height:
             return None
-        memo, column = self._memo, self._column
+        column, stride, new = self._column, self._stride, self._new
         key = self._bases[-1] + w * column + h
-        hit = memo._new.get(key, _MISS)
+        hit = new.get(key, _MISS)
         if hit is _MISS:
-            hit = memo._old.pop(key, _MISS)
-            if hit is not _MISS:
-                memo.put(key, hit)
+            hit = self._old.pop(key, _MISS)
+            if hit is _MISS:
+                spot = self._search(w, h)
+                hit = None if spot is None else \
+                    next(self._ids) * stride + spot[0] * column + spot[1]
+            new[key] = hit
+            if len(new) >= MEMO_ENTRIES:
+                self._old, self._new = new, {}
         if hit is None:
             return None
-        stride = self._stride
-        if hit is _MISS:
-            spot = self._search(w, h)
-            if spot is None:
-                memo.put(key, None)
-                return None
-            x, y = spot
-            base = next(memo._ids) * stride
-            memo.put(key, base + x * column + y)
-        else:
-            xy = hit % stride
-            x, y = divmod(xy, column)
-            base = hit - xy
+        xy = hit % stride
+        x, y = divmod(xy, column)
         d, tops = self.spacing, self._tops
         top = y + h + d
         tops.append(top if not tops or top > tops[-1] else tops[-1])
         self._anchors.add(y * self._row + x)
         self._boxes.append((x, y, x + w + d, top))
-        self._bases.append(base)
+        self._bases.append(hit - xy)
         return x, y
 
     def _search(self, w: int, h: int) -> tuple[int, int] | None:

@@ -113,16 +113,24 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     apart rules permit and the accumulated multiset still places; the rules'
     limit is worked out once per type, as the module docstring says.  A
     compound unit contributes all its constituent rectangles or the
-    increment is rolled back.  The packer answers repeated placements from
-    ``node.memo``.
+    increment is rolled back.  The fill places through ``node.packer``,
+    emptied first, whose memo answers repeated placements; the first fill of
+    a node tree builds it for the instance's bin, and a packer of another
+    bin raises ``ValueError``.
 
     ``bound`` maps every type of the sequence to (score, inflated unit area,
     max(score, 0) / inflated unit area).  With it the fill also returns None
     as soon as the bound of the module docstring shows that its column would
     not price out.  Without it the fill runs to the end.
     """
-    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
-                              instance.spacing, node.memo)
+    shape = (instance.bin_width, instance.bin_height, instance.spacing)
+    packer = node.packer
+    if packer is None:
+        packer = node.packer = BottomLeftPacker(*shape)
+    held = (packer.bin_width, packer.bin_height, packer.spacing)
+    if held != shape:
+        raise ValueError(f"a fill in a {shape} bin given a {held} packer")
+    packer.reset_to(0)
     place = packer.place
     # per apart rule, the items of (a, b) in the bin so far; they obey the rule
     tallies: dict[ApartRule, list[int]] = {}

@@ -170,7 +170,7 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
     plus a single-type fill for every type, compounds included, whose
     ``from`` is unmet and that has no single-type column.  Residual nodes
     take the ids -1, -2, ..., which the search never hands out, share the
-    registry, rules and memo of ``start``, and never join the tree; the pool
+    registry, rules and packer of ``start``, and never join the tree; the pool
     of ``start`` is left as it is.  None means a coverage fill failed or the
     deadline passed."""
     registry = start.registry
@@ -245,9 +245,13 @@ def run(instance: Instance, cfg: SolverConfig,
         progress: ProgressCallback | None = None) -> SearchReport:
     """Full branch-and-price search; returns the incumbent and a report.
 
-    Deterministic for a fixed instance, seed and strategy when no time limit
-    interferes.  The progress callback may return True to stop early.  The
-    root builds its own placement memo, and every node of the run shares it.
+    Deterministic for a fixed instance, seed, strategy and BLAS thread count
+    when no time limit interferes: the master's reduced costs start from a
+    BLAS product whose bits depend on the thread count (r3 depth-first at
+    100 nodes takes another tree on two threads than on one).  The
+    ``einsum`` of ROADMAP item 2 removes that dependence.  The progress
+    callback may return True to stop early.  The root's first fill builds
+    the run's packer, and every node shares it.
     """
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \

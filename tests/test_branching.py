@@ -3,12 +3,12 @@ import pytest
 
 from patternpack import cli, search
 from patternpack.branching import (BranchingStuck, _place_compound_unit, affinity,
-                                   make_left_child, make_right_child,
+                                   derive, make_left_child, make_right_child,
                                    select_branching_pair)
 from patternpack.master import RmpSolveOutcome, build_rmp, count_matrix, solve_rmp
 from patternpack.model import (Instance, ItemType, Layout, SolverConfig, expand_counts,
                                violates_rules)
-from patternpack.placement import PlacementMemo, place_ids, verify_layout
+from patternpack.placement import BottomLeftPacker, place_ids, verify_layout
 from patternpack.simplex import LpResult
 
 from helpers import build_node
@@ -128,46 +128,24 @@ def test_right_child_rescues_coverage():
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
 
 
-class _CountingProbes(dict):
-    """A memo generation that counts the packer's probes of it."""
-
-    def __init__(self, memo):
-        super().__init__()
-        self.memo = memo
-
-    def get(self, key, default=None):
-        self.memo.asked += 1
-        return super().get(key, default)
-
-
-class _CountingMemo(PlacementMemo):
-    """A memo that counts lookups: every ``place`` that gets past the size
-    checks probes the new generation first."""
-
-    def __init__(self):
-        super().__init__()
-        self.asked = 0
-        self._new = _CountingProbes(self)
-
-
-def test_children_and_their_rescue_fills_share_the_parent_memo():
+def test_children_and_their_rescue_fills_share_the_parent_packer():
     inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6), ItemType("B", 4, 4, 2, 6)))
     node = build_node(inst, [{"A": 1, "B": 1}])
-    assert isinstance(node.memo, PlacementMemo)
-    assert build_node(inst, [{"A": 1}]).memo is not node.memo  # each its own
-    memo = node.memo = _CountingMemo()
+    packer = node.packer = BottomLeftPacker(20, 20, 0)
+    calls, place = [], packer.place
+    packer.place = lambda w, h: calls.append((w, h)) or place(w, h)
 
     right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
-    assert right.memo is memo
-    # {A: 1, B: 1} breaks the new rule; both rescue fills placed through the memo
+    assert right.packer is packer
+    # {A: 1, B: 1} breaks the new rule; both rescue fills placed through it
     assert [c.counts_dict() for c in right.columns] == [{"A": 6}, {"B": 6}]
-    assert memo.asked > 0
+    assert calls == [(4, 4)] * 12  # six A, then six B, up to their to-bounds
 
-    memo.asked = 0
+    calls.clear()
     left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
-    assert left.memo is memo
+    assert left.packer is packer
     assert {"A": 5} in [c.counts_dict() for c in left.columns]
-    assert memo.asked > 0  # the compound unit is laid out without it
+    assert calls  # the compound unit is laid out without it
 
 
 def test_left_child_creates_compound_and_unit_column():
@@ -338,3 +316,35 @@ def test_every_pool_of_a_budgeted_solve_obeys_its_node_rules(strategy, monkeypat
                SolverConfig(rng_seed=0, node_selection=strategy),
                progress=lambda event: event.nodes_explored >= 50)
     assert len(rules_seen) > 100 and max(rules_seen) >= 1
+
+
+def test_a_compound_id_that_an_original_type_holds_gets_a_suffix(tmp_path):
+    """An original type may be named like the compound of a pair.  A together
+    branch on that pair then registers the next free id, and a run that
+    uses such a compound writes a record that verifies."""
+    inst = Instance(10, 10, 0, (ItemType("A", 3, 3, 3, 5), ItemType("B", 2, 3, 3, 4),
+                                ItemType("(A+B)", 5, 5, 1, 2)))
+    node = build_node(inst, [{"A": 1, "B": 1}])
+    left = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    assert node.registry["(A+B)#2"].constituents == (("A", 1), ("B", 1))
+    assert left.multiplicities["(A+B)#2"] == (1, 1)
+    assert not node.registry["(A+B)"].is_compound
+
+    cfg = SolverConfig()
+    report = search.run(inst, cfg)
+    assert "(A+B)#2" in report.registry
+    out = tmp_path / "record.json"
+    cli.emit_solution(report, cfg, out)
+    assert cli.verify_solution_file(out) == []
+
+
+def test_derive_gives_no_node_when_a_coverage_fill_cannot_place():
+    """Two 6 x 6 rectangles do not share a 10 x 10 bin, so the compound's
+    coverage fill places nothing and the node is infeasible."""
+    inst = Instance(10, 10, 0, (ItemType("A", 6, 6, 0, 2),))
+    registry = inst.registry()
+    registry.add(ItemType("(A+A)", constituents=(("A", 2),), from_count=1,
+                          to_count=1))
+    node = build_node(inst, [], registry=registry, mult={"A": (0, 2)})
+    assert derive(node, 1, 0, inst, {"A": (0, 0), "(A+A)": (1, 1)}, [],
+                  frozenset()) is None

@@ -59,10 +59,10 @@ import numpy as np
 from .master import EPS_INT, count_matrix
 from .model import exported
 if TYPE_CHECKING:
-    from .placement import PlacementMemo
+    from .placement import BottomLeftPacker
 __all__ = ["exported"]
-def f(memo: "PlacementMemo | None") -> float:
-    return np.sum(memo) + EPS_INT
+def f(packer: "BottomLeftPacker | None") -> float:
+    return np.sum(packer) + EPS_INT
 '''
     assert unused_imports(source) == ["count_matrix (line 4)"]
 

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from patternpack import placement
 from patternpack.model import Instance, ItemType, Layout, TypeRegistry
-from patternpack.placement import (BottomLeftPacker, PlacementMemo, first_layout,
-                                   place_ids, separated, verify_layout)
+from patternpack.placement import (BottomLeftPacker, first_layout, place_ids,
+                                   separated, verify_layout)
 
 from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
 
@@ -173,6 +173,19 @@ def _replay(ops, packer, ref):
         assert packer.placements() == ref.placements()
 
 
+def _searches(packer) -> list:
+    """Records the size of each bottom-left search ``packer`` makes from now
+    on, that is of each ``place`` its memo does not answer."""
+    calls, search = [], packer._search
+
+    def counted(w, h):
+        calls.append((w, h))
+        return search(w, h)
+
+    packer._search = counted
+    return calls
+
+
 @settings(max_examples=300, deadline=None)
 @given(packer_scripts())
 # a packer fails these if a memo hit skips the running tops, if reset_to
@@ -186,23 +199,37 @@ def _replay(ops, packer, ref):
 @example((9, 5, 1, [("place", (2, 1)), ("place", (1, 1)), ("place", (2, 1)),
                     ("place", (1, 1))]))
 def test_packer_equals_reference(script):
-    """Each script runs twice on packers that share one memo, so the second
-    run is answered from it: once with the memo as the solver sizes it, and
-    once with two entries a generation, so generations retire mid-script."""
+    """Each script runs twice on one packer, emptied by ``reset_to(0)`` in
+    between, so the second run is answered from its memo: once with the memo
+    as the solver sizes it, and once with two entries a generation, so
+    generations retire mid-script."""
     width, height, spacing, ops = script
     for entries in (placement.MEMO_ENTRIES, 2):
-        memo = PlacementMemo()
-        held = []
+        packer = BottomLeftPacker(width, height, spacing)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(placement, "MEMO_ENTRIES", entries)
-            for _ in range(2):
-                _replay(ops, BottomLeftPacker(width, height, spacing, memo),
-                        ReferencePacker(width, height, spacing))
-                held.append(len(memo))
+            _replay(ops, packer, ReferencePacker(width, height, spacing))
+            packer.reset_to(0)
+            searches = _searches(packer)
+            _replay(ops, packer, ReferencePacker(width, height, spacing))
         if entries > len(ops):
             # a run records at most one entry an operation, so none retired
             # and the second run found every answer in the memo
-            assert held[0] == held[1]
+            assert searches == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(packer_scripts(), st.data())
+def test_a_reset_packer_places_another_script_as_the_reference(script, data):
+    """After any script and ``reset_to(0)``, a packer places a second script,
+    the first one's operations in another order, as a new reference does:
+    its memo still holds the first script's answers."""
+    width, height, spacing, ops = script
+    packer = BottomLeftPacker(width, height, spacing)
+    _replay(ops, packer, ReferencePacker(width, height, spacing))
+    packer.reset_to(0)
+    _replay(data.draw(st.permutations(ops)), packer,
+            ReferencePacker(width, height, spacing))
 
 
 def _uniform_script(rng):
@@ -233,37 +260,37 @@ def _uniform_script(rng):
 def test_packer_equals_reference_on_uniform_scripts():
     """Hypothesis seldom draws the long scripts whose rollbacks and memo hits
     interleave; uniform draws of the same shape reach them every run.  Each
-    script runs twice on packers that share one memo, so sizes as wide or as
-    tall as the bin are answered from it too."""
+    script runs twice on one packer, emptied by ``reset_to(0)`` in between,
+    so sizes as wide or as tall as the bin are answered from its memo too."""
     for k in range(500):
         width, height, spacing, ops = _uniform_script(random.Random(k))
-        memo = PlacementMemo()
+        packer = BottomLeftPacker(width, height, spacing)
         for _ in range(2):
-            _replay(ops, BottomLeftPacker(width, height, spacing, memo),
-                    ReferencePacker(width, height, spacing))
+            packer.reset_to(0)
+            _replay(ops, packer, ReferencePacker(width, height, spacing))
 
 
 def test_a_size_larger_than_the_bin_is_refused_before_the_memo():
-    memo = PlacementMemo()
-    packer = BottomLeftPacker(10, 8, 1, memo)
+    packer = BottomLeftPacker(10, 8, 1)
+    searches = _searches(packer)
     for w, h in ((11, 1), (1, 9), (11, 9)):
         assert packer.place(w, h) is None
-    assert len(memo) == 0
+    assert searches == []
     assert packer.place(4, 4) == (0, 0)
     assert packer.place(11, 1) is None and packer.place(1, 9) is None
-    assert len(memo) == 1 and packer.placements() == [(0, 0, 4, 4)]
+    assert searches == [(4, 4)] and packer.placements() == [(0, 0, 4, 4)]
 
 
 def test_a_negative_side_is_refused():
     """A memo key packs (state, w, h) one to one only for 0 <= w <= W, so a
     negative side would read the answer of another state and size."""
-    memo = PlacementMemo()
-    packer = BottomLeftPacker(10, 8, 1, memo)
+    packer = BottomLeftPacker(10, 8, 1)
+    searches = _searches(packer)
     assert packer.place(4, 4) == (0, 0)
     for w, h in ((-1, 4), (4, -1), (-11, 2), (-1, -1)):
         with pytest.raises(ValueError):
             packer.place(w, h)
-    assert len(memo) == 1 and packer.placements() == [(0, 0, 4, 4)]
+    assert searches == [(4, 4)] and packer.placements() == [(0, 0, 4, 4)]
 
 
 def test_a_zero_side_is_refused_at_clearance_zero():
@@ -279,22 +306,14 @@ def test_a_zero_side_is_refused_at_clearance_zero():
 
 
 def test_a_size_of_the_whole_bin_places_at_the_origin():
-    memo = PlacementMemo()
-    for _ in range(2):  # the second answer comes from the memo
-        packer = BottomLeftPacker(10, 8, 1, memo)
+    packer = BottomLeftPacker(10, 8, 1)
+    searches = _searches(packer)
+    for _ in range(2):  # the second answers come from the memo
+        packer.reset_to(0)
         assert packer.place(10, 8) == (0, 0)
         assert packer.place(1, 1) is None
         assert packer.placements() == [(0, 0, 10, 8)]
-    assert len(memo) == 2
-
-
-def test_memo_refuses_a_packer_of_another_bin():
-    memo = PlacementMemo()
-    BottomLeftPacker(10, 10, 1, memo)
-    BottomLeftPacker(10, 10, 1, memo)
-    for other in ((10, 10, 0), (10, 11, 1), (11, 10, 1)):
-        with pytest.raises(ValueError):
-            BottomLeftPacker(*other, memo)
+    assert searches == [(10, 8), (1, 1)]
 
 
 @pytest.mark.parametrize("first", [None, (159, 323)])

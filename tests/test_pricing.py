@@ -243,7 +243,7 @@ def _fill_unit_by_unit(sequence, node, instance, bound=None):
     unit adds to is asked whether the bin admits it, and a unit whose
     rectangles do not all place is rolled back to the packer's mark."""
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
-                              instance.spacing, node.memo)
+                              instance.spacing)
     tallies = {}
     if bound is None:
         limit, terms = -math.inf, [(0.0, 0, 0.0, 0.0)] * len(sequence)
@@ -363,6 +363,19 @@ def test_greedy_fill_equals_a_fill_unit_by_unit(case):
         for seq, bound in fills + [(seq, None) for seq, _ in fills]:
             want = _with_place_calls(_fill_unit_by_unit, seq, node, instance, bound)
             assert _with_place_calls(greedy_fill, seq, node, instance, bound) == want
+
+
+def test_a_fill_refuses_a_packer_of_another_bin():
+    inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 4),))
+    node = build_node(inst, [])
+    assert node.packer is None
+    for _ in range(2):  # the first fill builds the packer, the second reuses it
+        assert greedy_fill(("A",), node, inst).counts_dict() == {"A": 4}
+    packer = node.packer
+    for other in ((10, 10, 0), (10, 11, 1), (11, 10, 1)):
+        with pytest.raises(ValueError):
+            greedy_fill(("A",), node, Instance(*other, inst.item_types))
+    assert node.packer is packer
 
 
 def test_a_subnormal_negative_score_leaves_the_fill_uncut():

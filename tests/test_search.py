@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from patternpack import search
-from patternpack.branching import affinity, make_left_child, select_branching_pair
+from patternpack.branching import (BranchingStuck, affinity, make_left_child,
+                                   select_branching_pair)
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
 from patternpack.master import EPS_INT, build_rmp, count_matrix, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
@@ -457,3 +458,22 @@ def test_open_nodes_pop_order_and_min_bound(strategy, expected):
         order.append(queue.pop().id)
     assert order == expected
     assert queue.bound(-1.0) == -1.0
+
+
+def test_a_stuck_node_is_counted_and_leaves_the_root_dive_incumbent(
+        monkeypatch, tmp_path):
+    """r3's root LP, 110.06, stays below the root dive's 112 bins, so the root
+    branches; a branching that finds no pair closes it without children.
+    r1 would not do: its root is pruned at ceil(19.12) = 20 bins first."""
+    def stuck(node, outcome):
+        raise BranchingStuck(f"node {node.id}: no admissible pair")
+
+    monkeypatch.setattr(search, "select_branching_pair", stuck)
+    cfg = SolverConfig()
+    report = run(parse_instance("r3"), cfg)
+    assert report.stats.nodes_explored == 1 and report.stats.stuck_nodes == 1
+    assert report.status == "complete"
+    assert (report.solution.bins, report.solution.patterns) == (112, 8)
+    out = tmp_path / "r3.json"
+    emit_solution(report, cfg, out)
+    assert verify_solution_file(out) == []

@@ -126,6 +126,17 @@ def test_warm_start_with_garbage_basis_falls_back():
         assert np.array_equal(res.x, cold.x)
 
 
+def test_a_warm_basis_with_a_negative_right_hand_side_starts_cold():
+    """max x s.t. x <= 2 and -x <= -1: the slack basis gives the second row
+    a right-hand side of -1, so phase 2 refuses it and the solve is cold."""
+    lp = LinearProgram(c=[1.0], A=[[1.0], [-1.0]], b=[2.0, -1.0])
+    assert simplex._phase2(lp.A, lp.b, lp.c, [1, 2]) is None
+    res = solve_lp(lp, basis=(-1, -2))
+    assert res.status == "optimal"
+    assert res.x == pytest.approx([2.0]) and res.objective == pytest.approx(2.0)
+    assert res.basis == solve_lp(lp).basis
+
+
 def test_ratio_test_ties_within_eps_pivot_leave_by_lowest_basic_index():
     # both rows bound x0; their ratios 1 and 1 - 5e-10 tie within _EPS_PIVOT,
     # so slack 0 (basic index 1) leaves before slack 1 (basic index 2)
