@@ -1,9 +1,9 @@
 """Affinity-guided pair branching: compound (together) and conflict (apart) children.
 
 A fractional master solution is attacked by picking an item-type pair.  The
-left child forces at least one bin to hold the pair together, realized by a
-compound type with a one-bin production range; the right child forbids the
-pair from sharing a bin (a unary cap when the pair is a type with itself).
+left child forces at least one bin to hold the pair together: it asks for one
+more unit of the pair's compound type; the right child forbids the pair
+from sharing a bin (a unary cap when the pair is a type with itself).
 Both children, and the search's residual-rounding nodes, are built by
 ``derive``, which keeps the given columns that fit and adds coverage fills.
 """
@@ -147,14 +147,23 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
                   kept, node.rules | {rule})
 
 
-def _compound_id(i: str, j: str, registry: TypeRegistry) -> str:
+def _compound(i: str, j: str, registry: TypeRegistry) -> ItemType:
+    """The compound of one i and one j (two i when i == j), i and j in
+    registry order: the first type under (i+j), (i+j)#2, ... with these
+    constituents, else a new one under the first free id of those."""
+    i, j = sorted((i, j), key=registry.order)
+    constituents = ((i, 2),) if i == j else ((i, 1), (j, 1))
     base = f"({i}+{j})"
     cid = base
     k = 2
     while cid in registry:
+        if registry[cid].constituents == constituents:
+            return registry[cid]
         cid = f"{base}#{k}"
         k += 1
-    return cid
+    ctype = ItemType(id=cid, constituents=constituents)
+    registry.add(ctype)
+    return ctype
 
 
 def _place_compound_unit(ctype: ItemType, instance: Instance,
@@ -176,21 +185,15 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
                     seed: int, instance: Instance) -> NodeProblem | None:
     """Together branch: some bin must hold i and j jointly.
 
-    Registers (or re-uses) the compound type for the pair, shifts one unit of
-    demand from the constituents onto it, and rewrites inherited columns that
-    contain the pair.  Returns None when the compound's rectangles cannot
-    share a bin, discarding the node before it is ever solved.
+    Finds the pair's compound by its id, or registers it, shifts one unit
+    of demand from the constituents onto it, and rewrites inherited columns
+    that contain the pair.  Returns None when the compound's rectangles
+    cannot share a bin, discarding the node before it is ever solved.
     """
     if node.to_of(i) < 1 or (i == j and node.to_of(i) < 2):
         raise ValueError(f"cannot branch together on ({i}, {j}): to-bound exhausted")
     registry = node.registry
-    ctype = registry.find_compound(i, j)
-    if ctype is None:
-        constituents = ((i, 2),) if i == j else tuple(
-            sorted(((i, 1), (j, 1)), key=lambda cn: registry.order(cn[0])))
-        ctype = ItemType(id=_compound_id(i, j, registry), from_count=1,
-                         to_count=1, constituents=constituents)
-        registry.add(ctype)
+    ctype = _compound(i, j, registry)
     fresh_activation = ctype.id not in node.multiplicities
 
     mult = dict(node.multiplicities)

@@ -27,15 +27,18 @@ class InfeasibleInstanceError(ValueError):
 
 
 class RegistryError(RuntimeError):
-    """Corrupted type registry (cycle or dangling reference)."""
+    """A type id the registry does not hold: looked up, or named as the
+    constituent of a compound before it was registered."""
 
 
 @dataclass(frozen=True)
 class ItemType:
     """A rectangular item type, or a compound bundling items that must share a bin.
 
-    Original types carry geometry; compound types carry only their
-    constituent multiset and resolve recursively to original rectangles.
+    Original types carry geometry and their production range.  Compound
+    types carry only their id and constituent multiset, which names earlier
+    types of the registry, and resolve recursively to original rectangles;
+    the range of a compound lives in each node's ``multiplicities``.
     """
 
     id: str
@@ -79,38 +82,31 @@ def derive_to(from_count: int, rate: float) -> int:
     return floor(Fraction(from_count) * (1 + Fraction(str(rate))))
 
 
-def _multiset_key(constituents) -> frozenset[tuple[str, int]]:
-    """Constituent multiset with repeated ids merged, independent of order."""
-    merged: dict[str, int] = {}
-    for cid, n in constituents:
-        merged[cid] = merged.get(cid, 0) + n
-    return frozenset(merged.items())
-
-
 class TypeRegistry:
     """Append-only ordered registry of item types.
 
     Holds the instance's original types plus every compound type created
-    during the search.  Registry order (insertion order) is the canonical
-    tie-breaking order everywhere.
+    during the search.  A type names only types registered before it, so no
+    compound reaches itself.  Registry order (insertion order) is the
+    canonical tie-breaking order everywhere.
     """
 
     def __init__(self, originals: tuple["ItemType", ...] = ()):
         self._types: list[ItemType] = []
         self._index: dict[str, int] = {}
         self._expansion_cache: dict[tuple[str, frozenset[str]], tuple[str, ...]] = {}
-        self._compounds: dict[frozenset[tuple[str, int]], ItemType] = {}
         for t in originals:
             self.add(t)
 
     def add(self, item_type: ItemType) -> None:
         if item_type.id in self._index:
             raise InvalidInstanceError(f"duplicate item type id {item_type.id!r}")
+        for cid, _ in item_type.constituents:
+            if cid not in self._index:
+                raise RegistryError(
+                    f"compound {item_type.id!r} names unregistered type {cid!r}")
         self._index[item_type.id] = len(self._types)
         self._types.append(item_type)
-        if item_type.is_compound:
-            self._compounds.setdefault(
-                _multiset_key(item_type.constituents), item_type)
 
     def __contains__(self, type_id: str) -> bool:
         return type_id in self._index
@@ -144,29 +140,23 @@ class TypeRegistry:
         the expansions of the constituents, taken in registry order and each
         repeated by its multiplicity.  A nested compound's ids are inlined,
         so equal ids need not be adjacent: with X = A+B, Z = C+X and
-        W = A+Z, W expands to (A, C, A, B).  Detects constituent cycles.
+        W = A+Z, W expands to (A, C, A, B).  Constituents are registered
+        before their compound, so the recursion ends.
         """
         key = (type_id, basis)
         cached = self._expansion_cache.get(key)
         if cached is None:
-            cached = self._expand(type_id, basis, visiting=set())
+            t = self[type_id]
+            if not t.is_compound or type_id in basis:
+                cached = (type_id,)
+            else:
+                parts: list[str] = []
+                ordered = sorted(t.constituents, key=lambda cn: self.order(cn[0]))
+                for cid, n in ordered:
+                    parts.extend(self.expansion(cid, basis) * n)
+                cached = tuple(parts)
             self._expansion_cache[key] = cached
         return cached
-
-    def _expand(self, type_id: str, basis: frozenset[str],
-                visiting: set[str]) -> tuple[str, ...]:
-        t = self[type_id]
-        if not t.is_compound or type_id in basis:
-            return (type_id,)
-        if type_id in visiting:
-            raise RegistryError(f"cycle in compound constituents at {type_id!r}")
-        visiting.add(type_id)
-        parts: list[str] = []
-        ordered = sorted(t.constituents, key=lambda cn: self.order(cn[0]))
-        for cid, n in ordered:
-            parts.extend(self._expand(cid, basis, visiting) * n)
-        visiting.remove(type_id)
-        return tuple(parts)
 
     def unit_area(self, type_id: str) -> int:
         """Total constituent rectangle area of one unit of a type, in mm^2."""
@@ -175,11 +165,6 @@ class TypeRegistry:
             o = self[oid]
             total += o.width * o.height
         return total
-
-    def find_compound(self, i: str, j: str) -> ItemType | None:
-        """First registered compound whose constituents are exactly one i and
-        one j (two i if i == j)."""
-        return self._compounds.get(_multiset_key(((i, 1), (j, 1))))
 
 
 def expand_counts(counts: Mapping[str, int], registry: TypeRegistry) -> dict[str, int]:

@@ -16,7 +16,7 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import count
-from math import ceil, floor
+from math import ceil, floor, inf
 from typing import Callable
 
 import numpy as np
@@ -101,7 +101,7 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
 
 
 def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
-                      registry: TypeRegistry, deadline: float | None = None,
+                      registry: TypeRegistry, deadline: float = inf,
                       stats: SearchStats | None = None) -> RmpSolveOutcome:
     """Solve one node of the search tree by column generation (see
     ``_generate``).
@@ -114,7 +114,7 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
                      stats if stats is not None else SearchStats())
 
 
-def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
+def _generate(node: NodeProblem, instance: Instance, deadline: float,
               stats: SearchStats) -> RmpSolveOutcome:
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  Each round after the first grows the last
@@ -124,7 +124,7 @@ def _generate(node: NodeProblem, instance: Instance, deadline: float | None,
     while True:
         outcome = solve_rmp(node, outcome)
         stats.cg_iterations += 1
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             return outcome
         fresh = price(node, outcome.scores, instance)
         if not fresh:
@@ -155,7 +155,7 @@ def _solution(assignments: tuple[tuple[Column, int], ...], instance: Instance,
 
 
 def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
-         seed: int, deadline: float | None, stats: SearchStats) -> Solution | None:
+         seed: int, deadline: float, stats: SearchStats) -> Solution | None:
     """Residual rounding from the solved node ``start``, the cutting-stock
     primal heuristic (Vanderbeck 2000; Belov & Scheithauer 2006), which the
     search runs on the root's LP and on every integral node LP.
@@ -200,7 +200,7 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
         if node is None:
             return None
         outcome = _generate(node, instance, deadline, stats)
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             return None
 
 
@@ -255,7 +255,7 @@ def run(instance: Instance, cfg: SolverConfig,
     """
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \
-        if cfg.time_limit_seconds is not None else None
+        if cfg.time_limit_seconds is not None else inf
     registry = TypeRegistry(instance.item_types)
     stats = SearchStats()
 
@@ -303,8 +303,7 @@ def run(instance: Instance, cfg: SolverConfig,
                 incumbent = candidate
                 if emit(open_nodes.bound(outcome.bins)):
                     ended = "stopped"
-        if ended is None and deadline is not None and \
-                time.monotonic() >= deadline:
+        if ended is None and time.monotonic() >= deadline:
             ended = "time_limit"  # its LP or dive may have been cut short
         if ended is not None:
             # keep its bound visible in the report; nothing pops it again
@@ -331,7 +330,7 @@ def run(instance: Instance, cfg: SolverConfig,
         return None
 
     while len(open_nodes):
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             status = "time_limit"
             break
         if incumbent is not None and \

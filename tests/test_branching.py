@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from patternpack import cli, search
-from patternpack.branching import (BranchingStuck, _place_compound_unit, affinity,
-                                   derive, make_left_child, make_right_child,
-                                   select_branching_pair)
+from patternpack.branching import (BranchingStuck, _compound, _place_compound_unit,
+                                   affinity, derive, make_left_child,
+                                   make_right_child, select_branching_pair)
 from patternpack.master import RmpSolveOutcome, build_rmp, count_matrix, solve_rmp
 from patternpack.model import (Instance, ItemType, Layout, SolverConfig, expand_counts,
                                violates_rules)
@@ -153,7 +153,7 @@ def test_left_child_creates_compound_and_unit_column():
     node = build_node(inst, [{"A": 2}, {"A": 6}, {"B": 2}])
     reg = node.registry
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
-    cid = reg.find_compound("A", "B").id
+    cid = "(A+B)"
     assert child.multiplicities[cid] == (1, 1)
     assert child.multiplicities["A"] == (0, 5)
     assert child.multiplicities["B"] == (0, 5)
@@ -169,7 +169,7 @@ def test_left_child_adjusts_columns_preserving_expansion():
     reg = node.registry
     before = expand_counts({"A": 2, "B": 1}, reg)
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
-    cid = reg.find_compound("A", "B").id
+    cid = "(A+B)"
     # {A: 1, B: 1} becomes {cid: 1}, which the unit column repeats: the
     # count vector is kept once, at its first position
     assert [c.counts_dict() for c in child.columns] == [{cid: 1}, {"A": 1, cid: 1}]
@@ -185,7 +185,7 @@ def test_left_child_rebranch_increments_existing_compound():
     reg = node.registry
     child = make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     grand = make_left_child(child, "A", "B", child_id=2, seed=0, instance=inst)
-    cid = reg.find_compound("A", "B").id
+    cid = "(A+B)"
     assert child.registry is reg and grand.registry is reg
     assert grand.multiplicities[cid] == (2, 2)
     assert grand.multiplicities["A"] == (0, 4)
@@ -202,7 +202,7 @@ def test_a_left_child_activates_a_reused_compound_after_its_other_types():
     make_left_child(root, "A", "B", child_id=1, seed=0, instance=inst)
     sibling = make_left_child(root, "B", "C", child_id=2, seed=0, instance=inst)
     grand = make_left_child(sibling, "A", "B", child_id=3, seed=0, instance=inst)
-    ab, bc = reg.find_compound("A", "B").id, reg.find_compound("B", "C").id
+    ab, bc = "(A+B)", "(B+C)"
     assert [t.id for t in reg] == ["A", "B", "C", ab, bc]
     assert list(grand.multiplicities) == ["A", "B", "C", bc, ab]
     lp = build_rmp(grand)
@@ -219,13 +219,35 @@ def test_a_left_child_activates_a_reused_compound_after_its_other_types():
 def test_left_child_diagonal_decrements_twice():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 3}], mult={"A": (2, 6), "B": (0, 6)})
-    reg = node.registry
     child = make_left_child(node, "A", "A", child_id=1, seed=0, instance=inst)
     assert child.multiplicities["A"] == (0, 4)  # from: 2->1->0, to: 6->4
-    cid = reg.find_compound("A", "A").id
+    cid = "(A+A)"
     assert child.multiplicities[cid] == (1, 1)
     rewritten = [c for c in child.columns if c.counts_dict().get(cid, 0)]
     assert {"A": 1, cid: 1} in [c.counts_dict() for c in rewritten]
+
+
+def test_a_pair_compound_is_found_by_its_id():
+    """Both orders of a pair give one compound, named in registry order; a
+    type that holds the pair's id with other constituents pushes the pair
+    to the next suffix, where a second call finds it."""
+    inst = _two_type_instance()
+    reg = inst.registry()
+    ab = _compound("B", "A", reg)
+    assert (ab.id, ab.constituents) == ("(A+B)", (("A", 1), ("B", 1)))
+    assert _compound("A", "B", reg) is ab
+    aa = _compound("A", "A", reg)
+    assert (aa.id, aa.constituents) == ("(A+A)", (("A", 2),))
+    assert [t.id for t in reg] == ["A", "B", "(A+B)", "(A+A)"]
+
+    for taken in (ItemType("(A+B)", constituents=(("A", 2), ("B", 1))),
+                  ItemType("(A+B)", 5, 5, 1, 2)):
+        reg = inst.registry()
+        reg.add(taken)
+        pair = _compound("A", "B", reg)
+        assert (pair.id, pair.constituents) == ("(A+B)#2", (("A", 1), ("B", 1)))
+        assert _compound("B", "A", reg) is pair
+        assert len(reg) == 4
 
 
 def test_left_child_infeasible_when_pair_cannot_share_a_bin():
@@ -280,12 +302,11 @@ def test_a_compound_of_eight_rectangles_tries_only_two_orders():
 def test_children_partition_respects_rules():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}])
-    reg = node.registry
     right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
     left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
     for col in right.columns:
         assert not (col.counts_dict().get("A", 0) and col.counts_dict().get("B", 0))
-    cid = reg.find_compound("A", "B").id
+    cid = "(A+B)"
     assert any(col.counts_dict().get(cid, 0) for col in left.columns)
 
 

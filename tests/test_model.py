@@ -60,14 +60,22 @@ def test_expand_counts_nested_compound():
     assert expand_counts({"D": 2}, reg) == {"A": 4, "B": 2}
 
 
-def test_expand_counts_cycle_is_an_error():
+def test_registry_refuses_a_compound_naming_an_unregistered_type():
+    """A type names only earlier types, so no compound reaches itself; a
+    refused type leaves the registry as it was."""
     reg = _registry(ItemType("A", 2, 3, 0, 5))
-    reg.add(ItemType("C", constituents=(("D", 1), ("A", 1)), from_count=1, to_count=1))
-    reg.add(ItemType("D", constituents=(("C", 1), ("A", 1)), from_count=1, to_count=1))
+    reg.add(ItemType("C", constituents=(("A", 2),)))
+    before = list(reg)
+    for refused in (ItemType("D", constituents=(("E", 1), ("A", 1))),
+                    ItemType("D", constituents=(("D", 1), ("A", 1))),
+                    ItemType("D", constituents=(("C", 1), ("D", 1)))):
+        with pytest.raises(RegistryError, match="unregistered type"):
+            reg.add(refused)
+        assert len(reg) == 2 and list(reg) == before and "D" not in reg
     with pytest.raises(RegistryError):
-        expand_counts({"C": 1}, reg)
-    with pytest.raises(RegistryError):  # the apart rules' walk too
-        ApartRule("A", "A", frozenset({"A"})).units("C", reg)
+        reg.expansion("D")
+    reg.add(ItemType("D", constituents=(("C", 1), ("A", 1))))
+    assert reg.expansion("D") == ("A", "A", "A")
 
 
 @given(st.dictionaries(st.sampled_from(["A", "B", "C"]), st.integers(0, 6)),
@@ -105,23 +113,6 @@ def test_compound_needs_two_constituents():
 def test_registry_rejects_duplicate_ids():
     with pytest.raises(InvalidInstanceError):
         Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1), ItemType("A", 4, 4, 0, 1)))
-
-
-def test_find_compound_matches_pair_and_diagonal():
-    cases = [
-        ((("AB", (("A", 1), ("B", 1))), ("AA", (("A", 2),))),
-         {("A", "B"): "AB", ("B", "A"): "AB", ("A", "A"): "AA", ("B", "B"): None}),
-        # a 3-item compound registered first must not match the pair
-        ((("BBA", (("B", 2), ("A", 1))), ("BA", (("B", 1), ("A", 1)))),
-         {("A", "B"): "BA", ("B", "A"): "BA", ("A", "A"): None, ("B", "B"): None}),
-    ]
-    for compounds, expected in cases:
-        reg = _registry(ItemType("A", 2, 3, 0, 9), ItemType("B", 1, 1, 0, 9))
-        for cid, constituents in compounds:
-            reg.add(ItemType(cid, constituents=constituents, from_count=1, to_count=1))
-        for (i, j), want in expected.items():
-            found = reg.find_compound(i, j)
-            assert (found.id if found else None) == want, (compounds, i, j)
 
 
 def test_apart_rule_room_is_the_admitted_prefix():

@@ -109,20 +109,25 @@ def _repin(moved):
                    for (name, strategy, budget), digest in moved.items())
 
 
-def _assert_pinned(code, pinned, what):
-    """Run ``code`` in a child with one BLAS thread over the keys of
-    ``pinned`` and compare the ``[name, strategy, budget, digest]`` rows it
-    prints with the pins."""
+def _run_child(code, arg):
+    """The JSON that ``code`` prints, run in a child with one BLAS thread
+    and ``arg`` as its first argument."""
     src = str(Path(patternpack.__file__).resolve().parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
                filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(list(pinned))],
+        [sys.executable, "-c", code, json.dumps(arg)],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _assert_pinned(code, pinned, what):
+    """Run ``code`` in a child over the keys of ``pinned`` and compare the
+    ``[name, strategy, budget, digest]`` rows it prints with the pins."""
     digests = {(name, strategy, budget): digest
-               for name, strategy, budget, digest in json.loads(proc.stdout)}
+               for name, strategy, budget, digest in _run_child(code, list(pinned))}
     moved = {key: digest for key, digest in digests.items()
              if pinned.get(key) != digest}
     assert digests == pinned, f"{what} moved; their new digests:\n" + _repin(moved)
@@ -134,3 +139,25 @@ def test_budgeted_records_match_their_pinned_digests():
 
 def test_master_lp_bits_match_their_pinned_digest():
     _assert_pinned(LP_CHILD, PINNED_LP_BITS, "LP bits")
+
+
+REGISTRY_CHILD = """
+import json, sys
+from patternpack import cli, search
+from patternpack.model import SolverConfig
+
+name, strategy, budget = json.loads(sys.argv[1])
+report = search.run(cli.parse_instance(name),
+                    SolverConfig(rng_seed=0, node_selection=strategy),
+                    progress=lambda event: event.nodes_explored >= budget)
+print(json.dumps([len(report.registry)] + [
+    t.constituents for t in report.registry if t.is_compound]))
+"""
+
+
+def test_a_budgeted_solve_registers_each_pair_compound_once():
+    """Together branches reuse a pair's compound, so the compounds that pile
+    up on the benchmark's depth-first r3 path have distinct constituents."""
+    size, *compounds = _run_child(REGISTRY_CHILD, ["r3", "depth_first", 100])
+    assert size == 68 and len(compounds) > 1
+    assert len({json.dumps(c) for c in compounds}) == len(compounds)

@@ -1,12 +1,12 @@
 import random
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 import pytest
 
 from patternpack import search
-from patternpack.branching import (BranchingStuck, affinity, make_left_child,
-                                   select_branching_pair)
+from patternpack.branching import (BranchingStuck, _compound, affinity,
+                                   make_left_child, select_branching_pair)
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
 from patternpack.master import EPS_INT, build_rmp, count_matrix, report_objective
 from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
@@ -76,7 +76,7 @@ def test_dive_rounds_an_integral_lp_to_its_own_columns():
                                 ItemType("B", 10, 5, 6, 6)))
     root, outcome = _solved_root(inst)
     assert not outcome.fractional
-    sol = search.dive(root, outcome, inst, 0, None, search.SearchStats())
+    sol = search.dive(root, outcome, inst, 0, inf, search.SearchStats())
     assert sol.assignments == tuple(
         (col, int(k)) for col, k in zip(root.columns, np.rint(outcome.x))
         if k > 0)
@@ -87,7 +87,7 @@ def test_dive_of_a_node_without_demand_uses_no_bins():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
     root, outcome = _solved_root(inst)
     assert not outcome.fractional and not outcome.x.any()
-    sol = search.dive(root, outcome, inst, 0, None, search.SearchStats())
+    sol = search.dive(root, outcome, inst, 0, inf, search.SearchStats())
     assert (sol.bins, sol.patterns) == (0, 0)
 
 
@@ -101,7 +101,7 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
     left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
     outcome = column_generation(left, inst, SolverConfig(), left.registry)
     assert outcome.fractional
-    cid = left.registry.find_compound(i, j).id
+    cid = _compound(i, j, left.registry).id
     residual = []
     generate = search._generate
 
@@ -113,7 +113,7 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
         return generate(node, *args)
 
     monkeypatch.setattr(search, "_generate", solve)
-    sol = search.dive(left, outcome, inst, 0, None, search.SearchStats())
+    sol = search.dive(left, outcome, inst, 0, inf, search.SearchStats())
     assert any(cid in demanded for demanded in residual)
     totals = dict(sol.s)
     for t in inst.item_types:
@@ -180,7 +180,7 @@ def test_every_round_solves_the_master_a_fresh_build_would(monkeypatch):
     root, outcome = _solved_root(inst)
     i, j = select_branching_pair(root, outcome)
     left = make_left_child(root, i, j, child_id=1, seed=0, instance=inst)
-    cid = left.registry.find_compound(i, j).id
+    cid = _compound(i, j, left.registry).id
     grown = []
     solve_rmp = search.solve_rmp
 
