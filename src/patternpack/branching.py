@@ -16,7 +16,7 @@ import numpy as np
 from .master import EPS_INT, RmpSolveOutcome
 from .model import (ApartRule, Column, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
-from .placement import first_layout, place_ids, verify_layout
+from .placement import first_layout, holds_counts, place_ids, verify_layout
 from .pricing import greedy_fill
 
 
@@ -54,12 +54,13 @@ def select_branching_pair(node: NodeProblem,
     """
     rho = affinity(outcome.counts, outcome.x)
     ids = tuple(node.multiplicities)
-    frac = np.abs(rho - np.round(rho))
+    frac = np.abs(rho - np.round(rho)).tolist()
     best_val = 0.0
     best_pair: tuple[str, str] | None = None
     for p in range(len(ids)):
+        row = frac[p]
         for q in range(p, len(ids)):
-            v = frac[p, q]
+            v = row[q]
             if v > EPS_INT and v > best_val + EPS_INT:
                 best_val = v
                 best_pair = (ids[p], ids[q])
@@ -92,7 +93,8 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
            multiplicities: dict[str, tuple[int, int]], columns: Iterable[Column],
            rules: frozenset[ApartRule]) -> NodeProblem | None:
     """The node below ``node`` with the given ranges and rules; it shares the
-    registry and packer of ``node`` and draws from ``node_rng(seed, child_id)``.
+    registry, packer and checked witnesses of ``node`` and draws from
+    ``node_rng(seed, child_id)``.
 
     Its pool keeps each of ``columns`` that fits the new ``to`` bounds, once,
     in the given order, then adds a single-type greedy fill for every active
@@ -106,7 +108,8 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
     child = NodeProblem(
         id=child_id, parent_id=node.id, depth=node.depth + 1,
         multiplicities=multiplicities, columns=[], registry=node.registry,
-        rules=rules, rng=node_rng(seed, child_id), packer=node.packer)
+        rules=rules, rng=node_rng(seed, child_id), packer=node.packer,
+        checked_witnesses=node.checked_witnesses)
     seen = set()
     for col in columns:
         if col.counts not in seen and all(
@@ -189,6 +192,12 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     of demand from the constituents onto it, and rewrites inherited columns
     that contain the pair.  Returns None when the compound's rectangles
     cannot share a bin, discarding the node before it is ever solved.
+
+    A rewritten column must keep its witness's rectangle multiset, or this
+    raises ``RuntimeError``.  The run checks a witness's geometry only the
+    first time one of its together branches rewrites a column with it, by
+    ``verify_layout``, and records it in ``node.checked_witnesses``: the
+    geometry of a layout does not change when its counts are rewritten.
     """
     if node.to_of(i) < 1 or (i == j and node.to_of(i) < 2):
         raise ValueError(f"cannot branch together on ({i}, {j}): to-bound exhausted")
@@ -206,6 +215,7 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     if violates_rules({ctype.id: 1}, node.rules, registry):
         # the forced pairing contradicts an inherited apart rule
         return None
+    checked = node.checked_witnesses
     pool = []
     for col in node.columns:
         cd = col.counts_dict()
@@ -214,8 +224,11 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
                 cd[t] -= n
             cd[ctype.id] = cd.get(ctype.id, 0) + 1
             col = make_column(cd, col.witness, registry)
-            if not verify_layout(col.witness, col.counts_dict(), instance, registry):
+            witness, counts = col.witness, col.counts_dict()
+            if not (holds_counts(witness, counts, registry) if witness in checked
+                    else verify_layout(witness, counts, instance, registry)):
                 raise RuntimeError("compound substitution changed the rectangle multiset")
+            checked.add(witness)
         pool.append(col)
     if fresh_activation:
         unit_layout = _place_compound_unit(ctype, instance, registry)

@@ -95,6 +95,7 @@ class TypeRegistry:
         self._types: list[ItemType] = []
         self._index: dict[str, int] = {}
         self._expansion_cache: dict[tuple[str, frozenset[str]], tuple[str, ...]] = {}
+        self._unit_areas: dict[str, int] = {}
         for t in originals:
             self.add(t)
 
@@ -159,12 +160,13 @@ class TypeRegistry:
         return cached
 
     def unit_area(self, type_id: str) -> int:
-        """Total constituent rectangle area of one unit of a type, in mm^2."""
-        total = 0
-        for oid in self.expansion(type_id):
-            o = self[oid]
-            total += o.width * o.height
-        return total
+        """Total constituent rectangle area of one unit of a type, in mm^2.
+        Worked out on a type's first call: a registered type never changes."""
+        area = self._unit_areas.get(type_id)
+        if area is None:
+            area = self._unit_areas[type_id] = sum(
+                self[oid].width * self[oid].height for oid in self.expansion(type_id))
+        return area
 
 
 def expand_counts(counts: Mapping[str, int], registry: TypeRegistry) -> dict[str, int]:
@@ -311,7 +313,9 @@ class NodeProblem:
     """One branch-and-bound node: inherited columns plus the rules added on
     the path from the root.  The rule set only grows downwards.  Its greedy
     fills place through ``packer``, which children share with their parent; a
-    node's first fill builds one if it has none."""
+    node's first fill builds one if it has none.  Children share
+    ``checked_witnesses`` too: the witnesses whose geometry a together
+    branch of the run has verified (``branching.make_left_child``)."""
 
     id: int
     parent_id: int | None
@@ -323,24 +327,50 @@ class NodeProblem:
     rng: random.Random = field(default_factory=random.Random)
     packer: "BottomLeftPacker | None" = field(default=None, repr=False,
                                               compare=False)
-    # type -> fill_unit(type); valid for the node's life, as rules never change
+    checked_witnesses: set[Layout] = field(default_factory=set, repr=False,
+                                           compare=False)
+    # type -> fill_unit(type) and (type, spacing) -> inflated_area; valid for
+    # the node's life, as rules never change
     _fill_units: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    _inflated_areas: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def fill_unit(self, tid: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...],
-                                           tuple[tuple[ApartRule, int, int], ...]]:
+                                           tuple[tuple[int, int], ...],
+                                           tuple[tuple[int, int, int], ...]]:
         """One unit of ``tid`` as a greedy fill adds it: its original type
-        ids, their rectangle sizes, and (rule, da, db) for each apart rule it
-        adds da items of a and db items of b to.  Built once per node."""
+        ids, their rectangle sizes, (slot, da) for each cap it adds da items
+        of a to, and (slot, da, db) for each pair rule it adds da items of a
+        and db items of b to.  The k-th of ``rules``, in their iteration
+        order, owns slots 2k and 2k + 1 of a fill's tallies, the items of a
+        and of b in the bin; a cap uses only the first.  Built once per
+        node."""
         unit = self._fill_units.get(tid)
         if unit is None:
             registry = self.registry
             ids = registry.expansion(tid)
             dims = tuple((registry[oid].width, registry[oid].height) for oid in ids)
-            steps = tuple((rule, da, db) for rule in self.rules
-                          for da, db in [rule.units(tid, registry)] if da or db)
-            unit = self._fill_units[tid] = (ids, dims, steps)
+            caps, pairs = [], []
+            for k, rule in enumerate(self.rules):
+                da, db = rule.units(tid, registry)
+                if rule.is_cap:
+                    if da:
+                        caps.append((2 * k, da))
+                elif da or db:
+                    pairs.append((2 * k, da, db))
+            unit = self._fill_units[tid] = (ids, dims, tuple(caps), tuple(pairs))
         return unit
+
+    def inflated_area(self, tid: str, spacing: int) -> int:
+        """Area of one unit of ``tid`` with every rectangle grown to
+        (w + spacing) x (h + spacing).  Worked out once per node."""
+        key = (tid, spacing)
+        area = self._inflated_areas.get(key)
+        if area is None:
+            area = self._inflated_areas[key] = sum(
+                (w + spacing) * (h + spacing) for w, h in self.fill_unit(tid)[1])
+        return area
 
     def to_of(self, tid: str) -> int:
         return self.multiplicities[tid][1]

@@ -278,24 +278,32 @@ def first_layout(ids: Sequence[str], instance: Instance,
     return packer.layout(order) if extend() else None
 
 
-def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
-                  registry: TypeRegistry | None = None) -> bool:
-    """Independent check: in-bin, pairwise separated, multiset matches the counts.
-
-    A negative count fails the check.  Pairs are found by a sweep over x: a
-    rectangle is compared only with earlier ones (by x) whose clearance
-    reaches past its x, since every other pair is separated along x.
-    """
-    if registry is None:
-        registry = instance.registry()
+def holds_counts(layout: Layout, counts: Mapping[str, int],
+                 registry: TypeRegistry) -> bool:
+    """Whether the layout's rectangles are the multiset of the counts,
+    expanded to original types; a negative count or an unknown type id
+    fails."""
     if any(n < 0 for n in counts.values()):
         return False
     try:
         expected = {k: v for k, v in expand_counts(counts, registry).items() if v > 0}
     except RegistryError:
         return False
-    got = Counter(oid for oid, _, _ in layout.placements)
-    if got != Counter(expected):
+    return Counter(oid for oid, _, _ in layout.placements) == Counter(expected)
+
+
+def verify_layout(layout: Layout, counts: Mapping[str, int], instance: Instance,
+                  registry: TypeRegistry | None = None) -> bool:
+    """Independent check: in-bin, pairwise separated, multiset matches the
+    counts (``holds_counts``).
+
+    Pairs are found by a sweep over x: a rectangle is compared only with
+    earlier ones (by x) whose clearance reaches past its x, since every other
+    pair is separated along x.
+    """
+    if registry is None:
+        registry = instance.registry()
+    if not holds_counts(layout, counts, registry):
         return False
     rects: list[Rect] = []
     for oid, x, y in layout.placements:

@@ -27,21 +27,23 @@ works out how many units it may add before the bound falls below the cut,
 and tests nothing per unit.
 
 The apart rules are settled per type in the same way.  A rule only refuses
-more as items are added, so the units of t it admits are a prefix, and
-``ApartRule.room`` says how long: a cap admits (1 - items of a) // (items
-of a per unit) more, a pair none or all.  The fill places units of t up to
-the least of these limits and the bound's, and advances the rule tallies,
-the rc, the free area and the placed ids once per type.  A fill that the
-rules stop short of the bound's limit is not cut, as the bound did not
-stop it.  A unit of one rectangle needs no rollback, since a failed
-``place`` changes nothing; only a compound unit marks the packer first.
+more as items are added, so the units of t it admits are a prefix, as
+``ApartRule.room`` says: a cap admits (1 - items of a) // (items of a per
+unit) more, a pair none once the bin would hold both of its sides, else
+all.  The fill works these limits out inline, from tallies kept in one flat
+list at the slots ``NodeProblem.fill_unit`` gives each rule of the node, so
+it hashes no rule.  It places units of t up to the least of these limits
+and the bound's, and advances the rule tallies, the rc, the free area and
+the placed ids once per type.  A fill that the rules stop short of the
+bound's limit is not cut, as the bound did not stop it.  A unit of one
+rectangle needs no rollback, since a failed ``place`` changes nothing; only
+a compound unit marks the packer first.
 """
 
 from math import inf
 from typing import Mapping
 
-from .model import (ApartRule, Column, Instance, NodeProblem, dense_counts,
-                    make_column)
+from .model import Column, Instance, NodeProblem, dense_counts, make_column
 from .placement import BottomLeftPacker
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
@@ -78,14 +80,16 @@ def make_sequences(scores: Mapping[str, float],
     if not types:
         return []
     registry = node.registry
-    by_score = sorted(types, key=lambda t: (-scores.get(t, 0.0), registry.order(t)))
+    # stable sorts of a list in registry order break their ties by it
+    ordered = sorted(types, key=registry.order)
+    by_score = sorted(ordered, key=lambda t: -scores.get(t, 0.0))
     by_density = sorted(
-        types,
-        key=lambda t: (-scores.get(t, 0.0) / registry.unit_area(t), registry.order(t)))
+        ordered, key=lambda t: -scores.get(t, 0.0) / registry.unit_area(t))
     seqs = [tuple(by_score), tuple(by_density)]
+    start_weights = [max(scores.get(t, 0.0), EPS_PROB) for t in types]
     for _ in range(RANDOM_SEQUENCES):
         pool = list(types)
-        weights = [max(scores.get(t, 0.0), EPS_PROB) for t in pool]
+        weights = start_weights[:]
         drawn: list[str] = []
         while pool:
             total = sum(weights)
@@ -132,8 +136,9 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
         raise ValueError(f"a fill in a {shape} bin given a {held} packer")
     packer.reset_to(0)
     place = packer.place
-    # per apart rule, the items of (a, b) in the bin so far; they obey the rule
-    tallies: dict[ApartRule, list[int]] = {}
+    # at each rule's slots, the items of a and of b in the bin so far; they
+    # obey the rule
+    tallies = [0] * (2 * len(node.rules))
     # per type of the sequence: (score, inflated unit area, rho from it on,
     # slope = score - area * rho <= 0)
     if bound is None:
@@ -164,14 +169,17 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
             units = (value - limit) / -slope
             if units < hi - n:
                 stop = n + int(units) + 1
-        unit, dims, rules = node.fill_unit(tid)
+        unit, dims, caps, pairs = node.fill_unit(tid)
         # only a rule that one unit of tid adds to can refuse another unit;
         # the fill tries units of tid up to ``end``
-        end, steps = stop, []
-        for rule, da, db in rules:
-            tally = tallies.setdefault(rule, [0, 0])
-            end = min(end, n + rule.room(tally[0], tally[1], da, db))
-            steps.append((tally, da, db))
+        end = stop
+        for s, da in caps:
+            more = n + (1 - tallies[s]) // da
+            if more < end:
+                end = more
+        for s, da, db in pairs:
+            if tallies[s] + da and tallies[s + 1] + db:
+                end = n
         if len(dims) == 1:
             (w, h), = dims
             while n < end and place(w, h) is not None:
@@ -193,9 +201,11 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
             k = n - start
             counts[tid] = n
             placed_ids.extend(unit * k)
-            for tally, da, db in steps:
-                tally[0] += k * da
-                tally[1] += k * db
+            for s, da in caps:
+                tallies[s] += k * da
+            for s, da, db in pairs:
+                tallies[s] += k * da
+                tallies[s + 1] += k * db
             rc += k * score
             room -= k * area
     if not counts:
@@ -215,7 +225,7 @@ def price(node: NodeProblem, scores: Mapping[str, float],
     bound = {}
     for tid in _eligible(node):
         score = scores.get(tid, 0.0)
-        area = sum((w + d) * (h + d) for w, h in node.fill_unit(tid)[1])
+        area = node.inflated_area(tid, d)
         bound[tid] = (score, area, max(score, 0.0) / area)
     for seq in make_sequences(scores, node):
         col = greedy_fill(seq, node, instance, bound)

@@ -25,7 +25,7 @@ and nothing else: the clip turns -0 into +0 in ``rhs``, and the reduced
 costs of the slack columns, which become the duals, never hold a -0.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -42,13 +42,20 @@ class SimplexError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max c.x s.t. A x <= b, x >= 0."""
+    """max c.x s.t. A x <= b, x >= 0.
+
+    Every coefficient must be finite.  ``checked`` says how many leading
+    columns of ``A`` and ``c`` were checked already, with ``b``, by the
+    master this one grows (``master.build_rmp``); the check then covers the
+    appended columns only.
+    """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    checked: InitVar[int] = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, checked: int) -> None:
         self.c = np.asarray(self.c, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
@@ -58,8 +65,9 @@ class LinearProgram:
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise SimplexError(
                 f"dimension mismatch: A is {m}x{n}, c has {self.c.shape}, b has {self.b.shape}")
-        if not (np.isfinite(self.A).all() and np.isfinite(self.b).all()
-                and np.isfinite(self.c).all()):
+        if not (np.isfinite(self.A[:, checked:]).all()
+                and np.isfinite(self.c[checked:]).all()
+                and (checked or np.isfinite(self.b).all())):
             raise SimplexError("coefficients must be finite")
 
 

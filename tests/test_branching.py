@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from patternpack import cli, search
+from patternpack import branching, cli, search
 from patternpack.branching import (BranchingStuck, _compound, _place_compound_unit,
                                    affinity, derive, make_left_child,
                                    make_right_child, select_branching_pair)
 from patternpack.master import RmpSolveOutcome, build_rmp, count_matrix, solve_rmp
-from patternpack.model import (Instance, ItemType, Layout, SolverConfig, expand_counts,
-                               violates_rules)
+from patternpack.model import (Column, Instance, ItemType, Layout, SolverConfig,
+                               expand_counts, violates_rules)
 from patternpack.placement import BottomLeftPacker, place_ids, verify_layout
 from patternpack.simplex import LpResult
 
@@ -190,6 +190,50 @@ def test_left_child_rebranch_increments_existing_compound():
     assert grand.multiplicities[cid] == (2, 2)
     assert grand.multiplicities["A"] == (0, 4)
     assert len(reg) == 3  # no second compound registered
+
+
+def test_a_checked_witness_still_has_its_counts_checked():
+    """A column whose counts disagree with its witness raises in a together
+    branch after another branch checked that witness's geometry."""
+    inst = _two_type_instance()
+    node = build_node(inst, [{"A": 1, "B": 1}])
+    witness = node.columns[0].witness
+    make_left_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    assert node.checked_witnesses == {witness}
+    node.columns.append(Column((("A", 2), ("B", 1)), witness))
+    with pytest.raises(RuntimeError, match="multiset"):
+        make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
+
+
+def test_a_witness_with_overlapping_rectangles_raises_when_first_seen():
+    inst = _two_type_instance()
+    node = build_node(inst, [])
+    node.columns.append(Column((("A", 1), ("B", 1)),
+                               Layout((("A", 0, 0), ("B", 2, 2)))))
+    for child_id in (1, 2):
+        with pytest.raises(RuntimeError, match="multiset"):
+            make_left_child(node, "A", "B", child_id=child_id, seed=0, instance=inst)
+    assert not node.checked_witnesses
+
+
+def test_a_together_path_sweeps_each_witness_once(monkeypatch):
+    """Two together branches in a row rewrite columns with the same
+    witnesses: ``verify_layout`` sweeps each distinct one once, and every
+    rewrite after that still checks its multiset."""
+    swept, counted = [], []
+    verify, holds = branching.verify_layout, branching.holds_counts
+    monkeypatch.setattr(branching, "verify_layout",
+                        lambda layout, *a: swept.append(layout) or verify(layout, *a))
+    monkeypatch.setattr(branching, "holds_counts",
+                        lambda layout, *a: counted.append(layout) or holds(layout, *a))
+    inst = Instance(20, 20, 0, tuple(ItemType(t, 4, 4, 0, 6) for t in "ABC"))
+    root = build_node(inst, [{"A": 1, "B": 1, "C": 1}, {"A": 2, "B": 2}, {"A": 1, "B": 1}])
+    child = make_left_child(root, "A", "B", child_id=1, seed=0, instance=inst)
+    grand = make_left_child(child, "A", "B", child_id=2, seed=0, instance=inst)
+    assert grand is not None and grand.checked_witnesses is root.checked_witnesses
+    assert swept == [col.witness for col in root.columns]
+    assert counted == [root.columns[1].witness]  # {A: 1, B: 1, (A+B): 1} again
+    assert root.checked_witnesses == set(swept)
 
 
 def test_a_left_child_activates_a_reused_compound_after_its_other_types():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from patternpack import pricing
 from patternpack.branching import make_left_child, make_right_child
 from patternpack.master import build_rmp
-from patternpack.model import (Instance, ItemType, NodeProblem, SolverConfig,
-                               dense_counts, make_column, node_rng)
+from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
+                               SolverConfig, dense_counts, make_column, node_rng,
+                               violates_rules)
 from patternpack.oracle import OracleGuardError, feasible_patterns
 from patternpack.placement import BottomLeftPacker, verify_layout
 from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
@@ -131,6 +132,37 @@ def test_fill_table_belongs_to_its_node():
     assert greedy_fill(("A", "B"), parent, inst).counts_dict() == {"A": 2, "B": 2}
 
 
+def test_fill_units_give_each_rule_its_tally_slot():
+    """A cap on A sees two items of A in a later compound (A+A), and a pair
+    rule on (A, B) sees the B in a later compound (B+C): each step names
+    its rule's slot, and fills obey both rules as a unit-by-unit fill
+    does."""
+    inst = Instance(20, 20, 0, tuple(ItemType(t, 4, 4, 0, 6) for t in "ABC"))
+    reg = inst.registry()
+    basis = frozenset("ABC")
+    cap, pair = ApartRule("A", "A", basis), ApartRule("A", "B", basis)
+    reg.add(ItemType("(A+A)", constituents=(("A", 2),)))
+    reg.add(ItemType("(B+C)", constituents=(("B", 1), ("C", 1))))
+    node = build_node(inst, [], registry=reg,
+                      mult={**{t: (0, 6) for t in "ABC"},
+                            "(A+A)": (0, 2), "(B+C)": (0, 2)})
+    node.rules = frozenset({cap, pair})
+    slot = {rule: 2 * k for k, rule in enumerate(node.rules)}
+    assert node.fill_unit("A")[2:] == (((slot[cap], 1),), ((slot[pair], 1, 0),))
+    assert node.fill_unit("(A+A)")[2:] == (((slot[cap], 2),), ((slot[pair], 2, 0),))
+    assert node.fill_unit("(B+C)")[2:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("B")[2:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("C")[2:] == ((), ())
+    for seq, want in ((("A", "(B+C)", "(A+A)", "C"), {"A": 1, "C": 6}),
+                      (("(B+C)", "A", "(A+A)"), {"(B+C)": 2}),
+                      (("(A+A)", "B", "A"), {"B": 6})):
+        col = greedy_fill(seq, node, inst)
+        assert col.counts_dict() == want, seq
+        assert not violates_rules(col.counts_dict(), node.rules, reg)
+        assert _with_place_calls(greedy_fill, seq, node, inst) == \
+            _with_place_calls(_fill_unit_by_unit, seq, node, inst)
+
+
 def test_price_zero_duals_returns_nothing():
     inst = _three_type_instance()
     node = build_node(inst, [])
@@ -239,9 +271,12 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
 
 
 def _fill_unit_by_unit(sequence, node, instance, bound=None):
-    """``greedy_fill`` one unit at a time: before each unit every rule the
-    unit adds to is asked whether the bin admits it, and a unit whose
-    rectangles do not all place is rolled back to the packer's mark."""
+    """``greedy_fill`` one unit at a time: before each unit every rule of the
+    node is asked whether the bin admits it, and a unit whose rectangles do
+    not all place is rolled back to the packer's mark.  The unit's ids,
+    sizes and rule items come from the registry and ``ApartRule.units``,
+    not from ``fill_unit``."""
+    registry = node.registry
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing)
     tallies = {}
@@ -265,9 +300,10 @@ def _fill_unit_by_unit(sequence, node, instance, bound=None):
         n = start = counts.get(tid, 0)
         stop = min(hi, n + int(min((value - limit) / -slope, hi)) + 1) \
             if slope < 0 else hi
-        unit, dims, rules = node.fill_unit(tid)
-        steps = [(rule, tallies.setdefault(rule, [0, 0]), da, db)
-                 for rule, da, db in rules]
+        unit = registry.expansion(tid)
+        dims = [(registry[oid].width, registry[oid].height) for oid in unit]
+        steps = [(rule, tallies.setdefault(rule, [0, 0]), *rule.units(tid, registry))
+                 for rule in node.rules]
         while n < stop and all(rule.admits(tally[0] + da, tally[1] + db)
                                for rule, tally, da, db in steps):
             mark = packer.mark()
