@@ -4,17 +4,17 @@ from .model import (Column, InfeasibleInstanceError, Instance,
                     InvalidInstanceError, ItemType, Layout, Solution,
                     SolverConfig, TypeRegistry, derive_to, expand_counts)
 from .oracle import OracleGuardError, exact_solve
-from .placement import place_ids, separated, verify_layout
+from .placement import BottomLeftPacker, place_ids, separated, verify_layout
 from .search import SearchReport, SearchStats, column_generation, initial_columns, run
 from .simplex import LinearProgram, LpResult, solve_lp
 
 __all__ = [
-    "Column", "InfeasibleInstanceError", "Instance", "InvalidInstanceError",
-    "ItemType", "Layout", "LinearProgram", "LpResult", "OracleGuardError",
-    "SearchReport", "SearchStats", "Solution", "SolverConfig", "TypeRegistry",
-    "column_generation", "derive_to", "exact_solve", "expand_counts",
-    "initial_columns", "place_ids", "run", "separated", "solve_lp",
-    "verify_layout",
+    "BottomLeftPacker", "Column", "InfeasibleInstanceError", "Instance",
+    "InvalidInstanceError", "ItemType", "Layout", "LinearProgram", "LpResult",
+    "OracleGuardError", "SearchReport", "SearchStats", "Solution",
+    "SolverConfig", "TypeRegistry", "column_generation", "derive_to",
+    "exact_solve", "expand_counts", "initial_columns", "place_ids", "run",
+    "separated", "solve_lp", "verify_layout",
 ]
 
 __version__ = "0.1.0"

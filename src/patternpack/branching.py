@@ -16,7 +16,8 @@ import numpy as np
 from .master import EPS_INT, RmpSolveOutcome
 from .model import (ApartRule, Column, Instance, ItemType, Layout, NodeProblem,
                     TypeRegistry, make_column, node_rng, violates_rules)
-from .placement import first_layout, holds_counts, place_ids, verify_layout
+from .placement import (BottomLeftPacker, first_layout, holds_counts, place_ids,
+                        verify_layout)
 from .pricing import greedy_fill
 
 
@@ -89,7 +90,7 @@ def select_branching_pair(node: NodeProblem,
         f"node {node.id}: fractional solution but no admissible pair")
 
 
-def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
+def derive(node: NodeProblem, child_id: int, seed: int,
            multiplicities: dict[str, tuple[int, int]], columns: Iterable[Column],
            rules: frozenset[ApartRule]) -> NodeProblem | None:
     """The node below ``node`` with the given ranges and rules; it shares the
@@ -119,7 +120,7 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
     covered = {col.counts[0][0] for col in child.columns if len(col.counts) == 1}
     for tid, (lo, _) in multiplicities.items():
         if lo > 0 and tid not in covered:
-            fill = greedy_fill((tid,), child, instance)
+            fill = greedy_fill((tid,), child)
             if fill is None:
                 return None
             child.columns.append(fill)
@@ -127,7 +128,7 @@ def derive(node: NodeProblem, child_id: int, seed: int, instance: Instance,
 
 
 def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
-                     seed: int, instance: Instance) -> NodeProblem | None:
+                     seed: int) -> NodeProblem | None:
     """Apart branch: i and j may not share a bin (at most one item of i when
     i == j).  Pooled columns that violate the new rule are dropped; pricing
     enforces it.  The pool already obeys the node's older rules, so only the
@@ -146,8 +147,8 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
             cb += n * db
         if rule.admits(ca, cb):
             kept.append(col)
-    return derive(node, child_id, seed, instance, dict(node.multiplicities),
-                  kept, node.rules | {rule})
+    return derive(node, child_id, seed, dict(node.multiplicities), kept,
+                  node.rules | {rule})
 
 
 def _compound(i: str, j: str, registry: TypeRegistry) -> ItemType:
@@ -169,18 +170,18 @@ def _compound(i: str, j: str, registry: TypeRegistry) -> ItemType:
     return ctype
 
 
-def _place_compound_unit(ctype: ItemType, instance: Instance,
+def _place_compound_unit(ctype: ItemType, packer: BottomLeftPacker,
                          registry: TypeRegistry) -> Layout | None:
-    """Can the compound's constituent rectangles share one bin?  Tries the
-    canonical order first, then every other distinct order of a bundle of up
-    to 7 rectangles, or largest area first for a bigger one."""
+    """Can the compound's constituent rectangles share one bin?  Tries on
+    ``packer`` the canonical order first, then every other distinct order of
+    a bundle of up to 7 rectangles, or largest area first for a bigger one."""
     unit = registry.expansion(ctype.id)
     if len(unit) <= 7:
-        return first_layout(unit, instance, registry)
-    layout = place_ids(unit, instance, registry)
+        return first_layout(unit, packer, registry)
+    layout = place_ids(unit, packer, registry)
     if layout is None:
         layout = place_ids(sorted(unit, key=lambda oid: (
-            -registry.unit_area(oid), registry.order(oid))), instance, registry)
+            -registry.unit_area(oid), registry.order(oid))), packer, registry)
     return layout
 
 
@@ -191,7 +192,8 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     Finds the pair's compound by its id, or registers it, shifts one unit
     of demand from the constituents onto it, and rewrites inherited columns
     that contain the pair.  Returns None when the compound's rectangles
-    cannot share a bin, discarding the node before it is ever solved.
+    cannot share a bin of ``node.packer``, discarding the node before it is
+    ever solved.
 
     A rewritten column must keep its witness's rectangle multiset, or this
     raises ``RuntimeError``.  The run checks a witness's geometry only the
@@ -231,8 +233,8 @@ def make_left_child(node: NodeProblem, i: str, j: str, *, child_id: int,
             checked.add(witness)
         pool.append(col)
     if fresh_activation:
-        unit_layout = _place_compound_unit(ctype, instance, registry)
+        unit_layout = _place_compound_unit(ctype, node.packer, registry)
         if unit_layout is None:
             return None
         pool.append(make_column({ctype.id: 1}, unit_layout, registry))
-    return derive(node, child_id, seed, instance, mult, pool, node.rules)
+    return derive(node, child_id, seed, mult, pool, node.rules)

@@ -211,16 +211,6 @@ class ApartRule:
             return ca <= 1
         return ca <= 0 or cb <= 0
 
-    def room(self, ca: int, cb: int, da: int, db: int) -> int | float:
-        """How many more units of da items of a and db items of b a bin
-        holding an admitted ca and cb takes before the rule refuses one, or
-        ``inf``.  ``admits`` only turns false as items are added, so the
-        admitted units are a prefix: a cap takes (1 - ca) // da more, and a
-        pair takes none or every one."""
-        if self.is_cap:
-            return (1 - ca) // da if da else inf
-        return inf if self.admits(ca + da, cb + db) else 0
-
     def violated_by(self, counts: Mapping[str, int],
                     registry: TypeRegistry) -> bool:
         ca = cb = 0
@@ -311,11 +301,13 @@ def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int
 @dataclass
 class NodeProblem:
     """One branch-and-bound node: inherited columns plus the rules added on
-    the path from the root.  The rule set only grows downwards.  Its greedy
-    fills place through ``packer``, which children share with their parent; a
-    node's first fill builds one if it has none.  Children share
-    ``checked_witnesses`` too: the witnesses whose geometry a together
-    branch of the run has verified (``branching.make_left_child``)."""
+    the path from the root.  The rule set only grows downwards.  Every layout
+    of the node is placed by ``packer``, which children share with their
+    parent: ``search.initial_columns`` builds it for a root that has none.
+    Children share ``checked_witnesses`` too: the witnesses whose geometry a
+    together branch of the run has verified (``branching.make_left_child``).
+    ``fill_unit`` holds what a fill needs of each type, its inflated area
+    included, for the node's life."""
 
     id: int
     parent_id: int | None
@@ -329,28 +321,28 @@ class NodeProblem:
                                               compare=False)
     checked_witnesses: set[Layout] = field(default_factory=set, repr=False,
                                            compare=False)
-    # type -> fill_unit(type) and (type, spacing) -> inflated_area; valid for
-    # the node's life, as rules never change
+    # type -> fill_unit(type); valid for the node's life, as rules never change
     _fill_units: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-    _inflated_areas: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
 
     def fill_unit(self, tid: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...],
-                                           tuple[tuple[int, int], ...],
+                                           int, tuple[tuple[int, int], ...],
                                            tuple[tuple[int, int, int], ...]]:
         """One unit of ``tid`` as a greedy fill adds it: its original type
-        ids, their rectangle sizes, (slot, da) for each cap it adds da items
-        of a to, and (slot, da, db) for each pair rule it adds da items of a
-        and db items of b to.  The k-th of ``rules``, in their iteration
-        order, owns slots 2k and 2k + 1 of a fill's tallies, the items of a
-        and of b in the bin; a cap uses only the first.  Built once per
-        node."""
+        ids, their rectangle sizes, its area with every rectangle grown to
+        (w + d) x (h + d) for the packer's clearance d, (slot, da) for each
+        cap it adds da items of a to, and (slot, da, db) for each pair rule
+        it adds da items of a and db items of b to.  The k-th of ``rules``,
+        in their iteration order, owns slots 2k and 2k + 1 of a fill's
+        tallies, the items of a and of b in the bin; a cap uses only the
+        first.  Built once per node."""
         unit = self._fill_units.get(tid)
         if unit is None:
             registry = self.registry
             ids = registry.expansion(tid)
             dims = tuple((registry[oid].width, registry[oid].height) for oid in ids)
+            d = self.packer.spacing
+            area = sum((w + d) * (h + d) for w, h in dims)
             caps, pairs = [], []
             for k, rule in enumerate(self.rules):
                 da, db = rule.units(tid, registry)
@@ -359,18 +351,9 @@ class NodeProblem:
                         caps.append((2 * k, da))
                 elif da or db:
                     pairs.append((2 * k, da, db))
-            unit = self._fill_units[tid] = (ids, dims, tuple(caps), tuple(pairs))
+            unit = self._fill_units[tid] = (ids, dims, area, tuple(caps),
+                                            tuple(pairs))
         return unit
-
-    def inflated_area(self, tid: str, spacing: int) -> int:
-        """Area of one unit of ``tid`` with every rectangle grown to
-        (w + spacing) x (h + spacing).  Worked out once per node."""
-        key = (tid, spacing)
-        area = self._inflated_areas.get(key)
-        if area is None:
-            area = self._inflated_areas[key] = sum(
-                (w + spacing) * (h + spacing) for w, h in self.fill_unit(tid)[1])
-        return area
 
     def to_of(self, tid: str) -> int:
         return self.multiplicities[tid][1]

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .model import Instance, Layout
-from .placement import first_layout
+from .placement import BottomLeftPacker, first_layout
 
 _MAX_VECTORS = 10_000
 _MAX_RECTS = 8
@@ -40,7 +40,9 @@ def feasible_patterns(instance: Instance) -> dict[tuple[int, ...], Layout]:
     Every vector within the bin's area is tried: bottom-left placeability is
     not downward closed, so a vector can place although one with a unit
     fewer does not.  The rectangle guard sees the candidates before any is
-    placed, and names the fewest rectangles among those it refuses.
+    placed, and names the fewest rectangles among those it refuses.  One
+    packer lays out every candidate, so its memo answers a prefix that
+    another candidate has placed.
     """
     types = instance.item_types
     span = 1
@@ -59,10 +61,12 @@ def feasible_patterns(instance: Instance) -> dict[tuple[int, ...], Layout]:
             raise OracleGuardError(
                 f"candidate with {sum(vec)} rectangles exceeds the guard of {_MAX_RECTS}")
     registry = instance.registry()
+    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
+                              instance.spacing)
     patterns: dict[tuple[int, ...], Layout] = {}
     for vec in candidates:
         layout = first_layout([t.id for t, n in zip(types, vec) for _ in range(n)],
-                              instance, registry)
+                              packer, registry)
         if layout is not None:
             patterns[vec] = layout
     return patterns

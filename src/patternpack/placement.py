@@ -9,8 +9,9 @@ W the bin width, so that heaps and sets compare and hash ints.  A candidate
 is tested against the placed rectangles oldest first, skipping those that
 lie wholly below it.  Pricing drives a packer one rectangle at a time;
 ``place_ids`` lays out one type-id sequence, and ``first_layout`` searches
-the distinct orderings of a multiset of them.  The verifier sweeps over x,
-so it compares only pairs that are not already apart along x.
+the distinct orderings of a multiset of them, each on the packer it is
+given.  The verifier sweeps over x, so it compares only pairs that are not
+already apart along x, and reads the bin from the instance, not a packer.
 
 A packer remembers the placements it has made.  Where a rectangle goes, or
 whether it fits at all, depends only on the rectangles placed so far, and
@@ -22,8 +23,9 @@ fit, so a recorded answer is exact.  Ids come from a counter that never
 restarts, so an id names one sequence for the packer's whole life, even
 after the entries that minted it are retired.  A rectangle wider or taller
 than the bin never fits, so it is refused before the memo; a side below 1
-raises ``ValueError``.  A run keeps one packer for its greedy fills, and
-each fill starts from ``reset_to(0)``.
+raises ``ValueError``.  A run keeps one packer for every layout: its greedy
+fills, its compound units and the oracle's multisets each start from
+``reset_to(0)``, and the memo answers what any of them placed before.
 """
 
 from bisect import bisect_right
@@ -224,12 +226,12 @@ class BottomLeftPacker:
                             in zip(ids, self._boxes, strict=True)))
 
 
-def place_ids(ids: Sequence[str], instance: Instance,
+def place_ids(ids: Sequence[str], packer: BottomLeftPacker,
               registry: TypeRegistry) -> Layout | None:
     """Bottom-left layout of the original type ids in the given order, or
-    None as soon as one of them finds no feasible candidate point."""
-    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
-                              instance.spacing)
+    None as soon as one of them finds no feasible candidate point; the
+    packer is emptied first."""
+    packer.reset_to(0)
     for oid in ids:
         t = registry[oid]
         if packer.place(t.width, t.height) is None:
@@ -237,23 +239,22 @@ def place_ids(ids: Sequence[str], instance: Instance,
     return packer.layout(ids)
 
 
-def first_layout(ids: Sequence[str], instance: Instance,
+def first_layout(ids: Sequence[str], packer: BottomLeftPacker,
                  registry: TypeRegistry) -> Layout | None:
     """The layout of the first distinct ordering of ``ids`` that places
     every rectangle, or None if none does.
 
     Orderings come in the sequence in which ``itertools.permutations(ids)``
     first produces each: every level walks the remaining positions in
-    increasing order and skips an id that level has already tried.  One
-    packer keeps a placed prefix for every ordering that shares it, and a
-    refused rectangle skips every ordering that starts with its prefix.  A
-    placement depends only on its prefix, so the answer is that of
-    ``place_ids`` on each ordering in turn.
+    increasing order and skips an id that level has already tried.  The
+    packer, emptied first, keeps a placed prefix for every ordering that
+    shares it, and a refused rectangle skips every ordering that starts with
+    its prefix.  A placement depends only on its prefix, so the answer is
+    that of ``place_ids`` on each ordering in turn.
     """
     ids = tuple(ids)
     sizes = [(registry[oid].width, registry[oid].height) for oid in ids]
-    packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
-                              instance.spacing)
+    packer.reset_to(0)
     free = [True] * len(ids)
     order: list[str] = []
 

@@ -27,24 +27,23 @@ works out how many units it may add before the bound falls below the cut,
 and tests nothing per unit.
 
 The apart rules are settled per type in the same way.  A rule only refuses
-more as items are added, so the units of t it admits are a prefix, as
-``ApartRule.room`` says: a cap admits (1 - items of a) // (items of a per
-unit) more, a pair none once the bin would hold both of its sides, else
-all.  The fill works these limits out inline, from tallies kept in one flat
-list at the slots ``NodeProblem.fill_unit`` gives each rule of the node, so
-it hashes no rule.  It places units of t up to the least of these limits
-and the bound's, and advances the rule tallies, the rc, the free area and
-the placed ids once per type.  A fill that the rules stop short of the
-bound's limit is not cut, as the bound did not stop it.  A unit of one
-rectangle needs no rollback, since a failed ``place`` changes nothing; only
-a compound unit marks the packer first.
+more as items are added (``ApartRule.admits`` turns false, never back), so
+the units of t it admits are a prefix: a cap admits (1 - items of a) //
+(items of a per unit) more, a pair none once the bin would hold both of its
+sides, else all.  The fill works these limits out inline, from tallies kept
+in one flat list at the slots ``NodeProblem.fill_unit`` gives each rule of
+the node, so it hashes no rule.  It places units of t up to the least of
+these limits and the bound's, and advances the rule tallies, the rc, the
+free area and the placed ids once per type.  A fill that the rules stop
+short of the bound's limit is not cut, as the bound did not stop it.  A unit
+of one rectangle needs no rollback, since a failed ``place`` changes
+nothing; only a compound unit marks the packer first.
 """
 
 from math import inf
 from typing import Mapping
 
-from .model import Column, Instance, NodeProblem, dense_counts, make_column
-from .placement import BottomLeftPacker
+from .model import Column, NodeProblem, dense_counts, make_column
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
 CUT_PRICE = EPS_PRICE / 2  # a fill whose bound falls below this stops
@@ -108,32 +107,25 @@ def make_sequences(scores: Mapping[str, float],
 
 
 def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
-                instance: Instance,
                 bound: Mapping[str, tuple[float, int, float]] | None = None
                 ) -> Column | None:
     """Fill one bin along the sequence; returns the resulting column or None.
 
     For each type in order the count is raised while the node's to-bound and
-    apart rules permit and the accumulated multiset still places; the rules'
-    limit is worked out once per type, as the module docstring says.  A
-    compound unit contributes all its constituent rectangles or the
-    increment is rolled back.  The fill places through ``node.packer``,
-    emptied first, whose memo answers repeated placements; the first fill of
-    a node tree builds it for the instance's bin, and a packer of another
-    bin raises ``ValueError``.
+    apart rules permit and the accumulated multiset still places.  The rules
+    admit a prefix of the units of a type, so their limit is worked out once
+    per type, as the module docstring says.  A compound unit contributes all
+    its constituent rectangles or the increment is rolled back.  The fill
+    places through ``node.packer``, emptied first, and reads the bin's
+    W, H and d from it.
 
-    ``bound`` maps every type of the sequence to (score, inflated unit area,
-    max(score, 0) / inflated unit area).  With it the fill also returns None
-    as soon as the bound of the module docstring shows that its column would
-    not price out.  Without it the fill runs to the end.
+    ``bound`` maps every type of the sequence to (score, inflated unit area
+    from ``fill_unit``, max(score, 0) / inflated unit area).  With it the
+    fill also returns None as soon as the bound of the module docstring
+    shows that its column would not price out.  Without it the fill runs to
+    the end.
     """
-    shape = (instance.bin_width, instance.bin_height, instance.spacing)
     packer = node.packer
-    if packer is None:
-        packer = node.packer = BottomLeftPacker(*shape)
-    held = (packer.bin_width, packer.bin_height, packer.spacing)
-    if held != shape:
-        raise ValueError(f"a fill in a {shape} bin given a {held} packer")
     packer.reset_to(0)
     place = packer.place
     # at each rule's slots, the items of a and of b in the bin so far; they
@@ -151,8 +143,8 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
                 rho = ratio
             terms.append((score, area, rho, score - area * rho))
         terms.reverse()
-    d = instance.spacing
-    rc, room = -1.0, (instance.bin_width + d) * (instance.bin_height + d)
+    d = packer.spacing
+    rc, room = -1.0, (packer.bin_width + d) * (packer.bin_height + d)
     counts: dict[str, int] = {}
     placed_ids: list[str] = []
     for tid, (score, area, rho, slope) in zip(sequence, terms):
@@ -169,7 +161,7 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
             units = (value - limit) / -slope
             if units < hi - n:
                 stop = n + int(units) + 1
-        unit, dims, caps, pairs = node.fill_unit(tid)
+        unit, dims, _, caps, pairs = node.fill_unit(tid)
         # only a rule that one unit of tid adds to can refuse another unit;
         # the fill tries units of tid up to ``end``
         end = stop
@@ -213,22 +205,20 @@ def greedy_fill(sequence: tuple[str, ...], node: NodeProblem,
     return make_column(counts, packer.layout(placed_ids), node.registry)
 
 
-def price(node: NodeProblem, scores: Mapping[str, float],
-          instance: Instance) -> list[Column]:
+def price(node: NodeProblem, scores: Mapping[str, float]) -> list[Column]:
     """New columns with positive reduced cost, deduplicated against each other
     and the node's pool, in lexicographic count-vector order.  An empty result
     ends column generation at this node.  Fills stop early when the bound of
     the module docstring shows that their column would be dropped."""
     seen = {col.counts for col in node.columns}
     fresh: list[Column] = []
-    d = instance.spacing
     bound = {}
     for tid in _eligible(node):
         score = scores.get(tid, 0.0)
-        area = node.inflated_area(tid, d)
+        area = node.fill_unit(tid)[2]
         bound[tid] = (score, area, max(score, 0.0) / area)
     for seq in make_sequences(scores, node):
-        col = greedy_fill(seq, node, instance, bound)
+        col = greedy_fill(seq, node, bound)
         if col is None:
             continue
         if reduced_cost(col.counts_dict(), scores) <= EPS_PRICE:

@@ -26,7 +26,7 @@ from .branching import (BranchingStuck, derive, make_left_child,
 from .master import EPS_INT, RmpSolveOutcome, solve_rmp
 from .model import (Column, Instance, NodeProblem, Solution, SolverConfig,
                     TypeRegistry, expand_counts, node_rng)
-from .placement import verify_layout
+from .placement import BottomLeftPacker, verify_layout
 from .pricing import greedy_fill, price
 
 
@@ -85,16 +85,20 @@ def initial_columns(instance: Instance, registry: TypeRegistry,
     Guarantees feasibility of the root master: x_j = from_j / count_j covers
     every lower row.
 
-    The fills read the registry from ``node``.  ``registry`` is not read; it
-    stays only because the benchmark's ``perfbench/solve.py`` passes it by
-    position."""
+    A root without a packer gets one for the instance's bin here, and every
+    layout of the run places through it.  The fills read the registry from
+    ``node``.  ``registry`` is not read; it stays only because the
+    benchmark's ``perfbench/solve.py`` passes it by position."""
+    if node.packer is None:
+        node.packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
+                                       instance.spacing)
     cols = [col for t in instance.item_types
-            if (col := greedy_fill((t.id,), node, instance)) is not None]
+            if (col := greedy_fill((t.id,), node)) is not None]
     reg = node.registry
     by_area = tuple(sorted(
         (t.id for t in instance.item_types),
         key=lambda tid: (-reg.unit_area(tid), reg.order(tid))))
-    mixed = greedy_fill(by_area, node, instance)
+    mixed = greedy_fill(by_area, node)
     if mixed is not None and mixed.counts not in {c.counts for c in cols}:
         cols.append(mixed)
     return cols
@@ -106,27 +110,28 @@ def column_generation(node: NodeProblem, instance: Instance, cfg: SolverConfig,
     """Solve one node of the search tree by column generation (see
     ``_generate``).
 
-    Neither ``cfg`` nor ``registry`` is read; both stay only because the
+    None of ``instance``, ``cfg`` and ``registry`` is read: the node holds
+    the registry and its packer the bin.  All three stay only because the
     benchmark's ``perfbench/solve.py`` passes them by position.  Its tracer
     counts calls of this function as explored nodes, so the dive's residual
     nodes call ``_generate`` directly."""
-    return _generate(node, instance, deadline,
+    return _generate(node, deadline,
                      stats if stats is not None else SearchStats())
 
 
-def _generate(node: NodeProblem, instance: Instance, deadline: float,
+def _generate(node: NodeProblem, deadline: float,
               stats: SearchStats) -> RmpSolveOutcome:
     """Alternate master solves and pricing until pricing returns nothing or
     the time budget runs out.  Each round after the first grows the last
     round's master by the columns pricing appended.  Pricing reads the
-    registry from ``node``."""
+    registry and the packer from ``node``."""
     outcome = None
     while True:
         outcome = solve_rmp(node, outcome)
         stats.cg_iterations += 1
         if time.monotonic() >= deadline:
             return outcome
-        fresh = price(node, outcome.scores, instance)
+        fresh = price(node, outcome.scores)
         if not fresh:
             return outcome
         node.columns.extend(fresh)
@@ -195,11 +200,10 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             fix(node.columns[int(np.argmax(outcome.x))], 1)
         if all(lo == 0 for lo, _ in mult.values()):
             return _solution(tuple(map(tuple, fixed.values())), instance, registry)
-        node = derive(node, node_id, seed, instance, dict(mult), node.columns,
-                      start.rules)
+        node = derive(node, node_id, seed, dict(mult), node.columns, start.rules)
         if node is None:
             return None
-        outcome = _generate(node, instance, deadline, stats)
+        outcome = _generate(node, deadline, stats)
         if time.monotonic() >= deadline:
             return None
 
@@ -250,8 +254,8 @@ def run(instance: Instance, cfg: SolverConfig,
     BLAS product whose bits depend on the thread count (r3 depth-first at
     100 nodes takes another tree on two threads than on one).  The
     ``einsum`` of ROADMAP item 2 removes that dependence.  The progress
-    callback may return True to stop early.  The root's first fill builds
-    the run's packer, and every node shares it.
+    callback may return True to stop early.  ``initial_columns`` builds the
+    run's one packer, and every node shares it.
     """
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \
@@ -321,7 +325,7 @@ def run(instance: Instance, cfg: SolverConfig,
             return None
         patterns_used = int(np.sum(outcome.x > EPS_INT))
         right = make_right_child(node, i, j, child_id=next(child_ids),
-                                 seed=cfg.rng_seed, instance=instance)
+                                 seed=cfg.rng_seed)
         left = make_left_child(node, i, j, child_id=next(child_ids),
                                seed=cfg.rng_seed, instance=instance)
         for child in (right, left):

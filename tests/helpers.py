@@ -8,7 +8,13 @@ import numpy as np
 
 from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
                                RegistryError, expand_counts, make_column, node_rng)
-from patternpack.placement import place_ids, separated
+from patternpack.placement import BottomLeftPacker, place_ids, separated
+
+
+def packer_for(instance):
+    """A new packer for the instance's bin."""
+    return BottomLeftPacker(instance.bin_width, instance.bin_height,
+                            instance.spacing)
 
 
 def build_node(instance, counts_list, registry=None, mult=None,
@@ -18,6 +24,7 @@ def build_node(instance, counts_list, registry=None, mult=None,
     Each column gets a real bottom-left witness (types in registry order);
     the given counts must therefore actually fit one bin.  ``conflicts`` and
     ``caps`` become apart rules whose basis is the node's active type set.
+    The node's packer, built for the instance's bin, lays out the witnesses.
     """
     registry = registry if registry is not None else instance.registry()
     if mult is None:
@@ -26,17 +33,18 @@ def build_node(instance, counts_list, registry=None, mult=None,
     rules = frozenset(
         {ApartRule(a, b, basis) for a, b in conflicts}
         | {ApartRule(i, i, basis) for i in caps})
+    packer = packer_for(instance)
     cols = []
     for counts in counts_list:
         ids = [oid for t in registry
                for oid in registry.expansion(t.id) * counts.get(t.id, 0)]
-        layout = place_ids(ids, instance, registry)
+        layout = place_ids(ids, packer, registry)
         if layout is None:
             raise AssertionError(f"test column {counts} does not fit one bin")
         cols.append(make_column(counts, layout, registry))
     return NodeProblem(id=node_id, parent_id=None, depth=0,
                        multiplicities=mult, columns=cols, registry=registry,
-                       rules=rules, rng=node_rng(seed, node_id))
+                       rules=rules, rng=node_rng(seed, node_id), packer=packer)
 
 
 class ReferencePacker:

@@ -8,10 +8,10 @@ from patternpack.branching import (BranchingStuck, _compound, _place_compound_un
 from patternpack.master import RmpSolveOutcome, build_rmp, count_matrix, solve_rmp
 from patternpack.model import (Column, Instance, ItemType, Layout, SolverConfig,
                                expand_counts, violates_rules)
-from patternpack.placement import BottomLeftPacker, place_ids, verify_layout
+from patternpack.placement import place_ids, verify_layout
 from patternpack.simplex import LpResult
 
-from helpers import build_node
+from helpers import build_node, packer_for
 
 
 def _two_type_instance(**kw):
@@ -99,7 +99,7 @@ def test_select_pair_stuck_when_no_candidate():
 def test_right_child_drops_mixed_columns():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 1}])
-    child = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    child = make_right_child(node, "A", "B", child_id=1, seed=0)
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
     assert child.has_conflict("A", "B")
 
@@ -107,7 +107,7 @@ def test_right_child_drops_mixed_columns():
 def test_right_child_cap_drops_multiples():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 2}, {"A": 1}])
-    child = make_right_child(node, "A", "A", child_id=1, seed=0, instance=inst)
+    child = make_right_child(node, "A", "A", child_id=1, seed=0)
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
     assert child.has_cap("A")
 
@@ -115,7 +115,7 @@ def test_right_child_cap_drops_multiples():
 def test_right_child_keeps_clean_pool():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1}, {"B": 2}, {"A": 1}])
-    child = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    child = make_right_child(node, "A", "B", child_id=1, seed=0)
     # a repeated count vector is kept once, at its first position
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}, {"B": 2}]
 
@@ -123,7 +123,7 @@ def test_right_child_keeps_clean_pool():
 def test_right_child_rescues_coverage():
     inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6),))
     node = build_node(inst, [{"A": 3}], mult={"A": (2, 6)})
-    child = make_right_child(node, "A", "A", child_id=1, seed=0, instance=inst)
+    child = make_right_child(node, "A", "A", child_id=1, seed=0)
     # {A:3} violates the new cap; a single-item rescue column keeps from=2 coverable
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
 
@@ -131,11 +131,11 @@ def test_right_child_rescues_coverage():
 def test_children_and_their_rescue_fills_share_the_parent_packer():
     inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6), ItemType("B", 4, 4, 2, 6)))
     node = build_node(inst, [{"A": 1, "B": 1}])
-    packer = node.packer = BottomLeftPacker(20, 20, 0)
+    packer = node.packer
     calls, place = [], packer.place
     packer.place = lambda w, h: calls.append((w, h)) or place(w, h)
 
-    right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    right = make_right_child(node, "A", "B", child_id=1, seed=0)
     assert right.packer is packer
     # {A: 1, B: 1} breaks the new rule; both rescue fills placed through it
     assert [c.counts_dict() for c in right.columns] == [{"A": 6}, {"B": 6}]
@@ -144,8 +144,9 @@ def test_children_and_their_rescue_fills_share_the_parent_packer():
     calls.clear()
     left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
     assert left.packer is packer
-    assert {"A": 5} in [c.counts_dict() for c in left.columns]
-    assert calls  # the compound unit is laid out without it
+    assert [c.counts_dict() for c in left.columns] == [
+        {"(A+B)": 1}, {"A": 5}, {"B": 5}]
+    assert calls == [(4, 4)] * 12  # the compound unit's two, then five A and five B
 
 
 def test_left_child_creates_compound_and_unit_column():
@@ -309,9 +310,10 @@ def test_compound_unit_tries_other_orders_after_the_canonical_one():
     reg.add(ItemType("ABC", constituents=(("A", 1), ("B", 1), ("C", 1)),
                      from_count=1, to_count=1))
     assert reg.expansion("ABC") == ("A", "B", "C")
-    assert place_ids(("A", "B", "C"), inst, reg) is None
+    packer = packer_for(inst)
+    assert place_ids(("A", "B", "C"), packer, reg) is None
     # (A, C, B) fails too; (B, A, C) is the first order that places
-    assert _place_compound_unit(reg["ABC"], inst, reg) == Layout(
+    assert _place_compound_unit(reg["ABC"], packer, reg) == Layout(
         (("B", 0, 0), ("A", 4, 0), ("C", 0, 6)))
 
 
@@ -321,9 +323,10 @@ def test_a_compound_of_eight_rectangles_tries_largest_area_first():
     reg.add(ItemType("U", constituents=(("S", 7), ("B", 1)), from_count=1, to_count=1))
     # seven unit squares along the floor leave no room for B
     assert reg.expansion("U") == ("S",) * 7 + ("B",)
-    assert place_ids(reg.expansion("U"), inst, reg) is None
-    layout = _place_compound_unit(reg["U"], inst, reg)
-    assert layout is not None and layout == place_ids(("B",) + ("S",) * 7, inst, reg)
+    packer = packer_for(inst)
+    assert place_ids(reg.expansion("U"), packer, reg) is None
+    layout = _place_compound_unit(reg["U"], packer, reg)
+    assert layout is not None and layout == place_ids(("B",) + ("S",) * 7, packer, reg)
 
 
 def test_a_compound_of_eight_rectangles_tries_only_two_orders():
@@ -337,16 +340,17 @@ def test_a_compound_of_eight_rectangles_tries_only_two_orders():
     canonical = ("P",) * 3 + ("Q",) * 3 + ("R",) * 2
     largest_first = ("P",) * 3 + ("R",) * 2 + ("Q",) * 3
     assert reg.expansion("U") == canonical
-    assert place_ids(canonical, inst, reg) is None
-    assert place_ids(largest_first, inst, reg) is None
-    assert place_ids(("Q",) + ("P",) * 3 + ("Q",) * 2 + ("R",) * 2, inst, reg) is not None
-    assert _place_compound_unit(reg["U"], inst, reg) is None
+    packer = packer_for(inst)
+    assert place_ids(canonical, packer, reg) is None
+    assert place_ids(largest_first, packer, reg) is None
+    assert place_ids(("Q",) + ("P",) * 3 + ("Q",) * 2 + ("R",) * 2, packer, reg) is not None
+    assert _place_compound_unit(reg["U"], packer, reg) is None
 
 
 def test_children_partition_respects_rules():
     inst = _two_type_instance()
     node = build_node(inst, [{"A": 1, "B": 1}, {"A": 2}])
-    right = make_right_child(node, "A", "B", child_id=1, seed=0, instance=inst)
+    right = make_right_child(node, "A", "B", child_id=1, seed=0)
     left = make_left_child(node, "A", "B", child_id=2, seed=0, instance=inst)
     for col in right.columns:
         assert not (col.counts_dict().get("A", 0) and col.counts_dict().get("B", 0))
@@ -411,5 +415,5 @@ def test_derive_gives_no_node_when_a_coverage_fill_cannot_place():
     registry.add(ItemType("(A+A)", constituents=(("A", 2),), from_count=1,
                           to_count=1))
     node = build_node(inst, [], registry=registry, mult={"A": (0, 2)})
-    assert derive(node, 1, 0, inst, {"A": (0, 0), "(A+A)": (1, 1)}, [],
+    assert derive(node, 1, 0, {"A": (0, 0), "(A+A)": (1, 1)}, [],
                   frozenset()) is None

@@ -1,5 +1,6 @@
 """Every name a ``patternpack`` module or a test file imports is used there,
-and every name a module defines is read somewhere.
+every name a module defines is read somewhere, and every parameter of a
+module's functions is read by its body.
 
 No linter runs on this repository, so these are the checks that catch an
 import or a helper a refactor left behind."""
@@ -151,3 +152,54 @@ def test_every_definition_is_read():
     unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if (names := unread_definitions(path.read_text(), everywhere))}
     assert unread == {}
+
+
+# (module, function) -> the parameters of it that may go unread
+UNREAD_PARAMETERS = {
+    # passed by position by `perfbench/solve.py`; ROADMAP item 2 deletes it
+    ("search.py", "initial_columns"): ["registry"],
+    # passed by position by `perfbench/solve.py`; ROADMAP item 2 deletes it
+    ("search.py", "column_generation"): ["instance", "cfg", "registry"],
+}
+
+
+def unread_parameters(source: str) -> list[tuple[str, str]]:
+    """(function, parameter) for every parameter of a function or lambda in
+    ``source`` that its body, nested functions included, never reads as a
+    variable; ``self`` and ``cls`` left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for part in body for n in ast.walk(part)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(getattr(node, "name", "<lambda>"), p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")]
+    return found
+
+
+def test_the_check_finds_an_unread_parameter_and_only_that():
+    source = '''
+class Packer:
+    def place(self, w, h, *spare, **options):
+        return w
+    @classmethod
+    def build(cls, size):
+        def inner(step=size):
+            return lambda x, y: x + step
+        return inner()
+'''
+    assert unread_parameters(source) == [
+        ("place", "h"), ("place", "spare"), ("place", "options"), ("<lambda>", "y")]
+
+
+def test_every_parameter_is_read():
+    unread = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, parameter in unread_parameters(path.read_text()):
+            unread.setdefault((path.name, function), []).append(parameter)
+    assert unread == UNREAD_PARAMETERS

@@ -11,7 +11,8 @@ from patternpack.model import Instance, ItemType, Layout, TypeRegistry
 from patternpack.placement import (BottomLeftPacker, first_layout, place_ids,
                                    separated, verify_layout)
 
-from helpers import ReferencePacker, all_pairs_verify_layout, random_small_instance
+from helpers import (ReferencePacker, all_pairs_verify_layout, packer_for,
+                     random_small_instance)
 
 
 def test_separated_examples():
@@ -40,31 +41,32 @@ def _sized(sizes, width, height, spacing):
 
 def test_bottom_left_empty():
     inst = _square_instance()
-    assert place_ids([], inst, inst.registry()) == Layout(())
+    assert place_ids([], packer_for(inst), inst.registry()) == Layout(())
 
 
 def test_bottom_left_four_squares():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_ids(["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, packer_for(inst), inst.registry())
     assert layout.placements == (("A", 0, 0), ("A", 5, 0), ("A", 0, 5), ("A", 5, 5))
 
 
 def test_bottom_left_fifth_square_fails():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    assert place_ids(["A"] * 5, inst, inst.registry()) is None
+    assert place_ids(["A"] * 5, packer_for(inst), inst.registry()) is None
 
 
 def test_bottom_left_oversize_fails():
     # an instance refuses a type larger than its bin; a registry does not
     registry = TypeRegistry((ItemType("A", 11, 4, 0, 1),))
-    assert place_ids(["A"], Instance(10, 10, 0, ()), registry) is None
+    assert place_ids(["A"], BottomLeftPacker(10, 10, 0), registry) is None
     assert BottomLeftPacker(10, 10, 0).place(11, 4) is None
 
 
 def test_bottom_left_deterministic():
     inst, ids = _sized([(3, 2), (2, 5), (4, 1), (1, 1), (5, 2)], 9, 9, 1)
     registry = inst.registry()
-    assert place_ids(ids, inst, registry) == place_ids(ids, inst, registry)
+    assert place_ids(ids, packer_for(inst), registry) == \
+        place_ids(ids, packer_for(inst), registry)
 
 
 def test_failure_is_monotone_in_prefix():
@@ -72,8 +74,8 @@ def test_failure_is_monotone_in_prefix():
     for _ in range(200):
         seq = [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(6)]
         inst, ids = _sized(seq, 10, 10, 1)
-        if place_ids(ids[:4], inst, inst.registry()) is None:
-            assert place_ids(ids, inst, inst.registry()) is None
+        if place_ids(ids[:4], packer_for(inst), inst.registry()) is None:
+            assert place_ids(ids, packer_for(inst), inst.registry()) is None
 
 
 def test_incremental_equals_batch_positions():
@@ -90,7 +92,7 @@ def test_incremental_equals_batch_positions():
                 break
             incremental.append(pos)
         inst, ids = _sized(seq, 12, 12, d)
-        layout = place_ids(ids, inst, inst.registry())
+        layout = place_ids(ids, packer_for(inst), inst.registry())
         assert incremental == (
             None if layout is None else [(x, y) for _, x, y in layout.placements])
 
@@ -340,7 +342,7 @@ def _square_instance():
 def test_place_ids_single_item():
     inst = _square_instance()
     reg = inst.registry()
-    layout = place_ids(["A"], inst, reg)
+    layout = place_ids(["A"], packer_for(inst), reg)
     assert layout.placements == (("A", 0, 0),)
 
 
@@ -348,12 +350,12 @@ def test_place_ids_compound_that_cannot_fit():
     inst = Instance(10, 10, 0, (ItemType("A", 6, 6, 0, 2), ItemType("B", 6, 6, 0, 2)))
     reg = inst.registry()
     reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
-    assert place_ids(reg.expansion("C"), inst, reg) is None
+    assert place_ids(reg.expansion("C"), packer_for(inst), reg) is None
 
 
 def test_place_ids_four_with_spacing():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_ids(["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, packer_for(inst), inst.registry())
     assert len(layout) == 4
 
 
@@ -385,7 +387,7 @@ def test_distinct_orders_equals_deduplicated_permutations(ids):
         return None
 
     with mock.patch.object(BottomLeftPacker, "place", refuse_last):
-        found = first_layout(ids, inst, inst.registry())
+        found = first_layout(ids, packer_for(inst), inst.registry())
     if found is not None:  # only the empty multiset has no last rectangle
         orders.append(tuple(oid for oid, _, _ in found.placements))
     assert orders == list(dict.fromkeys(itertools.permutations(ids)))
@@ -428,17 +430,17 @@ def test_first_layout_is_the_first_ordering_that_places(case):
     registry = inst.registry()
     expected, tried = None, set()
     for order in dict.fromkeys(itertools.permutations(ids)):
-        packer = BottomLeftPacker(inst.bin_width, inst.bin_height, inst.spacing)
+        packer = packer_for(inst)
         for k, oid in enumerate(order, 1):
             tried.add(order[:k])
             if packer.place(registry[oid].width, registry[oid].height) is None:
                 break
         else:
-            expected = place_ids(order, inst, registry)
+            expected = place_ids(order, packer_for(inst), registry)
             break
     calls = []
     with _counting_place(calls):
-        assert first_layout(ids, inst, registry) == expected
+        assert first_layout(ids, packer_for(inst), registry) == expected
     assert len(calls) == len(tried)
 
 
@@ -449,13 +451,40 @@ def test_a_refused_prefix_costs_one_place_call_for_all_its_orderings():
     inst = Instance(4, 4, 0, tuple(ItemType(k, 4, 4, 0, 1) for k in "ABCDE"))
     calls = []
     with _counting_place(calls):
-        assert first_layout("ABCDE", inst, inst.registry()) is None
+        assert first_layout("ABCDE", packer_for(inst), inst.registry()) is None
     assert len(calls) == 5 + 5 * 4
+
+
+@pytest.mark.parametrize("inst, ids", [
+    # backtracking: (B, A, C) is the first ordering that places
+    (Instance(10, 10, 0, (ItemType("A", 4, 5, 0, 1), ItemType("B", 4, 6, 0, 1),
+                          ItemType("C", 7, 3, 0, 1))), "ABC"),
+    # backtracking through every ordering, none of which places
+    (Instance(4, 4, 0, (ItemType("A", 4, 4, 0, 1), ItemType("B", 1, 1, 0, 3))), "BABB"),
+    # a refused multiset: no two of the squares share the bin
+    (Instance(4, 4, 0, tuple(ItemType(k, 4, 4, 0, 1) for k in "ABCDE")), "ABCDE"),
+    # a compound of eight rectangles: only B first places
+    (Instance(8, 2, 0, (ItemType("S", 1, 1, 0, 7), ItemType("B", 4, 2, 0, 1))),
+     "SSSSSSSB")])
+def test_a_used_packer_lays_out_like_a_fresh_one(inst, ids):
+    """``first_layout`` and ``place_ids`` empty the packer they are given:
+    one that holds rectangles and the memo entries of other layouts, or of
+    the same call, answers as a fresh packer does."""
+    registry = inst.registry()
+    used = packer_for(inst)
+    for lay_out in (first_layout, place_ids):
+        for order in (ids, ids[::-1]):
+            want = lay_out(order, packer_for(inst), registry)
+            for _ in range(2):  # the second call finds its own answers memoized
+                for t in inst.item_types:
+                    used.place(t.width, t.height)
+                assert used.mark() > 0
+                assert lay_out(order, used, registry) == want
 
 
 def test_verify_layout_accepts_constructed_layout():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_ids(["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, packer_for(inst), inst.registry())
     assert verify_layout(layout, {"A": 4}, inst)
 
 
@@ -473,7 +502,7 @@ def test_verify_layout_rejects_multiset_mismatch():
 
 def test_verify_layout_order_independent():
     inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 8),))
-    layout = place_ids(["A"] * 4, inst, inst.registry())
+    layout = place_ids(["A"] * 4, packer_for(inst), inst.registry())
     rng = random.Random(3)
     for _ in range(10):
         shuffled = list(layout.placements)
@@ -490,7 +519,7 @@ def test_packer_outputs_always_verify():
         order = [t.id for t in inst.item_types for _ in range(counts[t.id])]
         rng.shuffle(order)
         counts = {k: v for k, v in counts.items() if v}
-        layout = place_ids(order, inst, reg)
+        layout = place_ids(order, packer_for(inst), reg)
         if layout is not None:
             assert verify_layout(layout, counts, inst, reg)
 

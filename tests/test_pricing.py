@@ -74,7 +74,7 @@ def test_sequences_skip_exhausted_types():
 def test_greedy_fill_maximizes_single_type():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 10),))
     node = build_node(inst, [])
-    col = greedy_fill(("A",), node, inst)
+    col = greedy_fill(("A",), node)
     assert col.counts_dict() == {"A": 4}
     assert verify_layout(col.witness, col.counts_dict(), inst, node.registry)
 
@@ -83,14 +83,14 @@ def test_greedy_fill_respects_conflicts():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 10), ItemType("B", 5, 5, 0, 10)))
     node = build_node(inst, [], conflicts=frozenset({("A", "B")}),
                       mult={"A": (0, 2), "B": (0, 10)})
-    col = greedy_fill(("A", "B"), node, inst)
+    col = greedy_fill(("A", "B"), node)
     assert col.counts_dict() == {"A": 2}
 
 
 def test_greedy_fill_respects_caps():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1),))
     node = build_node(inst, [], caps=frozenset({"A"}))
-    col = greedy_fill(("A",), node, inst)
+    col = greedy_fill(("A",), node)
     assert col.counts_dict() == {"A": 1}
 
 
@@ -100,7 +100,7 @@ def test_greedy_fill_places_compound_units_atomically():
     reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=2))
     node = build_node(inst, [], registry=reg,
                       mult={"A": (0, 4), "B": (0, 4), "C": (0, 2)})
-    col = greedy_fill(("C", "B"), node, inst)
+    col = greedy_fill(("C", "B"), node)
     # one 6x6 + 3x3 bundle fits; a second 6x6 cannot, so one C then extra Bs
     assert col.counts_dict().get("C", 0) == 1
     assert verify_layout(col.witness, col.counts_dict(), inst, reg)
@@ -111,25 +111,25 @@ def test_fill_table_belongs_to_its_node():
     its new apart rule, a left child's compound gets an entry of its own."""
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 2), ItemType("B", 5, 5, 0, 4)))
     parent = build_node(inst, [])
-    assert greedy_fill(("A", "B"), parent, inst).counts_dict() == {"A": 2, "B": 2}
+    assert greedy_fill(("A", "B"), parent).counts_dict() == {"A": 2, "B": 2}
     assert set(parent._fill_units) == {"A", "B"}
 
-    apart = make_right_child(parent, "A", "B", child_id=1, seed=0, instance=inst)
-    col = greedy_fill(("A", "B"), apart, inst)
+    apart = make_right_child(parent, "A", "B", child_id=1, seed=0)
+    col = greedy_fill(("A", "B"), apart)
     assert col.counts_dict() == {"A": 2}
-    assert greedy_fill(("B", "A"), apart, inst).counts_dict() == {"B": 4}
+    assert greedy_fill(("B", "A"), apart).counts_dict() == {"B": 4}
 
     together = make_left_child(parent, "A", "B", child_id=2, seed=0, instance=inst)
     cid = next(t for t in together.multiplicities if t not in ("A", "B"))
     assert together.fill_unit(cid)[:2] == (("A", "B"), ((5, 5), (5, 5)))
-    col = greedy_fill((cid, "A", "B"), together, inst)
+    col = greedy_fill((cid, "A", "B"), together)
     assert col.counts_dict() == {cid: 1, "A": 1, "B": 1}
     # three Bs leave one slot: the compound's two rectangles go in together or not at all
-    col = greedy_fill(("B", cid), together, inst)
+    col = greedy_fill(("B", cid), together)
     assert col.counts_dict() == {"B": 3}
     assert [oid for oid, _, _ in col.witness.placements] == ["B", "B", "B"]
     assert verify_layout(col.witness, col.counts_dict(), inst, together.registry)
-    assert greedy_fill(("A", "B"), parent, inst).counts_dict() == {"A": 2, "B": 2}
+    assert greedy_fill(("A", "B"), parent).counts_dict() == {"A": 2, "B": 2}
 
 
 def test_fill_units_give_each_rule_its_tally_slot():
@@ -148,18 +148,18 @@ def test_fill_units_give_each_rule_its_tally_slot():
                             "(A+A)": (0, 2), "(B+C)": (0, 2)})
     node.rules = frozenset({cap, pair})
     slot = {rule: 2 * k for k, rule in enumerate(node.rules)}
-    assert node.fill_unit("A")[2:] == (((slot[cap], 1),), ((slot[pair], 1, 0),))
-    assert node.fill_unit("(A+A)")[2:] == (((slot[cap], 2),), ((slot[pair], 2, 0),))
-    assert node.fill_unit("(B+C)")[2:] == ((), ((slot[pair], 0, 1),))
-    assert node.fill_unit("B")[2:] == ((), ((slot[pair], 0, 1),))
-    assert node.fill_unit("C")[2:] == ((), ())
+    assert node.fill_unit("A")[3:] == (((slot[cap], 1),), ((slot[pair], 1, 0),))
+    assert node.fill_unit("(A+A)")[3:] == (((slot[cap], 2),), ((slot[pair], 2, 0),))
+    assert node.fill_unit("(B+C)")[3:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("B")[3:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("C")[3:] == ((), ())
     for seq, want in ((("A", "(B+C)", "(A+A)", "C"), {"A": 1, "C": 6}),
                       (("(B+C)", "A", "(A+A)"), {"(B+C)": 2}),
                       (("(A+A)", "B", "A"), {"B": 6})):
-        col = greedy_fill(seq, node, inst)
+        col = greedy_fill(seq, node)
         assert col.counts_dict() == want, seq
         assert not violates_rules(col.counts_dict(), node.rules, reg)
-        assert _with_place_calls(greedy_fill, seq, node, inst) == \
+        assert _with_place_calls(greedy_fill, seq, node) == \
             _with_place_calls(_fill_unit_by_unit, seq, node, inst)
 
 
@@ -167,20 +167,20 @@ def test_price_zero_duals_returns_nothing():
     inst = _three_type_instance()
     node = build_node(inst, [])
     scores = {"t1": 0.0, "t2": 0.0, "t3": 0.0}
-    assert price(node, scores, inst) == []
+    assert price(node, scores) == []
 
 
 def test_price_filters_pool_duplicates():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4),))
     node = build_node(inst, [{"A": 4}])
-    assert price(node, {"A": 0.5}, inst) == []
+    assert price(node, {"A": 0.5}) == []
 
 
 def test_price_returns_positive_column():
     inst = Instance(15, 5, 0, (ItemType("A", 5, 5, 0, 9),))
     node = build_node(inst, [{"A": 1}])
     scores = {"A": 0.5}
-    cols = price(node, scores, inst)
+    cols = price(node, scores)
     assert len(cols) == 1
     assert cols[0].counts_dict() == {"A": 3}
     assert reduced_cost(cols[0].counts_dict(), scores) == pytest.approx(0.5)
@@ -189,20 +189,20 @@ def test_price_returns_positive_column():
 def test_price_deterministic_for_fixed_seed():
     inst = _three_type_instance()
     scores = {"t1": 0.4, "t2": 0.19, "t3": 0.2}
-    a = price(build_node(inst, [], seed=5), scores, inst)
-    b = price(build_node(inst, [], seed=5), scores, inst)
+    a = price(build_node(inst, [], seed=5), scores)
+    b = price(build_node(inst, [], seed=5), scores)
     assert [c.counts for c in a] == [c.counts for c in b]
     for col in a:
         assert verify_layout(col.witness, col.counts_dict(), inst, inst.registry())
 
 
-def _price_filling_to_the_end(node, scores, instance):
+def _price_filling_to_the_end(node, scores):
     """``price`` without the bound: every sequence is filled to its end, then
     the same filters and order apply."""
     seen = {col.counts for col in node.columns}
     fresh = []
     for seq in make_sequences(scores, node):
-        col = greedy_fill(seq, node, instance)
+        col = greedy_fill(seq, node)
         if col is None or reduced_cost(col.counts_dict(), scores) <= EPS_PRICE \
                 or col.counts in seen:
             continue
@@ -226,12 +226,10 @@ def _tree_nodes(instance):
                     else min(root.to_of(i), root.to_of(j)) >= 1)
         left = make_left_child(root, i, j, child_id=next(child_ids), seed=0,
                                instance=instance) if together else None
-        right = make_right_child(root, i, j, child_id=next(child_ids), seed=0,
-                                 instance=instance)
+        right = make_right_child(root, i, j, child_id=next(child_ids), seed=0)
         nodes += [node for node in (left, right) if node is not None]
         if left is not None:
-            grand = make_right_child(left, i, i, child_id=next(child_ids),
-                                     seed=0, instance=instance)
+            grand = make_right_child(left, i, i, child_id=next(child_ids), seed=0)
             if grand is not None:
                 nodes.append(grand)
     return nodes
@@ -243,9 +241,9 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
     ones, ``price`` returns the very columns of fills run to their end."""
     fills = []
 
-    def recorded(seq, node, instance, bound=None):
-        col = greedy_fill(seq, node, instance, bound)
-        fills.append((seq, node, instance, col))
+    def recorded(seq, node, bound=None):
+        col = greedy_fill(seq, node, bound)
+        fills.append((seq, node, col))
         return col
 
     monkeypatch.setattr(pricing, "greedy_fill", recorded)
@@ -260,9 +258,9 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
                           for tid in node.multiplicities}
                 state = node.rng.getstate()
                 fills.clear()
-                got = price(node, scores, inst)
+                got = price(node, scores)
                 node.rng.setstate(state)
-                assert got == _price_filling_to_the_end(node, scores, inst)
+                assert got == _price_filling_to_the_end(node, scores)
                 kept += len(got)
                 # fills the bound stopped, though run to the end they place
                 cut += sum(col is None and greedy_fill(*args) is not None
@@ -379,39 +377,25 @@ def test_greedy_fill_equals_a_fill_unit_by_unit(case):
             child = make_left_child(node, i, j, child_id=child_id, seed=0,
                                     instance=instance)
         else:
-            child = make_right_child(node, i, j, child_id=child_id, seed=0,
-                                     instance=instance)
+            child = make_right_child(node, i, j, child_id=child_id, seed=0)
         if child is not None:
             node = child
             nodes.append(node)
     fills = []
 
-    def recorded(seq, node, instance, bound=None):
+    def recorded(seq, node, bound=None):
         fills.append((seq, bound))
-        return greedy_fill(seq, node, instance, bound)
+        return greedy_fill(seq, node, bound)
 
     for node in nodes:
         scores = dict(zip(node.multiplicities, draws))
         fills.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pricing, "greedy_fill", recorded)
-            price(node, scores, instance)
+            price(node, scores)
         for seq, bound in fills + [(seq, None) for seq, _ in fills]:
             want = _with_place_calls(_fill_unit_by_unit, seq, node, instance, bound)
-            assert _with_place_calls(greedy_fill, seq, node, instance, bound) == want
-
-
-def test_a_fill_refuses_a_packer_of_another_bin():
-    inst = Instance(10, 10, 1, (ItemType("A", 4, 4, 0, 4),))
-    node = build_node(inst, [])
-    assert node.packer is None
-    for _ in range(2):  # the first fill builds the packer, the second reuses it
-        assert greedy_fill(("A",), node, inst).counts_dict() == {"A": 4}
-    packer = node.packer
-    for other in ((10, 10, 0), (10, 11, 1), (11, 10, 1)):
-        with pytest.raises(ValueError):
-            greedy_fill(("A",), node, Instance(*other, inst.item_types))
-    assert node.packer is packer
+            assert _with_place_calls(greedy_fill, seq, node, bound) == want
 
 
 def test_a_subnormal_negative_score_leaves_the_fill_uncut():
@@ -420,7 +404,7 @@ def test_a_subnormal_negative_score_leaves_the_fill_uncut():
     to-bound instead of raising ``OverflowError``."""
     inst = Instance(3, 3, 0, (ItemType("A", 1, 1, 0, 4), ItemType("B", 1, 1, 0, 4)))
     bound = {"A": (1.0, 1, 1.0), "B": (-5e-324, 1, 0.0)}
-    col = greedy_fill(("A", "B"), build_node(inst, []), inst, bound)
+    col = greedy_fill(("A", "B"), build_node(inst, []), bound)
     assert col.counts_dict() == {"A": 4, "B": 4}
 
 
@@ -431,10 +415,10 @@ def test_price_keeps_a_column_that_its_last_units_lift_just_above_eps():
     early, before the third A fails to place, loses the column."""
     inst = Instance(15, 5, 0, (ItemType("A", 6, 5, 0, 3), ItemType("B", 1, 5, 0, 15)))
     scores = {"A": 0.275 + EPS_PRICE, "B": 0.15}
-    cols = price(build_node(inst, []), scores, inst)
+    cols = price(build_node(inst, []), scores)
     assert [col.counts_dict() for col in cols] == [{"B": 15}, {"A": 2, "B": 3}]
     assert EPS_PRICE < reduced_cost(cols[1].counts_dict(), scores) < 3 * EPS_PRICE
-    assert cols == _price_filling_to_the_end(build_node(inst, []), scores, inst)
+    assert cols == _price_filling_to_the_end(build_node(inst, []), scores)
 
 
 def _empty_root(instance) -> NodeProblem:

@@ -161,3 +161,41 @@ def test_a_budgeted_solve_registers_each_pair_compound_once():
     size, *compounds = _run_child(REGISTRY_CHILD, ["r3", "depth_first", 100])
     assert size == 68 and len(compounds) > 1
     assert len({json.dumps(c) for c in compounds}) == len(compounds)
+
+
+PACKER_CHILD = """
+import json, sys
+from patternpack import branching, cli, search
+from patternpack.model import SolverConfig
+from patternpack.placement import BottomLeftPacker
+
+calls = {"packers": 0, "first_layout": 0, "place_ids": 0}
+init = BottomLeftPacker.__init__
+
+def built(self, *args):
+    calls["packers"] += 1
+    init(self, *args)
+
+def counted(name, step):
+    def wrapper(*args):
+        calls[name] += 1
+        return step(*args)
+    return wrapper
+
+BottomLeftPacker.__init__ = built
+for name in ("first_layout", "place_ids"):
+    setattr(branching, name, counted(name, getattr(branching, name)))
+name, strategy, budget = json.loads(sys.argv[1])
+search.run(cli.parse_instance(name), SolverConfig(rng_seed=0, node_selection=strategy),
+           progress=lambda event: event.nodes_explored >= budget)
+print(json.dumps(calls))
+"""
+
+
+def test_a_budgeted_solve_builds_one_packer():
+    """Every layout of the benchmark's depth-first r3 run places through one
+    packer: the fills and the compound units, those of more than seven
+    rectangles (``place_ids``) and the others (``first_layout``)."""
+    calls = _run_child(PACKER_CHILD, ["r3", "depth_first", 100])
+    assert calls["packers"] == 1
+    assert calls["first_layout"] > 0 and calls["place_ids"] > 0
