@@ -332,18 +332,25 @@ def _gap_text(gap: float | None) -> str:
     return "n/a" if gap is None else f"{100 * gap:.1f}% ({BOUND_KIND})"
 
 
+def _input_error(exc: ValueError) -> int:
+    """Print why the input cannot be solved and return the exit code:
+    ``EXIT_INFEASIBLE`` for an infeasible instance, ``EXIT_INPUT`` for a
+    malformed file or an out-of-range option."""
+    if isinstance(exc, InfeasibleInstanceError):
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def _cmd_solve(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
         cfg = SolverConfig(
             c1=args.c1, c2=args.c2, time_limit_seconds=args.time_limit,
             rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy])
-    except InfeasibleInstanceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:  # malformed file or out-of-range option
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:
+        return _input_error(exc)
 
     def show(event) -> bool:
         gap = _gap_text(event.gap)
@@ -393,12 +400,8 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
-    except InfeasibleInstanceError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:  # malformed file or out-of-range option
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:
+        return _input_error(exc)
     try:
         result = exact_solve(instance)
     except OracleGuardError as exc:

@@ -307,7 +307,7 @@ class NodeProblem:
     Children share ``checked_witnesses`` too: the witnesses whose geometry a
     together branch of the run has verified (``branching.make_left_child``).
     ``fill_unit`` holds what a fill needs of each type, its inflated area
-    included, for the node's life."""
+    and to-cap included, for the node's life."""
 
     id: int
     parent_id: int | None
@@ -326,16 +326,17 @@ class NodeProblem:
                               compare=False)
 
     def fill_unit(self, tid: str) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...],
-                                           int, tuple[tuple[int, int], ...],
+                                           int, int, tuple[tuple[int, int], ...],
                                            tuple[tuple[int, int, int], ...]]:
         """One unit of ``tid`` as a greedy fill adds it: its original type
         ids, their rectangle sizes, its area with every rectangle grown to
-        (w + d) x (h + d) for the packer's clearance d, (slot, da) for each
-        cap it adds da items of a to, and (slot, da, db) for each pair rule
-        it adds da items of a and db items of b to.  The k-th of ``rules``,
-        in their iteration order, owns slots 2k and 2k + 1 of a fill's
-        tallies, the items of a and of b in the bin; a cap uses only the
-        first.  Built once per node."""
+        (w + d) x (h + d) for the packer's clearance d, its to-cap (the most
+        units of ``tid`` a column may hold), (slot, da) for each cap it adds
+        da items of a to, and (slot, da, db) for each pair rule it adds da
+        items of a and db items of b to.  The k-th of ``rules``, in their
+        iteration order, owns slots 2k and 2k + 1 of a fill's tallies, the
+        items of a and of b in the bin; a cap uses only the first.  Built
+        once per node."""
         unit = self._fill_units.get(tid)
         if unit is None:
             registry = self.registry
@@ -351,8 +352,8 @@ class NodeProblem:
                         caps.append((2 * k, da))
                 elif da or db:
                     pairs.append((2 * k, da, db))
-            unit = self._fill_units[tid] = (ids, dims, area, tuple(caps),
-                                            tuple(pairs))
+            unit = self._fill_units[tid] = (ids, dims, area, self.to_of(tid),
+                                            tuple(caps), tuple(pairs))
         return unit
 
     def to_of(self, tid: str) -> int:

@@ -52,14 +52,35 @@ def test_sequences_density_sorted():
     assert seqs[1] == ("t2", "t1")
 
 
+def _ruled_node(seed=0):
+    """A node with a compound (A+B), an apart rule on A and B, and a type C
+    whose to is 0."""
+    inst = Instance(20, 20, 0, tuple(ItemType(t, 4, 4, 0, 6) for t in "ABC"))
+    reg = inst.registry()
+    reg.add(ItemType("(A+B)", constituents=(("A", 1), ("B", 1))))
+    return build_node(inst, [], registry=reg, conflicts=frozenset({("A", "B")}),
+                      mult={"A": (0, 6), "B": (0, 6), "C": (0, 0),
+                            "(A+B)": (0, 3)}, seed=seed)
+
+
 def test_sequences_random_are_permutations_and_deterministic():
+    """Every sequence, score-sorted, density-sorted and drawn, lists each
+    type whose to is above 0 exactly once, as ``greedy_fill`` requires: on
+    a three-type root, and on a node with a compound, an apart rule and a
+    type whose to is 0."""
     inst = _three_type_instance()
-    scores = {"t1": -1.0, "t2": 0.0, "t3": -2.0}
-    seqs_a = make_sequences(scores, build_node(inst, [], seed=9))
-    seqs_b = make_sequences(scores, build_node(inst, [], seed=9))
-    assert seqs_a == seqs_b
-    for s in seqs_a:
-        assert sorted(s) == ["t1", "t2", "t3"]
+    for build, scores, eligible in (
+            (lambda: build_node(inst, [], seed=9),
+             {"t1": -1.0, "t2": 0.0, "t3": -2.0}, ["t1", "t2", "t3"]),
+            (lambda: _ruled_node(seed=9),
+             {"A": 0.3, "B": -0.2, "C": 0.5, "(A+B)": 0.4}, ["(A+B)", "A", "B"])):
+        node = build()
+        seqs_a = make_sequences(scores, node)
+        seqs_b = make_sequences(scores, build())
+        assert seqs_a == seqs_b
+        assert len(seqs_a) == 2 + pricing.RANDOM_SEQUENCES
+        for s in seqs_a:
+            assert sorted(s) == eligible
 
 
 def test_sequences_skip_exhausted_types():
@@ -148,11 +169,11 @@ def test_fill_units_give_each_rule_its_tally_slot():
                             "(A+A)": (0, 2), "(B+C)": (0, 2)})
     node.rules = frozenset({cap, pair})
     slot = {rule: 2 * k for k, rule in enumerate(node.rules)}
-    assert node.fill_unit("A")[3:] == (((slot[cap], 1),), ((slot[pair], 1, 0),))
-    assert node.fill_unit("(A+A)")[3:] == (((slot[cap], 2),), ((slot[pair], 2, 0),))
-    assert node.fill_unit("(B+C)")[3:] == ((), ((slot[pair], 0, 1),))
-    assert node.fill_unit("B")[3:] == ((), ((slot[pair], 0, 1),))
-    assert node.fill_unit("C")[3:] == ((), ())
+    assert node.fill_unit("A")[4:] == (((slot[cap], 1),), ((slot[pair], 1, 0),))
+    assert node.fill_unit("(A+A)")[4:] == (((slot[cap], 2),), ((slot[pair], 2, 0),))
+    assert node.fill_unit("(B+C)")[4:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("B")[4:] == ((), ((slot[pair], 0, 1),))
+    assert node.fill_unit("C")[4:] == ((), ())
     for seq, want in ((("A", "(B+C)", "(A+A)", "C"), {"A": 1, "C": 6}),
                       (("(B+C)", "A", "(A+A)"), {"(B+C)": 2}),
                       (("(A+A)", "B", "A"), {"B": 6})):
@@ -241,8 +262,8 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
     ones, ``price`` returns the very columns of fills run to their end."""
     fills = []
 
-    def recorded(seq, node, bound=None):
-        col = greedy_fill(seq, node, bound)
+    def recorded(seq, node, scores=None):
+        col = greedy_fill(seq, node, scores)
         fills.append((seq, node, col))
         return col
 
@@ -268,26 +289,27 @@ def test_price_equals_filling_every_sequence_to_the_end(monkeypatch):
     assert kept > 50 and cut > 50
 
 
-def _fill_unit_by_unit(sequence, node, instance, bound=None):
+def _fill_unit_by_unit(sequence, node, instance, scores=None):
     """``greedy_fill`` one unit at a time: before each unit every rule of the
     node is asked whether the bin admits it, and a unit whose rectangles do
     not all place is rolled back to the packer's mark.  The unit's ids,
-    sizes and rule items come from the registry and ``ApartRule.units``,
-    not from ``fill_unit``."""
+    sizes and rule items come from the registry and ``ApartRule.units``, its
+    inflated area from the instance's clearance, not from ``fill_unit``."""
     registry = node.registry
     packer = BottomLeftPacker(instance.bin_width, instance.bin_height,
                               instance.spacing)
     tallies = {}
-    if bound is None:
-        limit, terms = -math.inf, [(0.0, 0, 0.0, 0.0)] * len(sequence)
-    else:
-        limit, terms, rho = pricing.CUT_PRICE, [], 0.0
-        for tid in reversed(sequence):
-            score, area, ratio = bound[tid]
-            rho = max(rho, ratio)
-            terms.append((score, area, rho, score - area * rho))
-        terms.reverse()
     d = instance.spacing
+    limit = -math.inf if scores is None else pricing.CUT_PRICE
+    scores = scores or {}
+    terms, rho = [], 0.0
+    for tid in reversed(sequence):
+        score = scores.get(tid, 0.0)
+        area = sum((registry[oid].width + d) * (registry[oid].height + d)
+                   for oid in registry.expansion(tid))
+        rho = max(rho, max(score, 0.0) / area)
+        terms.append((score, area, rho, score - area * rho))
+    terms.reverse()
     rc, room = -1.0, (instance.bin_width + d) * (instance.bin_height + d)
     counts, placed_ids = {}, []
     for tid, (score, area, rho, slope) in zip(sequence, terms):
@@ -363,8 +385,8 @@ def ruled_nodes(draw):
 def test_greedy_fill_equals_a_fill_unit_by_unit(case):
     """On every node of a random branch path, each sequence ``price`` fills
     gives the column of a fill that checks the rules and rolls back unit by
-    unit, through the same ``place`` calls: without a bound, and with the
-    bound ``price`` builds."""
+    unit, through the same ``place`` calls: without scores, and with the
+    round's scores that ``price`` passes."""
     instance, branches, draws = case
     node = build_node(instance, [])
     nodes = [node]
@@ -383,9 +405,9 @@ def test_greedy_fill_equals_a_fill_unit_by_unit(case):
             nodes.append(node)
     fills = []
 
-    def recorded(seq, node, bound=None):
-        fills.append((seq, bound))
-        return greedy_fill(seq, node, bound)
+    def recorded(seq, node, scores=None):
+        fills.append((seq, scores))
+        return greedy_fill(seq, node, scores)
 
     for node in nodes:
         scores = dict(zip(node.multiplicities, draws))
@@ -393,9 +415,9 @@ def test_greedy_fill_equals_a_fill_unit_by_unit(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(pricing, "greedy_fill", recorded)
             price(node, scores)
-        for seq, bound in fills + [(seq, None) for seq, _ in fills]:
-            want = _with_place_calls(_fill_unit_by_unit, seq, node, instance, bound)
-            assert _with_place_calls(greedy_fill, seq, node, bound) == want
+        for seq, given in fills + [(seq, None) for seq, _ in fills]:
+            want = _with_place_calls(_fill_unit_by_unit, seq, node, instance, given)
+            assert _with_place_calls(greedy_fill, seq, node, given) == want
 
 
 def test_a_subnormal_negative_score_leaves_the_fill_uncut():
@@ -403,9 +425,49 @@ def test_a_subnormal_negative_score_leaves_the_fill_uncut():
     of B units before the cut is inf as a float; the fill then runs to B's
     to-bound instead of raising ``OverflowError``."""
     inst = Instance(3, 3, 0, (ItemType("A", 1, 1, 0, 4), ItemType("B", 1, 1, 0, 4)))
-    bound = {"A": (1.0, 1, 1.0), "B": (-5e-324, 1, 0.0)}
-    col = greedy_fill(("A", "B"), build_node(inst, []), bound)
+    col = greedy_fill(("A", "B"), build_node(inst, []), {"A": 1.0, "B": -5e-324})
     assert col.counts_dict() == {"A": 4, "B": 4}
+
+
+def test_a_fill_is_cut_at_once_without_a_positive_score():
+    """With every score at most 0 the bound is -1 < ``CUT_PRICE`` at the
+    first type, so the fill returns None before its first ``place`` call;
+    without scores the same sequence fills each type to its to-cap."""
+    inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 0, 3), ItemType("B", 2, 2, 0, 5)))
+    node = build_node(inst, [])
+    assert _with_place_calls(greedy_fill, ("A", "B"), node,
+                             {"A": 0.0, "B": -0.3}) == (None, [])
+    col, calls = _with_place_calls(greedy_fill, ("A", "B"), node)
+    assert col.counts_dict() == {"A": 3, "B": 5}
+    assert [size for *size, _ in calls] == [[4, 4]] * 3 + [[2, 2]] * 5
+
+
+def test_a_priced_fill_looks_each_type_up_once(monkeypatch):
+    """Through one ``price`` call on a node with rules, ``fill_unit`` runs
+    once per type of each sequence filled, and never outside a fill."""
+    node = _ruled_node(seed=3)
+    assert node.rules
+    lookups, lengths, open_fills = [], [], []
+    fill_unit = NodeProblem.fill_unit
+
+    def spied(self, tid):
+        lookups.append(bool(open_fills))
+        return fill_unit(self, tid)
+
+    def recorded(seq, node, scores=None):
+        lengths.append(len(seq))
+        open_fills.append(seq)
+        try:
+            return greedy_fill(seq, node, scores)
+        finally:
+            open_fills.pop()
+
+    monkeypatch.setattr(NodeProblem, "fill_unit", spied)
+    monkeypatch.setattr(pricing, "greedy_fill", recorded)
+    price(node, {"A": 0.3, "B": 0.1, "C": 0.5, "(A+B)": 0.45})
+    assert len(lengths) == 2 + pricing.RANDOM_SEQUENCES
+    assert len(lookups) == sum(lengths)
+    assert all(lookups)
 
 
 def test_price_keeps_a_column_that_its_last_units_lift_just_above_eps():
