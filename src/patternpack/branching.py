@@ -137,16 +137,8 @@ def make_right_child(node: NodeProblem, i: str, j: str, *, child_id: int,
     against it.  The rule names the pair in the node's type order."""
     a, b = sorted((i, j), key=list(node.multiplicities).index)
     rule = ApartRule(a, b, frozenset(node.multiplicities))
-    units = {tid: rule.units(tid, node.registry) for tid in node.multiplicities}
-    kept = []
-    for col in node.columns:
-        ca = cb = 0
-        for tid, n in col.counts:
-            da, db = units[tid]
-            ca += n * da
-            cb += n * db
-        if rule.admits(ca, cb):
-            kept.append(col)
+    kept = [col for col in node.columns
+            if not rule.violated_by(col.counts_dict(), node.registry)]
     return derive(node, child_id, seed, dict(node.multiplicities), kept,
                   node.rules | {rule})
 

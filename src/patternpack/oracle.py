@@ -129,6 +129,12 @@ def exact_solve(instance: Instance) -> OracleResult:
     bin-area bound are discarded without a placement test.
     """
     ids = tuple(t.id for t in instance.item_types)
+
+    def named(pairs):
+        """(pattern vector, x) pairs as (sparse named counts, x)."""
+        return tuple((tuple((tid, n) for tid, n in zip(ids, vec) if n > 0), x)
+                     for vec, x in pairs)
+
     los = tuple(t.from_count for t in instance.item_types)
     his = tuple(t.to_count for t in instance.item_types)
     patterns = feasible_patterns(instance)
@@ -150,14 +156,8 @@ def exact_solve(instance: Instance) -> OracleResult:
                 continue
             assignment = _cover_with(combo, bins, los, his)
             if assignment is not None:
-                named = tuple(
-                    (tuple((tid, n) for tid, n in zip(ids, vec) if n > 0), x)
-                    for vec, x in zip(combo, assignment))
-                return OracleResult(bins, p, named)
-    named = tuple(
-        (tuple((tid, n) for tid, n in zip(ids, vec) if n > 0), x)
-        for vec, x in sorted(fallback.items()))
-    return OracleResult(bins, len(fallback), named)
+                return OracleResult(bins, p, named(zip(combo, assignment)))
+    return OracleResult(bins, len(fallback), named(sorted(fallback.items())))
 
 
 def _cover_with(combo: tuple[tuple[int, ...], ...], bins: int,

@@ -188,6 +188,14 @@ def random_small_instance(rng: random.Random) -> Instance:
     return Instance(width, height, d, tuple(types))
 
 
+def oracle_sample() -> list[Instance]:
+    """The oracle's 200-instance sample: ``tiny_instance(0..99)``, then 100
+    ``random_small_instance`` draws from ``random.Random(1)``."""
+    rng = random.Random(1)
+    return ([tiny_instance(k) for k in range(100)]
+            + [random_small_instance(rng) for _ in range(100)])
+
+
 def lp_vertex_oracle(c, A, b, box: float = 1000.0):
     """Independent LP check by enumerating basic solutions.
 

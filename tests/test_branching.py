@@ -128,6 +128,23 @@ def test_right_child_rescues_coverage():
     assert [c.counts_dict() for c in child.columns] == [{"A": 1}]
 
 
+@pytest.mark.parametrize("compound_from, rescued", [(0, []), (1, [{"(A+B)": 1}])])
+def test_right_child_rule_does_not_see_into_an_active_compound(
+        compound_from, rescued):
+    """The new rule's basis is the node's active types: a compound already
+    active holds its A and B together by an earlier together branch, so a
+    column carrying it does not break the apart rule on A and B."""
+    inst = _two_type_instance()
+    reg = inst.registry()
+    cid = _compound("A", "B", reg).id
+    node = build_node(inst, [{cid: 1, "A": 1}, {"A": 1, "B": 1}, {"A": 2}],
+                      registry=reg,
+                      mult={"A": (0, 5), "B": (0, 5), cid: (compound_from, 1)})
+    child = make_right_child(node, "A", "B", child_id=1, seed=0)
+    assert [c.counts_dict() for c in child.columns] == [
+        {cid: 1, "A": 1}, {"A": 2}] + rescued
+
+
 def test_children_and_their_rescue_fills_share_the_parent_packer():
     inst = Instance(20, 20, 0, (ItemType("A", 4, 4, 2, 6), ItemType("B", 4, 4, 2, 6)))
     node = build_node(inst, [{"A": 1, "B": 1}])

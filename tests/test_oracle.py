@@ -1,6 +1,5 @@
 import hashlib
 import json
-import random
 
 import pytest
 
@@ -8,7 +7,7 @@ from patternpack.model import Instance, ItemType
 from patternpack.oracle import OracleGuardError, exact_solve, feasible_patterns
 from patternpack.placement import verify_layout
 
-from helpers import random_small_instance, tiny_instance
+from helpers import oracle_sample
 
 # SHA-256 of the canonical JSON list of the oracle's full answers, one per
 # instance: [bins, patterns, assignment], or the guard's message
@@ -83,11 +82,8 @@ def test_answers_stay_pinned():
     """The full answers, assignments included, on 200 small instances: the
     search's differential test compares only bins and a pattern bound, so a
     change to the reference's assignments would otherwise go unnoticed."""
-    rng = random.Random(1)
-    instances = ([tiny_instance(k) for k in range(100)]
-                 + [random_small_instance(rng) for _ in range(100)])
     answers = []
-    for inst in instances:
+    for inst in oracle_sample():
         try:
             result = exact_solve(inst)
         except OracleGuardError as exc:

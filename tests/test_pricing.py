@@ -18,7 +18,7 @@ from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
 from patternpack.search import column_generation, initial_columns
 from patternpack.simplex import solve_lp
 
-from helpers import build_node, random_small_instance, tiny_instance
+from helpers import build_node, oracle_sample, tiny_instance
 
 
 def test_reduced_cost_examples():
@@ -496,11 +496,8 @@ def test_pricing_quality_against_every_placeable_pattern():
     oracle's sample.  The root LP can only be at or above the exact one; how
     often it stays above is pricing's measured quality.  A pricing change
     that moves these counts pins the new ones and says so."""
-    rng = random.Random(1)
-    sample = ([tiny_instance(k) for k in range(100)]
-              + [random_small_instance(rng) for _ in range(100)])
     admitted = above = ceiling_above = 0
-    for instance in sample:
+    for instance in oracle_sample():
         try:
             patterns = feasible_patterns(instance)
         except OracleGuardError:
