@@ -55,8 +55,7 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
     node's type order.  ``previous``, a master built earlier for the same node,
     is grown by the columns past its last one, which is the same LP as a
     fresh build as long as the pool only grew at its end since; without it,
-    the master with no columns is grown.  Only the grown columns are
-    checked for finiteness, as ``previous`` checked its own.
+    the master with no columns is grown.
     """
     if previous is None:
         b = np.array([bound for lo, hi in node.multiplicities.values()
@@ -73,7 +72,7 @@ def build_rmp(node: NodeProblem, previous: LinearProgram | None = None
     c = np.empty(A.shape[1])
     c[:start] = c_old
     c[start:] = -1.0
-    return LinearProgram(c=c, A=A, b=b, checked=start)
+    return LinearProgram(c=c, A=A, b=b)
 
 
 def solve_rmp(node: NodeProblem, previous: RmpSolveOutcome | None = None

@@ -259,6 +259,34 @@ class Instance:
         return TypeRegistry(self.item_types)
 
 
+def dff_lower_bound(instance: Instance) -> Fraction:
+    """Certified lower bound on the bins of ``instance``, from dual-feasible
+    functions (Fekete & Schepers 2004, Math. Oper. Res. 29(2)).
+
+    Every rectangle grows to (w + d) x (h + d) and the bin to
+    (W + d) x (H + d), for the clearance d; the grown rectangles of a layout
+    do not overlap, so a bound on the grown instance holds for this one.
+    For a side s of a bin side S, f is the identity s / S or one of u^(k),
+    k = 1..20: s / S when (k + 1) s / S is an integer, floor((k + 1) s / S) / k
+    otherwise.  Under any pair (f, g) the values f(w) g(h) of one bin's
+    rectangles sum to at most 1, so the bound is the largest sum of
+    from_t f(w_t) g(h_t) over the 21 x 21 pairs.  Each f is kept as integer
+    numerators over the denominator k S."""
+    d, types = instance.spacing, instance.item_types
+
+    def dffs(sizes: list[int], side: int) -> list[tuple[list[int], int]]:
+        """(numerators, denominator) of the identity and of each u^(k)."""
+        return [(sizes, side)] + [
+            ([k * s if (k + 1) * s % side == 0 else (k + 1) * s // side * side
+              for s in sizes], k * side) for k in range(1, 21)]
+
+    widths = dffs([t.width + d for t in types], instance.bin_width + d)
+    heights = dffs([t.height + d for t in types], instance.bin_height + d)
+    return max(Fraction(sum(t.from_count * a * b for t, a, b in zip(types, fw, gh)),
+                        dw * dh)
+               for fw, dw in widths for gh, dh in heights)
+
+
 @dataclass(frozen=True)
 class Layout:
     """Axis-aligned placements (original type id, x, y) inside one bin; no rotation."""

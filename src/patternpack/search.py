@@ -1,15 +1,16 @@
 """Branch-and-price driver: per-node column generation, a residual-rounding
 dive, node selection, incumbent management, bounds and gap reporting.
 
-The root is solved first.  ``dive`` is the one path from a node LP to a
-solution: it rounds the root's LP and every integral node LP, from the node
-it is given, and a better result becomes the incumbent, which prunes the
-tree.  Children and the dive's residual nodes both come from
-``branching.derive``.  Open nodes wait in one min-heap.  Depth-first selection pops the
-newest node first; the pattern-minimizing heuristic pops the node whose
-parent's solution used the fewest patterns, ties by insertion order.
-Because pricing is heuristic, node LP values are not certified lower
-bounds; the reported bound and gap are labeled heuristic everywhere.
+``run`` is one loop with one pass per node: pop, column generation, a dive
+at the root or at an integral LP (``dive`` is the one path from a node LP to
+a solution, and a better one becomes the incumbent), the stop and clock
+checks, the prune, the branch and the every-50th progress event.  A pass
+ends the run by one ``break``, with ``status`` as the reason.  Children and
+the dive's residual nodes come from ``branching.derive``.  Open nodes wait in
+one min-heap: depth-first pops the newest node, the pattern-minimizing
+heuristic the one whose parent's solution used the fewest patterns, ties by
+insertion order.  Pricing is heuristic, so node LP values are not certified
+lower bounds; the reported bound and gap are labeled heuristic everywhere.
 """
 
 import heapq
@@ -253,9 +254,9 @@ def run(instance: Instance, cfg: SolverConfig,
     when no time limit interferes: the master's reduced costs start from a
     BLAS product whose bits depend on the thread count (r3 depth-first at
     100 nodes takes another tree on two threads than on one).  The
-    ``einsum`` of ROADMAP item 2 removes that dependence.  The progress
-    callback may return True to stop early.  ``initial_columns`` builds the
-    run's one packer, and every node shares it.
+    ``einsum`` of ROADMAP item 2 removes that dependence.  The loop makes
+    one pass per node, and the progress callback may end it by returning
+    True.  ``initial_columns`` builds the run's one packer for every node.
     """
     start = time.monotonic()
     deadline = start + cfg.time_limit_seconds \
@@ -288,51 +289,6 @@ def run(instance: Instance, cfg: SolverConfig,
             gap=_relative_gap(incumbent.bins if incumbent else None, best_bound))
         return bool(progress(event))
 
-    def best_bound() -> float:
-        return open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
-
-    def explore(node: NodeProblem) -> str | None:
-        """Solve, prune or branch one popped node; returns the status that
-        ends the run, if any."""
-        nonlocal incumbent
-        outcome = column_generation(node, instance, cfg, registry,
-                                    deadline=deadline, stats=stats)
-        ended = None
-        if node is root or not outcome.fractional:
-            candidate = dive(node, outcome, instance, cfg.rng_seed, deadline,
-                             stats)
-            if candidate is not None and (
-                    incumbent is None or (candidate.bins, candidate.patterns)
-                    < (incumbent.bins, incumbent.patterns)):
-                incumbent = candidate
-                if emit(open_nodes.bound(outcome.bins)):
-                    ended = "stopped"
-        if ended is None and time.monotonic() >= deadline:
-            ended = "time_limit"  # its LP or dive may have been cut short
-        if ended is not None:
-            # keep its bound visible in the report; nothing pops it again
-            open_nodes.push(node, 0, outcome.bins)
-            return ended
-        if not outcome.fractional:
-            return None
-        if incumbent is not None and \
-                ceil(outcome.bins - EPS_INT) >= incumbent.bins:
-            return None
-        try:
-            i, j = select_branching_pair(node, outcome)
-        except BranchingStuck:
-            stats.stuck_nodes += 1
-            return None
-        patterns_used = int(np.sum(outcome.x > EPS_INT))
-        right = make_right_child(node, i, j, child_id=next(child_ids),
-                                 seed=cfg.rng_seed)
-        left = make_left_child(node, i, j, child_id=next(child_ids),
-                               seed=cfg.rng_seed, instance=instance)
-        for child in (right, left):
-            if child is not None:
-                open_nodes.push(child, patterns_used, outcome.bins)
-        return None
-
     while len(open_nodes):
         if time.monotonic() >= deadline:
             status = "time_limit"
@@ -341,18 +297,48 @@ def run(instance: Instance, cfg: SolverConfig,
                 incumbent.bins <= open_nodes.bound(incumbent.bins) + EPS_INT:
             break  # gap closed (relative to the heuristic bound)
         stats.nodes_explored += 1
-        ended = explore(open_nodes.pop())
-        if ended is None and stats.nodes_explored % 50 == 0 and \
-                emit(best_bound()):
-            ended = "stopped"
-        if ended is not None:
-            status = ended
+        node = open_nodes.pop()
+        outcome = column_generation(node, instance, cfg, registry,
+                                    deadline=deadline, stats=stats)
+        if node is root or not outcome.fractional:
+            candidate = dive(node, outcome, instance, cfg.rng_seed, deadline,
+                             stats)
+            if candidate is not None and (
+                    incumbent is None or (candidate.bins, candidate.patterns)
+                    < (incumbent.bins, incumbent.patterns)):
+                incumbent = candidate
+                if emit(open_nodes.bound(outcome.bins)):
+                    status = "stopped"
+        if status == "complete" and time.monotonic() >= deadline:
+            status = "time_limit"  # its LP or dive may have been cut short
+        if status != "complete":
+            # keep its bound visible in the report; nothing pops it again
+            open_nodes.push(node, 0, outcome.bins)
+            break
+        if outcome.fractional and (incumbent is None or
+                                   ceil(outcome.bins - EPS_INT) < incumbent.bins):
+            try:
+                i, j = select_branching_pair(node, outcome)
+            except BranchingStuck:
+                stats.stuck_nodes += 1
+            else:
+                patterns_used = int(np.sum(outcome.x > EPS_INT))
+                right = make_right_child(node, i, j, child_id=next(child_ids),
+                                         seed=cfg.rng_seed)
+                left = make_left_child(node, i, j, child_id=next(child_ids),
+                                       seed=cfg.rng_seed, instance=instance)
+                for child in (right, left):
+                    if child is not None:
+                        open_nodes.push(child, patterns_used, outcome.bins)
+        if stats.nodes_explored % 50 == 0 and emit(open_nodes.bound(
+                float(incumbent.bins) if incumbent else 0.0)):
+            status = "stopped"
             break
 
-    bound = best_bound()
+    bound = open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
     stats.wall_time_seconds = time.monotonic() - start
-    gap = _relative_gap(incumbent.bins if incumbent else None, bound)
     emit(bound)
-    return SearchReport(solution=incumbent, best_bound=bound, gap=gap,
+    return SearchReport(solution=incumbent, best_bound=bound,
+                        gap=_relative_gap(incumbent and incumbent.bins, bound),
                         stats=stats, status=status, instance=instance,
                         registry=registry)

@@ -25,7 +25,7 @@ and nothing else: the clip turns -0 into +0 in ``rhs``, and the reduced
 costs of the slack columns, which become the duals, never hold a -0.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,18 +44,14 @@ class SimplexError(RuntimeError):
 class LinearProgram:
     """max c.x s.t. A x <= b, x >= 0.
 
-    Every coefficient must be finite.  ``checked`` says how many leading
-    columns of ``A`` and ``c`` were checked already, with ``b``, by the
-    master this one grows (``master.build_rmp``); the check then covers the
-    appended columns only.
+    Every coefficient must be finite.
     """
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    checked: InitVar[int] = 0
 
-    def __post_init__(self, checked: int) -> None:
+    def __post_init__(self) -> None:
         self.c = np.asarray(self.c, dtype=float)
         self.A = np.asarray(self.A, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
@@ -65,9 +61,8 @@ class LinearProgram:
         if self.c.shape != (n,) or self.b.shape != (m,):
             raise SimplexError(
                 f"dimension mismatch: A is {m}x{n}, c has {self.c.shape}, b has {self.b.shape}")
-        if not (np.isfinite(self.A[:, checked:]).all()
-                and np.isfinite(self.c[checked:]).all()
-                and (checked or np.isfinite(self.b).all())):
+        if not (np.isfinite(self.A).all() and np.isfinite(self.c).all()
+                and np.isfinite(self.b).all()):
             raise SimplexError("coefficients must be finite")
 
 

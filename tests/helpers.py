@@ -1,14 +1,37 @@
 """Shared test utilities: instance generators, node builders, independent oracles."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+import patternpack
 from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
                                RegistryError, expand_counts, make_column, node_rng)
 from patternpack.placement import BottomLeftPacker, place_ids, separated
+
+
+def run_child(code, arg):
+    """The JSON that the Python source ``code`` prints, run in a child process
+    with one BLAS thread and ``arg``, as JSON, for its first argument.
+
+    A solve's LP results depend on the BLAS thread count, which numpy fixes
+    at import time, so tests that pin a solve's bytes or events run it here."""
+    src = str(Path(patternpack.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+               filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(arg)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def packer_for(instance):

@@ -1,15 +1,18 @@
 from dataclasses import replace
+from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
 
 from patternpack.model import (ApartRule, InfeasibleInstanceError, Instance,
                                InvalidInstanceError, ItemType, RegistryError,
-                               TypeRegistry, derive_to, expand_counts,
-                               violates_rules)
+                               TypeRegistry, derive_to, dff_lower_bound,
+                               expand_counts, violates_rules)
+from patternpack.oracle import OracleGuardError, exact_solve
 from patternpack.pricing import greedy_fill
 
-from helpers import build_node
+from helpers import build_node, oracle_sample
 
 
 def test_derive_to_examples():
@@ -34,6 +37,31 @@ def test_derive_to_rejects_a_rate_that_is_not_a_finite_number_at_least_zero(rate
 def test_derive_to_monotone(a, b):
     lo, hi = sorted((a, b))
     assert derive_to(lo, 0.15) <= derive_to(hi, 0.15)
+
+
+def test_the_dff_bound_never_exceeds_the_oracles_bins():
+    """ceil(LB) is at most the exact bins on every instance of the oracle's
+    sample that the oracle admits, and equal to them on most."""
+    admitted = equal = 0
+    for instance in oracle_sample():
+        try:
+            exact = exact_solve(instance)
+        except OracleGuardError:
+            continue
+        bound = ceil(dff_lower_bound(instance))
+        assert bound <= exact.bins, instance
+        admitted += 1
+        equal += bound == exact.bins
+    assert (admitted, equal) == (191, 186)
+
+
+def test_the_dff_bound_counts_the_grown_rectangles():
+    # at clearance 1 a 6x4 rectangle grows to 7x5 in a 10x8 bin grown to
+    # 11x9, so a bin holds one; at clearance 0 two stack, and u^(1) maps the
+    # sides to 1 and 1/2
+    instance = Instance(10, 8, 1, (ItemType("a", 6, 4, 5, 5),))
+    assert dff_lower_bound(instance) == 5
+    assert dff_lower_bound(replace(instance, spacing=0)) == Fraction(5, 2)
 
 
 def _registry(*types):

@@ -6,17 +6,12 @@ heuristic, a fixed budget) re-pins the records it moves, and only those,
 so the digests that stay show which searches it left alone.  The master
 LPs' own bits are pinned too, because a change to the LP kernel can move
 them in runs whose records stay the same.  The solves run in a child
-process with one BLAS thread, because the LP's results depend on the
-thread count and numpy fixes it at import time.
+process with one BLAS thread (``helpers.run_child``).
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import patternpack
+from helpers import run_child
 
 # SHA-256 of the canonical record after a solve of the given node budget with
 # solver seed 0; r3 at 250 best-first and 100 depth-first nodes are the trees
@@ -109,25 +104,11 @@ def _repin(moved):
                    for (name, strategy, budget), digest in moved.items())
 
 
-def _run_child(code, arg):
-    """The JSON that ``code`` prints, run in a child with one BLAS thread
-    and ``arg`` as its first argument."""
-    src = str(Path(patternpack.__file__).resolve().parent.parent)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-               filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, json.dumps(arg)],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 def _assert_pinned(code, pinned, what):
     """Run ``code`` in a child over the keys of ``pinned`` and compare the
     ``[name, strategy, budget, digest]`` rows it prints with the pins."""
     digests = {(name, strategy, budget): digest
-               for name, strategy, budget, digest in _run_child(code, list(pinned))}
+               for name, strategy, budget, digest in run_child(code, list(pinned))}
     moved = {key: digest for key, digest in digests.items()
              if pinned.get(key) != digest}
     assert digests == pinned, f"{what} moved; their new digests:\n" + _repin(moved)
@@ -158,7 +139,7 @@ print(json.dumps([len(report.registry)] + [
 def test_a_budgeted_solve_registers_each_pair_compound_once():
     """Together branches reuse a pair's compound, so the compounds that pile
     up on the benchmark's depth-first r3 path have distinct constituents."""
-    size, *compounds = _run_child(REGISTRY_CHILD, ["r3", "depth_first", 100])
+    size, *compounds = run_child(REGISTRY_CHILD, ["r3", "depth_first", 100])
     assert size == 68 and len(compounds) > 1
     assert len({json.dumps(c) for c in compounds}) == len(compounds)
 
@@ -196,6 +177,6 @@ def test_a_budgeted_solve_builds_one_packer():
     """Every layout of the benchmark's depth-first r3 run places through one
     packer: the fills and the compound units, those of more than seven
     rectangles (``place_ids``) and the others (``first_layout``)."""
-    calls = _run_child(PACKER_CHILD, ["r3", "depth_first", 100])
+    calls = run_child(PACKER_CHILD, ["r3", "depth_first", 100])
     assert calls["packers"] == 1
     assert calls["first_layout"] > 0 and calls["place_ids"] > 0
