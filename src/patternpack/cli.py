@@ -8,10 +8,12 @@ Instance files are JSON documents::
 
 ``to`` may be omitted per item; it is then derived from the overproduction
 rate at load time.  Solution files are JSON as well, self-contained (they
-embed the instance so layouts can be re-verified later) and free of timings,
-so a fixed instance, seed and search give the same bytes on every run with
-the same BLAS thread count.  The bits of the master LP depend on that count
-(see ``search.run``), and some searches take another tree under another.
+embed the instance and the weights c1 and c2, so layouts, the objective and
+the certified ``lower_bound`` can be checked again later) and free of
+timings, so a fixed instance, seed and search give the same bytes on every
+run with the same BLAS thread count.  The bits of the master LP depend on
+that count (see ``search.run``), and some searches take another tree under
+another.
 """
 
 import argparse
@@ -24,7 +26,8 @@ from pathlib import Path
 
 from .master import report_objective
 from .model import (InfeasibleInstanceError, Instance, InvalidInstanceError,
-                    ItemType, Layout, SolverConfig, derive_to, expand_counts)
+                    ItemType, Layout, SolverConfig, derive_to, dff_lower_bound,
+                    expand_counts)
 from .oracle import OracleGuardError, exact_solve
 from .placement import verify_layout
 from .search import STATUSES, SearchReport, run
@@ -38,9 +41,7 @@ _STRATEGIES = {"dfs": "depth_first", "heap": "heuristic_min_heap"}
 
 BUNDLED = ("r1", "r2", "r3", "r4", "r5")
 
-RECORD_FORMAT = "patternpack-solution-1"
-# what best_bound and gap rest on: node LPs over heuristically priced columns
-BOUND_KIND = "heuristic"
+RECORD_FORMAT = "patternpack-solution-2"
 
 
 class InstanceFormatError(ValueError):
@@ -158,8 +159,9 @@ def solution_record(report: SearchReport, cfg: SolverConfig) -> dict:
         "strategy": cfg.node_selection,
         "seed": cfg.rng_seed,
         "status": report.status,
-        "bound": BOUND_KIND,
-        "best_bound": round(report.best_bound, 9),
+        "lower_bound": report.lower_bound,
+        "c1": cfg.c1,
+        "c2": cfg.c2,
         "nodes_explored": report.stats.nodes_explored,
         "columns_generated": report.stats.columns_generated,
     }
@@ -230,11 +232,14 @@ def verify_solution_file(path: str | Path) -> list[str]:
         problems.append(f"format: must be {RECORD_FORMAT!r}")
     if record.get("status") not in STATUSES:
         problems.append(f"status: must be one of {', '.join(STATUSES)}")
-    if record.get("bound") != BOUND_KIND:
-        problems.append(f"bound: must be {BOUND_KIND!r}")
-    best_bound = record.get("best_bound")
-    if not _is_number(best_bound):
-        problems.append("best_bound: must be a finite number")
+    bound = math.ceil(dff_lower_bound(instance))
+    if not (_is_int(record.get("lower_bound")) and record["lower_bound"] == bound):
+        problems.append(f"lower_bound: must be {bound}, the ceiling of the "
+                        "instance's dual-feasible-function bound")
+    c1, c2 = record.get("c1"), record.get("c2")
+    for key, value in (("c1", c1), ("c2", c2)):
+        if not (_is_number(value) and value > 0):
+            problems.append(f"{key}: must be a finite positive number")
     if record.get("strategy") not in _STRATEGIES.values():
         problems.append(
             f"strategy: must be one of {', '.join(_STRATEGIES.values())}")
@@ -272,19 +277,15 @@ def verify_solution_file(path: str | Path) -> list[str]:
             totals[tid] = totals.get(tid, 0) + n * x
     if not (_is_int(record.get("bins")) and record["bins"] == bins):
         problems.append(f"bins field ({record.get('bins')!r}) != sum of x ({bins})")
-    # c1 and c2 are positive, so only a solution without bins scores 0
     objective = record.get("objective")
-    if not (_is_number(objective) and (objective > 0 if bins > 0 else objective == 0)):
-        problems.append("objective: must be a finite number, positive "
-                        "unless the solution uses no bins")
-    gap = record.get("gap")
-    if not _is_number(gap):
-        problems.append("gap: must be a finite number")
-    elif _is_number(best_bound):
-        expected = max(0.0, (bins - best_bound) / bins) if bins > 0 else 0.0
-        if abs(gap - expected) > 1e-8:
-            problems.append(f"gap ({gap}) != max(0, (bins - best_bound) / bins) "
-                            f"({expected})")
+    if not (_is_number(objective) and _is_number(c1) and _is_number(c2) and
+            math.isclose(objective, c1 * len(blocks) + c2 * bins, rel_tol=1e-9)):
+        problems.append("objective: must be c1 * patterns + c2 * bins")
+    if bins < bound:
+        problems.append(f"bins ({bins}) below the certified lower bound ({bound})")
+    gap, expected = record.get("gap"), (bins - bound) / bins if bins > 0 else 0.0
+    if not (_is_number(gap) and abs(gap - expected) <= 1e-8):
+        problems.append(f"gap: must be (bins - lower_bound) / bins ({expected})")
     if not (_is_int(record.get("patterns")) and record["patterns"] == len(blocks)):
         problems.append("patterns field does not match the number of blocks")
     produced = record.get("produced")
@@ -329,7 +330,7 @@ def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
 
 
 def _gap_text(gap: float | None) -> str:
-    return "n/a" if gap is None else f"{100 * gap:.1f}% ({BOUND_KIND})"
+    return "n/a" if gap is None else f"{100 * gap:.1f}%"
 
 
 def _input_error(exc: ValueError) -> int:
@@ -357,7 +358,7 @@ def _cmd_solve(args) -> int:
         inc = "-" if event.incumbent_bins is None else \
             f"{event.incumbent_bins}/{event.incumbent_patterns}"
         print(f"nodes={event.nodes_explored} incumbent(bins/patterns)={inc} "
-              f"bound={event.best_bound:.2f} gap={gap}", file=sys.stderr)
+              f"lower_bound={event.lower_bound} gap={gap}", file=sys.stderr)
         return False
 
     report = run(instance, cfg, progress=show if not args.quiet else None)
@@ -376,7 +377,7 @@ def _cmd_solve(args) -> int:
         return EXIT_INPUT
     if sol is None:
         print(f"no solution found: status={report.status} "
-              f"bound={report.best_bound:.2f}")
+              f"lower_bound={report.lower_bound}")
         return EXIT_NO_INCUMBENT
     print(f"bins={sol.bins} patterns={sol.patterns} "
           f"objective={report_objective(sol, cfg):.6g} "

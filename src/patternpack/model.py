@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, inf, isfinite
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -271,7 +272,8 @@ def dff_lower_bound(instance: Instance) -> Fraction:
     otherwise.  Under any pair (f, g) the values f(w) g(h) of one bin's
     rectangles sum to at most 1, so the bound is the largest sum of
     from_t f(w_t) g(h_t) over the 21 x 21 pairs.  Each f is kept as integer
-    numerators over the denominator k S."""
+    numerators over the denominator k S, and the pair sums are compared by
+    cross-multiplication, so one ``Fraction`` is built, for the best."""
     d, types = instance.spacing, instance.item_types
 
     def dffs(sizes: list[int], side: int) -> list[tuple[list[int], int]]:
@@ -282,9 +284,14 @@ def dff_lower_bound(instance: Instance) -> Fraction:
 
     widths = dffs([t.width + d for t in types], instance.bin_width + d)
     heights = dffs([t.height + d for t in types], instance.bin_height + d)
-    return max(Fraction(sum(t.from_count * a * b for t, a, b in zip(types, fw, gh)),
-                        dw * dh)
-               for fw, dw in widths for gh, dh in heights)
+    best, best_den = 0, 1
+    for fw, dw in widths:
+        weighted = [t.from_count * a for t, a in zip(types, fw)]
+        for gh, dh in heights:
+            num, den = sum(map(mul, weighted, gh)), dw * dh
+            if num * best_den > best * den:
+                best, best_den = num, den
+    return Fraction(best, best_den)
 
 
 @dataclass(frozen=True)

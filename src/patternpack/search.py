@@ -1,5 +1,5 @@
 """Branch-and-price driver: per-node column generation, a residual-rounding
-dive, node selection, incumbent management, bounds and gap reporting.
+dive, node selection, incumbent management, the bound and gap reporting.
 
 ``run`` is one loop with one pass per node: pop, column generation, a dive
 at the root or at an integral LP (``dive`` is the one path from a node LP to
@@ -9,8 +9,8 @@ ends the run by one ``break``, with ``status`` as the reason.  Children and
 the dive's residual nodes come from ``branching.derive``.  Open nodes wait in
 one min-heap: depth-first pops the newest node, the pattern-minimizing
 heuristic the one whose parent's solution used the fewest patterns, ties by
-insertion order.  Pricing is heuristic, so node LP values are not certified
-lower bounds; the reported bound and gap are labeled heuristic everywhere.
+insertion order.  The reported bound, the ceiling of ``dff_lower_bound``, is
+certified; node LPs rest on heuristic pricing, so their prune is heuristic.
 """
 
 import heapq
@@ -26,7 +26,7 @@ from .branching import (BranchingStuck, derive, make_left_child,
                         make_right_child, select_branching_pair)
 from .master import EPS_INT, RmpSolveOutcome, solve_rmp
 from .model import (Column, Instance, NodeProblem, Solution, SolverConfig,
-                    TypeRegistry, expand_counts, node_rng)
+                    TypeRegistry, dff_lower_bound, expand_counts, node_rng)
 from .placement import BottomLeftPacker, verify_layout
 from .pricing import greedy_fill, price
 
@@ -48,7 +48,7 @@ class ProgressEvent:
     nodes_explored: int
     incumbent_bins: int | None
     incumbent_patterns: int | None
-    best_bound: float
+    lower_bound: int
     gap: float | None
 
 
@@ -60,16 +60,16 @@ class SearchReport:
     """Outcome of a search.  ``status`` is one of ``STATUSES``: ``complete``
     means that the search ran out of open nodes (each was branched, pruned
     against the incumbent, integral or stuck) or that the incumbent's bins
-    reached the smallest LP value among the open nodes; ``time_limit`` and
-    ``stopped`` (by the progress callback) leave the node at hand, or its
-    children, open with its LP value, so ``best_bound`` counts it.  The LP
-    values come from heuristic pricing, so ``complete`` and a gap of 0 do
-    not prove the incumbent optimal.  The root's dive finds an incumbent
-    unless the time runs out first."""
+    reached ``lower_bound``, the certified ceiling of ``dff_lower_bound``;
+    ``time_limit`` and ``stopped`` (by the progress callback) cut the node at
+    hand.  ``gap`` is (bins - lower_bound) / bins, so a gap of 0 proves the
+    bins minimal, though not the patterns; the prune on ceil(LP) is
+    heuristic, so ``complete`` alone proves nothing.  The root's dive finds
+    an incumbent unless the time runs out first."""
 
     solution: Solution | None
-    best_bound: float
-    gap: float | None          # heuristic: pricing gives no certified bound
+    lower_bound: int
+    gap: float | None
     stats: SearchStats
     status: str
     instance: Instance
@@ -209,41 +209,36 @@ def dive(start: NodeProblem, outcome: RmpSolveOutcome, instance: Instance,
             return None
 
 
-def _relative_gap(incumbent_bins: int | None, best_bound: float) -> float | None:
+def _relative_gap(incumbent_bins: int | None, lower_bound: int) -> float | None:
     if incumbent_bins is None:
         return None
     if incumbent_bins <= 0:
         return 0.0
-    return max(0.0, (incumbent_bins - best_bound) / incumbent_bins)
+    return (incumbent_bins - lower_bound) / incumbent_bins
 
 
 class _OpenNodes:
     """Min-heap of open nodes.  Each entry carries the number of patterns its
-    parent's LP solution used and its parent's LP bound.  The n-th push gets
-    the key (0, -n) under depth-first selection, so the newest node pops
-    first, and (parent_patterns_used, n) otherwise."""
+    parent's LP solution used.  The n-th push gets the key (0, -n) under
+    depth-first selection, so the newest node pops first, and
+    (parent_patterns_used, n) otherwise."""
 
     def __init__(self, strategy: str):
         self.depth_first = strategy == "depth_first"
-        self._heap: list[tuple[int, int, float, NodeProblem]] = []
+        self._heap: list[tuple[int, int, NodeProblem]] = []
         self._counter = 0
 
-    def push(self, node: NodeProblem, parent_patterns_used: int,
-             bound: float) -> None:
+    def push(self, node: NodeProblem, parent_patterns_used: int) -> None:
         key = (0, -self._counter) if self.depth_first else \
             (parent_patterns_used, self._counter)
-        heapq.heappush(self._heap, (*key, bound, node))
+        heapq.heappush(self._heap, (*key, node))
         self._counter += 1
 
     def pop(self) -> NodeProblem:
-        return heapq.heappop(self._heap)[3]
+        return heapq.heappop(self._heap)[2]
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def bound(self, fallback: float) -> float:
-        """The smallest bound of an open node, or ``fallback`` if none is open."""
-        return min((e[2] for e in self._heap), default=fallback)
 
 
 def run(instance: Instance, cfg: SolverConfig,
@@ -259,6 +254,7 @@ def run(instance: Instance, cfg: SolverConfig,
     True.  ``initial_columns`` builds the run's one packer for every node.
     """
     start = time.monotonic()
+    lower_bound = ceil(dff_lower_bound(instance))
     deadline = start + cfg.time_limit_seconds \
         if cfg.time_limit_seconds is not None else inf
     registry = TypeRegistry(instance.item_types)
@@ -273,29 +269,28 @@ def run(instance: Instance, cfg: SolverConfig,
     stats.columns_generated += len(root.columns)
 
     open_nodes = _OpenNodes(cfg.node_selection)
-    open_nodes.push(root, 0, 0.0)
+    open_nodes.push(root, 0)
     child_ids = count(1)
     incumbent: Solution | None = None
     status = "complete"
 
-    def emit(best_bound: float) -> bool:
+    def emit() -> bool:
         if progress is None:
             return False
         event = ProgressEvent(
             nodes_explored=stats.nodes_explored,
             incumbent_bins=incumbent.bins if incumbent else None,
             incumbent_patterns=incumbent.patterns if incumbent else None,
-            best_bound=best_bound,
-            gap=_relative_gap(incumbent.bins if incumbent else None, best_bound))
+            lower_bound=lower_bound,
+            gap=_relative_gap(incumbent.bins if incumbent else None, lower_bound))
         return bool(progress(event))
 
     while len(open_nodes):
         if time.monotonic() >= deadline:
             status = "time_limit"
             break
-        if incumbent is not None and \
-                incumbent.bins <= open_nodes.bound(incumbent.bins) + EPS_INT:
-            break  # gap closed (relative to the heuristic bound)
+        if incumbent is not None and incumbent.bins <= lower_bound:
+            break  # the bins are minimal
         stats.nodes_explored += 1
         node = open_nodes.pop()
         outcome = column_generation(node, instance, cfg, registry,
@@ -307,13 +302,11 @@ def run(instance: Instance, cfg: SolverConfig,
                     incumbent is None or (candidate.bins, candidate.patterns)
                     < (incumbent.bins, incumbent.patterns)):
                 incumbent = candidate
-                if emit(open_nodes.bound(outcome.bins)):
+                if emit():
                     status = "stopped"
         if status == "complete" and time.monotonic() >= deadline:
             status = "time_limit"  # its LP or dive may have been cut short
         if status != "complete":
-            # keep its bound visible in the report; nothing pops it again
-            open_nodes.push(node, 0, outcome.bins)
             break
         if outcome.fractional and (incumbent is None or
                                    ceil(outcome.bins - EPS_INT) < incumbent.bins):
@@ -329,16 +322,14 @@ def run(instance: Instance, cfg: SolverConfig,
                                        seed=cfg.rng_seed, instance=instance)
                 for child in (right, left):
                     if child is not None:
-                        open_nodes.push(child, patterns_used, outcome.bins)
-        if stats.nodes_explored % 50 == 0 and emit(open_nodes.bound(
-                float(incumbent.bins) if incumbent else 0.0)):
+                        open_nodes.push(child, patterns_used)
+        if stats.nodes_explored % 50 == 0 and emit():
             status = "stopped"
             break
 
-    bound = open_nodes.bound(float(incumbent.bins) if incumbent else 0.0)
     stats.wall_time_seconds = time.monotonic() - start
-    emit(bound)
-    return SearchReport(solution=incumbent, best_bound=bound,
-                        gap=_relative_gap(incumbent and incumbent.bins, bound),
+    emit()
+    return SearchReport(solution=incumbent, lower_bound=lower_bound,
+                        gap=_relative_gap(incumbent and incumbent.bins, lower_bound),
                         stats=stats, status=status, instance=instance,
                         registry=registry)

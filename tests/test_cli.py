@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from patternpack.cli import (InstanceFormatError, build_parser,
                              parse_instance_data, render_pattern,
                              solution_record, verify_solution_file)
 from patternpack.model import (InfeasibleInstanceError, Instance, ItemType,
-                               SolverConfig)
+                               SolverConfig, dff_lower_bound)
 from patternpack.search import run
 
 from helpers import tiny_instance
@@ -139,6 +140,7 @@ def _negative_count_hides_overproduction(record):
     corners = [[0, 0], [5, 0], [0, 5], [5, 5]]
     return {**record, "instance": instance_to_data(inst),
             "instance_digest": instance_digest(inst), "bins": 2, "patterns": 2,
+            "lower_bound": 2, "objective": 4.0, "gap": 0.0,
             "pattern_blocks": [
                 {"counts": {"B": 4}, "x": 1,
                  "placements": [["B", *p] for p in corners]},
@@ -173,6 +175,12 @@ def _no_incumbent_but_a_gap(record):
     return {**record, "patterns": None, "gap": 0.5}
 
 
+def _shift(field, by):
+    """Tamper: add ``by`` to a number field of the record."""
+    return pytest.param(lambda record: {**record, field: record[field] + by},
+                        id=f"{field}{by:+d}")
+
+
 def _as_float(field):
     """Tamper: turn a count field, or each value of ``produced``, into a float
     that equals it."""
@@ -189,7 +197,7 @@ def _one_bin_record(record, **changes):
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 1, 1),))
     return {**record, "instance": instance_to_data(inst),
             "instance_digest": instance_digest(inst), "bins": 1, "patterns": 1,
-            "produced": {"A": 1}, "bound": "heuristic", "best_bound": 1.0,
+            "produced": {"A": 1}, "lower_bound": 1, "objective": 2.0,
             "gap": 0.0,
             "pattern_blocks": [{"counts": {"A": 1}, "x": 1,
                                 "placements": [["A", 0, 0]]}], **changes}
@@ -208,8 +216,9 @@ def _one_bin_true(field):
     _negative_count_hides_overproduction, _produced_overstated,
     _no_incumbent_but_bins_and_blocks,
     _set("objective", -5), _set("gap", 7.0), _set("gap", "x"),
-    _set("best_bound", None), _set("status", "bogus"),
-    _drop("bound"), _set("bound", "certified"),
+    _set("lower_bound", None), _set("status", "bogus"),
+    _drop("lower_bound"), _shift("lower_bound", 1), _shift("lower_bound", -1),
+    _as_float("lower_bound"), _set("c1", 0), _drop("c2"), _shift("objective", 1),
     _set("format", "patternpack-solution-0"), _set("status", "infeasible"),
     _no_incumbent_but_a_gap,
     _as_float("bins"), _as_float("patterns"), _as_float("produced"),
@@ -244,7 +253,7 @@ def test_no_incumbent_record_omits_bins(tmp_path):
     record = json.loads(out.read_text())
     assert "bins" not in record
     assert record["patterns"] is None
-    assert "best_bound" in record
+    assert record["lower_bound"] == ceil(dff_lower_bound(inst))
     assert verify_solution_file(out) == []
 
 
@@ -349,7 +358,7 @@ def test_cli_solve_reports_progress_renders_and_names_the_status(
     # no incumbent means the time ran out, and the message says so
     assert main(["solve", str(inst_file), "--quiet", "--time-limit", "0"]) == 2
     assert capsys.readouterr().out == (
-        "no solution found: status=time_limit bound=0.00\n")
+        "no solution found: status=time_limit lower_bound=2\n")
 
 
 def test_cli_solve_reports_unwritable_outputs(tmp_path, capsys):

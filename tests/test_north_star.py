@@ -3,13 +3,15 @@
 The gap of a run is its incumbent's bins minus ceil(LB), where LB is the
 dual-feasible-function bound ``model.dff_lower_bound``; the meter sums it
 over r1..r5, for best-first runs of 1 and of 100 nodes with solver seed 0.
-The statuses record what the search claims today: at 100 nodes r1 and r2
-end ``complete`` at node 1, 1 and 4 bins above ceil(LB), because their
-heuristic bound, the smallest LP value among the open nodes, reached the
-incumbent.  Every progress event of the ten runs is pinned as well, so a
-change that should leave the search alone shows that it did.  A change
-that moves these numbers re-pins them and says why.  The runs take about
-2 s in a child process with one BLAS thread (``helpers.run_child``).
+``search.run`` reports ceil(LB) as its ``lower_bound`` and the gap
+(bins - ceil(LB)) / bins.  The statuses record what the search claims
+today: at 100 nodes r1 and r2 end ``complete`` at node 1, 1 and 4 bins
+above ceil(LB), because the heuristic prune on ceil(LP) closes their roots;
+their gaps of 0.05 and 0.07 say that the claim is not proved.  Every
+progress event of the ten runs is pinned as well, so a change that should
+leave the search alone shows that it did.  A change that moves these
+numbers re-pins them and says why.  The runs take about 2 s in a child
+process with one BLAS thread (``helpers.run_child``).
 """
 
 from math import ceil
@@ -36,30 +38,28 @@ STATUSES = {
     ("r3", 100): "stopped", ("r4", 100): "stopped", ("r5", 100): "stopped",
 }
 
-# (nodes explored, incumbent bins, incumbent patterns, best_bound, gap) of
-# every event, in order, with best_bound and gap rounded to 9 digits
+# (nodes explored, incumbent bins, incumbent patterns, lower_bound, gap) of
+# every event, in order, with gap rounded to 9 digits
 EVENTS = {
-    ("r1", 1): [(1, 20, 3, 19.120899471, 0.043955026)] * 2,
-    ("r2", 1): [(1, 57, 9, 56.25, 0.013157895)] * 2,
-    ("r3", 1): [(1, 112, 8, 110.064484127, 0.017281392)] * 2,
-    ("r4", 1): [(1, 55, 11, 53.208068783, 0.032580568)] * 2,
-    ("r5", 1): [(1, 138, 12, 136.028383459, 0.014287076)] * 2,
-    ("r1", 100): [(1, 20, 3, 19.120899471, 0.043955026),
-                  (1, 20, 3, 20.0, 0.0)],
-    ("r2", 100): [(1, 57, 9, 56.25, 0.013157895),
-                  (1, 57, 9, 57.0, 0.0)],
-    ("r3", 100): [(1, 112, 8, 110.064484127, 0.017281392),
-                  (50, 112, 8, 109.759722222, 0.02000248),
-                  (100, 112, 8, 109.758680556, 0.020011781),
-                  (100, 112, 8, 109.758680556, 0.020011781)],
-    ("r4", 100): [(1, 55, 11, 53.208068783, 0.032580568),
-                  (50, 55, 11, 50.385361552, 0.083902517),
-                  (100, 55, 11, 50.312203229, 0.085232669),
-                  (100, 55, 11, 50.312203229, 0.085232669)],
-    ("r5", 100): [(1, 138, 12, 136.028383459, 0.014287076),
-                  (50, 138, 12, 114.733333333, 0.168599034),
-                  (100, 138, 12, 114.733333333, 0.168599034),
-                  (100, 138, 12, 114.733333333, 0.168599034)],
+    ("r1", 1): [(1, 20, 3, 19, 0.05)] * 2,
+    ("r2", 1): [(1, 57, 9, 53, 0.070175439)] * 2,
+    ("r3", 1): [(1, 112, 8, 108, 0.035714286)] * 2,
+    ("r4", 1): [(1, 55, 11, 49, 0.109090909)] * 2,
+    ("r5", 1): [(1, 138, 12, 115, 0.166666667)] * 2,
+    ("r1", 100): [(1, 20, 3, 19, 0.05)] * 2,
+    ("r2", 100): [(1, 57, 9, 53, 0.070175439)] * 2,
+    ("r3", 100): [(1, 112, 8, 108, 0.035714286),
+                  (50, 112, 8, 108, 0.035714286),
+                  (100, 112, 8, 108, 0.035714286),
+                  (100, 112, 8, 108, 0.035714286)],
+    ("r4", 100): [(1, 55, 11, 49, 0.109090909),
+                  (50, 55, 11, 49, 0.109090909),
+                  (100, 55, 11, 49, 0.109090909),
+                  (100, 55, 11, 49, 0.109090909)],
+    ("r5", 100): [(1, 138, 12, 115, 0.166666667),
+                  (50, 138, 12, 115, 0.166666667),
+                  (100, 138, 12, 115, 0.166666667),
+                  (100, 138, 12, 115, 0.166666667)],
 }
 
 CHILD = """
@@ -80,7 +80,7 @@ for name, budget in json.loads(sys.argv[1]):
     out.append([name, budget, report.solution.bins, report.solution.patterns,
                 report.status, [
                     [e.nodes_explored, e.incumbent_bins, e.incumbent_patterns,
-                     round(e.best_bound, 9),
+                     e.lower_bound,
                      None if e.gap is None else round(e.gap, 9)] for e in events]])
 print(json.dumps(out))
 """

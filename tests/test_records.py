@@ -1,4 +1,5 @@
-"""Pinned solution records: node-budgeted solves must give the same bytes.
+"""Pinned solution records: node-budgeted solves must give the same bytes,
+and each record must pass ``verify_solution_file`` before it is hashed.
 
 A change that should not alter the search (a faster packer, a refactor)
 proves it here.  A change that alters the search on purpose (a new
@@ -20,39 +21,45 @@ from helpers import run_child
 # pricing stops more fills early
 PINNED = {
     ("r1", "heuristic_min_heap", 50):
-        "85821c551e8ac637257c2399ef81389caed559663307810999c846f66e03ff29",
+        "c28ae58b6b30e61c538db71aca5005a5b4732b501bc2f49e488e47654d8e36a2",
     ("r2", "heuristic_min_heap", 50):
-        "541166db311d4f1f696e6e9d465971170d602f5ba33e65ad57d19b05131af9dc",
+        "6b0182502e760ec8e7959fe2345576d4c240df8f8c6ad0cfe0671f24583e964a",
     ("r3", "heuristic_min_heap", 50):
-        "194249b21d9e5b9d20bb3a4aef1c5ddb0f77d6f34dc022341fce559b92d1e7c9",
+        "b341abe897ff6d45775616e58f3df0507434a82d8ff45492a9306fe26d974b65",
     ("r3", "depth_first", 50):
-        "b952072a412a4825daeaa40d17842d2468f3e3038473d8b522f48e0a1e0f54a3",
+        "14ead47563de4c16e3bdae3eb09b138829da3835b2edfd561c294b89ec4f17a6",
     ("r4", "heuristic_min_heap", 50):
-        "67c8cc719981ef6044180a3a6d787a35806c479e0b74efda476afa51fa2418c7",
+        "7e9fddb68912808bfdb03c611d568d8d43d331b3f12777d16d7222fff556b24d",
     ("r5", "heuristic_min_heap", 50):
-        "fcba12de2b6dc5a0a3167054a0af47f1b66663c21cc96de7b3cf814fc799b3f0",
+        "266fa49493d141b4f1fea716aab0474a72662238e9834ba58dbe389740b7c4b1",
     ("r3", "heuristic_min_heap", 250):
-        "5a2a2a5adf0decbce5182b744c379cfaf4c3650d506c04c9aeef51c64aaba132",
+        "cf6290694452446f4b488965fb775050fcbb2e73d509ab81cb03da448774b232",
     ("r3", "depth_first", 100):
-        "a26922396c5179097f387461d50347b4a5dedc8071e2fc39c61fa2ebc3d51660",
+        "71537134a1e370d6b541d3f0294a6fc8cac0cb92639dd4f1a8bd86e5ef614cc9",
     ("r5", "heuristic_min_heap", 100):
-        "1855121ff87d6f973df42b45fbab31906174885ab603dfa73ed5f0e90d1ac228",
+        "009f5b0fd5610642cfe1a60a246260a9e66a2f015fc2a50fb5ad6ffeda041e83",
 }
 
 CHILD = """
-import hashlib, json, sys
+import hashlib, json, sys, tempfile
+from pathlib import Path
 from patternpack import cli, search
 from patternpack.model import SolverConfig
 
 out = []
-for name, strategy, budget in json.loads(sys.argv[1]):
-    cfg = SolverConfig(rng_seed=0, node_selection=strategy)
-    report = search.run(cli.parse_instance(name), cfg,
-                        progress=lambda event: event.nodes_explored >= budget)
-    canonical = json.dumps(cli.solution_record(report, cfg), sort_keys=True,
-                           separators=(",", ":"))
-    out.append([name, strategy, budget,
-                hashlib.sha256(canonical.encode()).hexdigest()])
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "record.json"
+    for name, strategy, budget in json.loads(sys.argv[1]):
+        cfg = SolverConfig(rng_seed=0, node_selection=strategy)
+        report = search.run(cli.parse_instance(name), cfg,
+                            progress=lambda event: event.nodes_explored >= budget)
+        cli.emit_solution(report, cfg, path)
+        problems = cli.verify_solution_file(path)
+        assert problems == [], (name, strategy, budget, problems)
+        canonical = json.dumps(cli.solution_record(report, cfg), sort_keys=True,
+                               separators=(",", ":"))
+        out.append([name, strategy, budget,
+                    hashlib.sha256(canonical.encode()).hexdigest()])
 print(json.dumps(out))
 """
 

@@ -9,7 +9,8 @@ from patternpack.branching import (BranchingStuck, _compound, affinity,
                                    make_left_child, select_branching_pair)
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
 from patternpack.master import EPS_INT, build_rmp, count_matrix, report_objective
-from patternpack.model import Instance, ItemType, NodeProblem, SolverConfig
+from patternpack.model import (Instance, ItemType, NodeProblem, SolverConfig,
+                               dff_lower_bound)
 from patternpack.oracle import OracleGuardError, exact_solve
 from patternpack.placement import verify_layout
 from patternpack.simplex import solve_lp
@@ -323,11 +324,16 @@ def test_objective_against_the_oracle_at_unit_weights():
     164 admitted instances that need a bin; an IP over the oracle's
     patterns found none lower (ROADMAP item 3).  The meter counts the
     best-first runs without a budget that end above it, and how many of
-    those end ``complete``, claiming an optimum they do not hold.  Weights
-    such as c1 = 10 wait for a weighted ``exact_solve``.  A change that
-    moves these counts pins the new ones and says why."""
+    those end ``complete``, a status that claims no optimum.  It also holds
+    the certified claim to the oracle: every run's ``lower_bound`` is the
+    ceiling of ``dff_lower_bound``, at most the oracle's bins, which are at
+    most the run's, so no run at gap 0 has more bins than the oracle.  It
+    counts the runs at gap 0, the runs above the oracle's bins and those of
+    them at gap 0.  Weights such as c1 = 10 wait for a weighted
+    ``exact_solve``.  A change that moves these counts pins the new ones
+    and says why."""
     cfg = SolverConfig()
-    admitted = above = above_complete = 0
+    admitted = above = above_complete = at_gap_0 = more_bins = more_at_gap_0 = 0
     for instance in oracle_sample():
         try:
             exact = exact_solve(instance)
@@ -337,10 +343,17 @@ def test_objective_against_the_oracle_at_unit_weights():
             continue
         admitted += 1
         rep = run(instance, cfg)
+        assert rep.lower_bound == ceil(dff_lower_bound(instance)) \
+            <= exact.bins <= rep.solution.bins
         if report_objective(rep.solution, cfg) > exact.bins + exact.patterns:
             above += 1
             above_complete += rep.status == "complete"
+        at_gap_0 += rep.gap == 0
+        if rep.solution.bins > exact.bins:
+            more_bins += 1
+            more_at_gap_0 += rep.gap == 0
     assert (admitted, above, above_complete) == (164, 31, 31)
+    assert (at_gap_0, more_bins, more_at_gap_0) == (157, 2, 0)
 
 
 def test_a_node_budget_stops_at_exactly_its_node_count():
@@ -422,7 +435,7 @@ def test_a_node_cut_by_the_clock_ends_the_run_at_the_time_limit(
         inst, n, monkeypatch):
     rep = _cut_run(inst, n, monkeypatch)
     assert rep.status == "time_limit"
-    assert rep.best_bound <= rep.solution.bins
+    assert rep.lower_bound == ceil(dff_lower_bound(inst)) <= rep.solution.bins
 
 
 def test_a_run_the_clock_cut_is_complete_only_if_it_finished(monkeypatch):
@@ -436,24 +449,6 @@ def test_a_run_the_clock_cut_is_complete_only_if_it_finished(monkeypatch):
                         rep.stats.nodes_explored) == (
                     full.solution.bins, full.solution.patterns,
                     full.stats.nodes_explored), (k, n)
-
-
-def test_a_run_stopped_at_a_new_incumbent_keeps_the_node_bound(monkeypatch):
-    root_lp = []
-    column_generation = search.column_generation
-
-    def solve_node(*args, **kwargs):
-        outcome = column_generation(*args, **kwargs)
-        root_lp.append(outcome.bins)
-        return outcome
-
-    monkeypatch.setattr(search, "column_generation", solve_node)
-    rep = run(parse_instance("r1"), SolverConfig(),
-              progress=lambda event: event.nodes_explored >= 1)
-    assert rep.status == "stopped"
-    assert rep.stats.nodes_explored == 1
-    assert rep.best_bound == root_lp[0] < rep.solution.bins
-    assert rep.gap > 0
 
 
 def test_progress_callback_can_stop_the_run():
@@ -472,20 +467,17 @@ def test_progress_callback_can_stop_the_run():
     # (parent_patterns_used, insertion) order
     ("heuristic_min_heap", [1, 3, 0, 4, 2]),
 ])
-def test_open_nodes_pop_order_and_min_bound(strategy, expected):
+def test_open_nodes_pop_order(strategy, expected):
     queue = _OpenNodes(strategy)
-    assert len(queue) == 0 and queue.bound(-1.0) == -1.0
-    for k, (used, hint) in enumerate([(5, 3.0), (2, 7.5), (9, 1.25),
-                                      (2, 4.0), (5, 6.0)]):
+    assert len(queue) == 0
+    for k, used in enumerate([5, 2, 9, 2, 5]):
         node = NodeProblem(id=k, parent_id=None, depth=0, multiplicities={},
                            columns=[], registry=None)
-        queue.push(node, used, hint)
-    assert queue.bound(-1.0) == 1.25
+        queue.push(node, used)
     order = []
     while len(queue):
         order.append(queue.pop().id)
     assert order == expected
-    assert queue.bound(-1.0) == -1.0
 
 
 def test_a_stuck_node_is_counted_and_leaves_the_root_dive_incumbent(
