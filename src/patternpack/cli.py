@@ -26,8 +26,8 @@ from pathlib import Path
 
 from .master import report_objective
 from .model import (InfeasibleInstanceError, Instance, InvalidInstanceError,
-                    ItemType, Layout, SolverConfig, derive_to, dff_lower_bound,
-                    expand_counts)
+                    ItemType, Layout, NODE_SELECTIONS, SolverConfig, derive_to,
+                    dff_lower_bound, expand_counts)
 from .oracle import OracleGuardError, exact_solve
 from .placement import verify_layout
 from .search import STATUSES, SearchReport, run
@@ -36,8 +36,6 @@ EXIT_OK = 0
 EXIT_NO_INCUMBENT = 2
 EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
-
-_STRATEGIES = {"dfs": "depth_first", "heap": "heuristic_min_heap"}
 
 BUNDLED = ("r1", "r2", "r3", "r4", "r5")
 
@@ -240,9 +238,8 @@ def verify_solution_file(path: str | Path) -> list[str]:
     for key, value in (("c1", c1), ("c2", c2)):
         if not (_is_number(value) and value > 0):
             problems.append(f"{key}: must be a finite positive number")
-    if record.get("strategy") not in _STRATEGIES.values():
-        problems.append(
-            f"strategy: must be one of {', '.join(_STRATEGIES.values())}")
+    if record.get("strategy") not in NODE_SELECTIONS:
+        problems.append(f"strategy: must be one of {', '.join(NODE_SELECTIONS)}")
     if not _is_int(record.get("seed")):
         problems.append("seed: must be an integer")
     for key in ("nodes_explored", "columns_generated"):
@@ -347,9 +344,8 @@ def _input_error(exc: ValueError) -> int:
 def _cmd_solve(args) -> int:
     try:
         instance = parse_instance(args.instance, args.overproduction)
-        cfg = SolverConfig(
-            c1=args.c1, c2=args.c2, time_limit_seconds=args.time_limit,
-            rng_seed=args.seed, node_selection=_STRATEGIES[args.strategy])
+        cfg = SolverConfig(c1=args.c1, c2=args.c2, rng_seed=args.seed,
+                           time_limit_seconds=args.time_limit)
     except ValueError as exc:
         return _input_error(exc)
 
@@ -426,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance file or bundled dataset")
     solve.add_argument("instance", help="path to an instance JSON, or r1..r5")
-    solve.add_argument("--strategy", choices=("dfs", "heap"), default="heap")
     solve.add_argument("--time-limit", type=float, default=60.0, metavar="S",
                        help="wall-clock limit in seconds (default 60; inf: none)")
     solve.add_argument("--seed", type=int, default=0, metavar="N")

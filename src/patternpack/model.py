@@ -411,22 +411,26 @@ class Solution:
     patterns: int
 
 
+NODE_SELECTIONS = ("heuristic_min_heap", "depth_first")  # search.run's; default first
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Weights, limits and strategy knobs for a solver run."""
+    """Weights, limits and the node order of a solver run.  Depth-first serves
+    only the benchmark's deep-dive, until ROADMAP items 2 and 11."""
 
     c1: float = 1.0                      # weight on distinct patterns
     c2: float = 1.0                      # weight on bins
     time_limit_seconds: float | None = None
     rng_seed: int = 0
-    node_selection: str = "heuristic_min_heap"  # or "depth_first"
+    node_selection: str = NODE_SELECTIONS[0]
 
     def __post_init__(self) -> None:
         if not (0 < self.c1 < inf and 0 < self.c2 < inf):
             raise ValueError("c1 and c2 must be finite and positive")
         if self.time_limit_seconds is not None and not self.time_limit_seconds >= 0:
             raise ValueError("time_limit_seconds must be >= 0")
-        if self.node_selection not in ("heuristic_min_heap", "depth_first"):
+        if self.node_selection not in NODE_SELECTIONS:
             raise ValueError(f"unknown node selection {self.node_selection!r}")
 
 

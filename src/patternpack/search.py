@@ -7,10 +7,10 @@ a solution, and a better one becomes the incumbent), the stop and clock
 checks, the prune, the branch and the every-50th progress event.  A pass
 ends the run by one ``break``, with ``status`` as the reason.  Children and
 the dive's residual nodes come from ``branching.derive``.  Open nodes wait in
-one min-heap: depth-first pops the newest node, the pattern-minimizing
-heuristic the one whose parent's solution used the fewest patterns, ties by
-insertion order.  The reported bound, the ceiling of ``dff_lower_bound``, is
-certified; node LPs rest on heuristic pricing, so their prune is heuristic.
+one min-heap: best-first pops the node whose parent's LP used the fewest
+patterns, ties by insertion order; depth-first pops the newest node and serves
+only the benchmark's deep-dive, until ROADMAP items 2 and 11.  The bound,
+ceil(``dff_lower_bound``), is certified; the prune on ceil(LP) is heuristic.
 """
 
 import heapq
@@ -218,10 +218,10 @@ def _relative_gap(incumbent_bins: int | None, lower_bound: int) -> float | None:
 
 
 class _OpenNodes:
-    """Min-heap of open nodes.  Each entry carries the number of patterns its
-    parent's LP solution used.  The n-th push gets the key (0, -n) under
-    depth-first selection, so the newest node pops first, and
-    (parent_patterns_used, n) otherwise."""
+    """Min-heap of open nodes.  The n-th push gets the key
+    (parent_patterns_used, n) best-first, and (0, -n) depth-first, so that the
+    newest node pops first; depth-first serves only the benchmark's deep-dive,
+    until ROADMAP items 2 and 11."""
 
     def __init__(self, strategy: str):
         self.depth_first = strategy == "depth_first"

@@ -223,8 +223,8 @@ def _one_bin_true(field):
     _no_incumbent_but_a_gap,
     _as_float("bins"), _as_float("patterns"), _as_float("produced"),
     _one_bin_true("bins"), _one_bin_true("patterns"),
-    _set("strategy", "bogus"), _drop("strategy"), _set("seed", 1.5),
-    _set("seed", None), _set("nodes_explored", -5),
+    _set("strategy", "bogus"), _set("strategy", "dfs"), _drop("strategy"),
+    _set("seed", 1.5), _set("seed", None), _set("nodes_explored", -5),
     _set("nodes_explored", 2.0), _set("columns_generated", -1),
     _drop("columns_generated"),
 ])
@@ -235,6 +235,16 @@ def test_verify_reports_malformed_records(tmp_path, tamper):
     out = tmp_path / "sol.json"
     out.write_text(json.dumps(tamper(record)))
     assert verify_solution_file(out) != []
+
+
+def test_a_depth_first_record_verifies(tmp_path):
+    """The benchmark's deep-dive solves depth-first and verifies each record
+    it writes, though the CLI no longer offers that order."""
+    cfg = SolverConfig(node_selection="depth_first")
+    out = tmp_path / "sol.json"
+    emit_solution(run(tiny_instance(1), cfg), cfg, out)
+    assert json.loads(out.read_text())["strategy"] == "depth_first"
+    assert verify_solution_file(out) == []
 
 
 def test_one_bin_record_verifies(tmp_path):
@@ -373,6 +383,13 @@ def test_cli_solve_reports_unwritable_outputs(tmp_path, capsys):
     assert main(["solve", str(inst_file), "--quiet", "--render",
                  str(inst_file)]) == 4
     assert capsys.readouterr().err.startswith(f"error: {inst_file}: ")
+
+
+def test_cli_solve_has_no_strategy_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "r1", "--quiet", "--strategy", "dfs"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy dfs" in capsys.readouterr().err
 
 
 def test_cli_solve_time_limit_defaults_to_60_seconds():

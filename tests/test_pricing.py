@@ -83,6 +83,42 @@ def test_sequences_random_are_permutations_and_deterministic():
             assert sorted(s) == eligible
 
 
+def test_random_sequences_are_weighted_draws_without_replacement():
+    """The drawn sequences equal ``Random.choices`` draws from the node's
+    generator, one pick at a time with weight max(score, EPS_PROB), each pick
+    leaving the pool: on tiny instances and on a node of 24 types, with scores
+    that include 0 and negative values.  A faster draw must match them;
+    ``choices`` itself, in place of ``make_sequences``' scan, gives the same
+    draws but was slower."""
+    rng = random.Random(33)
+    wide = Instance(300, 300, 1, tuple(
+        ItemType(f"t{k}", 5 + k, 9 + k % 7, 0, 9) for k in range(24)))
+    nodes = [build_node(tiny_instance(k), [], seed=k) for k in range(30)]
+    nodes.append(build_node(wide, [], seed=7))
+    assert len(nodes[-1].multiplicities) == 24
+    seen = set()
+    for node in nodes:
+        types = [tid for tid, (_, hi) in node.multiplicities.items() if hi > 0]
+        scores = {tid: rng.choice((0.0, -rng.random(), rng.random(), 3 * rng.random()))
+                  for tid in types}
+        seen |= {(score > 0) - (score < 0) for score in scores.values()}
+        state = node.rng.getstate()
+        drawn = make_sequences(scores, node)[2:]
+        node.rng.setstate(state)
+        expected = []
+        for _ in range(pricing.RANDOM_SEQUENCES):
+            pool = list(types)
+            weights = [max(scores[tid], pricing.EPS_PROB) for tid in pool]
+            sequence = []
+            while pool:
+                pick = pool.index(node.rng.choices(pool, weights)[0])
+                sequence.append(pool.pop(pick))
+                weights.pop(pick)
+            expected.append(tuple(sequence))
+        assert drawn == expected
+    assert seen == {-1, 0, 1}
+
+
 def test_sequences_skip_exhausted_types():
     inst = _three_type_instance()
     node = build_node(inst, [], mult={"t1": (0, 5), "t2": (0, 0), "t3": (0, 5)})
