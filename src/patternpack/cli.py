@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .master import report_objective
@@ -111,17 +110,14 @@ def parse_instance(path: str | Path,
 
     Bundled dataset names (r1..r5) resolve to the packaged data files.
     """
-    name = str(path)
-    if name in BUNDLED:
-        text = resources.files("patternpack.data").joinpath(f"{name}.json") \
-            .read_text(encoding="utf-8")
-    else:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise InstanceFormatError(f"{path}: no such file") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InstanceFormatError(f"{path}: unreadable ({exc})") from None
+    file = Path(__file__).with_name("data") / f"{path}.json" \
+        if str(path) in BUNDLED else Path(path)
+    try:
+        text = file.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InstanceFormatError(f"{path}: no such file") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"{path}: unreadable ({exc})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -190,12 +190,15 @@ class ApartRule:
     sees through compounds registered later (they cannot smuggle forbidden
     pairings past it) while compounds that were already active stay opaque:
     their internal pairings were forced by earlier together-branches and are
-    exempt.
+    exempt.  A rule belongs to the registry of the run that made it.
     """
 
     a: str
     b: str
     basis: frozenset[str]
+    # type -> units(type); exact, as a registered type's expansion never changes
+    _units: dict = field(default_factory=dict, init=False, compare=False,
+                         hash=False, repr=False)
 
     @property
     def is_cap(self) -> bool:
@@ -203,8 +206,11 @@ class ApartRule:
 
     def units(self, type_id: str, registry: TypeRegistry) -> tuple[int, int]:
         """Items of a and of b in one unit of ``type_id``, over the basis."""
-        unit = registry.expansion(type_id, self.basis)
-        return unit.count(self.a), unit.count(self.b)
+        units = self._units.get(type_id)
+        if units is None:
+            unit = registry.expansion(type_id, self.basis)
+            units = self._units[type_id] = (unit.count(self.a), unit.count(self.b))
+        return units
 
     def admits(self, ca: int, cb: int) -> bool:
         """Whether a bin holding ca items of a and cb items of b obeys the rule."""
@@ -326,11 +332,6 @@ def make_column(counts: Mapping[str, int], witness: Layout,
     items = sorted(((tid, n) for tid, n in counts.items() if n > 0),
                    key=lambda kv: registry.order(kv[0]))
     return Column(counts=tuple(items), witness=witness)
-
-
-def dense_counts(counts: Mapping[str, int], registry: TypeRegistry) -> tuple[int, ...]:
-    """Count vector over the full registry, for lexicographic ordering."""
-    return tuple(counts.get(t.id, 0) for t in registry)
 
 
 @dataclass

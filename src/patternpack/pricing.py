@@ -43,7 +43,7 @@ nothing; only a compound unit marks the packer first.
 from math import inf
 from typing import Mapping
 
-from .model import Column, NodeProblem, dense_counts, make_column
+from .model import Column, NodeProblem, make_column
 
 EPS_PRICE = 1e-9  # minimum improvement to accept a column
 CUT_PRICE = EPS_PRICE / 2  # a fill whose bound falls below this stops
@@ -217,5 +217,8 @@ def price(node: NodeProblem, scores: Mapping[str, float]) -> list[Column]:
             continue
         seen.add(col.counts)
         fresh.append(col)
-    fresh.sort(key=lambda c: dense_counts(c.counts_dict(), node.registry))
+    # where two dense count vectors first differ, the one with more of that
+    # type sorts later; if the other lacks it, its key has a later type there
+    order = node.registry.order
+    fresh.sort(key=lambda c: tuple((-order(t), n) for t, n in c.counts))
     return fresh

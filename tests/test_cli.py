@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -67,6 +68,38 @@ def test_parse_rejects_from_above_to(tmp_path):
         parse_instance(bad)
 
 
+def test_parse_bundled_r1_outside_the_checkout(tmp_path, monkeypatch):
+    """A bundled name reads the packaged file, whatever the working
+    directory."""
+    expected = parse_instance("r1")
+    monkeypatch.chdir(tmp_path)
+    assert parse_instance("r1") == expected
+    assert len(expected.item_types) == 3
+
+
+def test_parse_rejects_a_file_that_is_not_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    with pytest.raises(InstanceFormatError,
+                       match=re.escape(f"{bad}: invalid JSON")):
+        parse_instance(bad)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "instance: must be a JSON object"),
+    ({"bin": {"width": 10, "height": 10}, "spacing": 0, "items": [5]},
+     r"instance.items\[0\]: must be an object"),
+    ({"bin": {"width": 10, "height": 10}, "spacing": -1, "items": []},
+     "instance: spacing must be >= 0"),
+], ids=["document", "item", "spacing"])
+def test_parse_data_names_the_field(data, message):
+    """Every structural fault comes back as ``InstanceFormatError``: a
+    negative spacing, which ``Instance`` refuses, is wrapped with the place
+    it was read from."""
+    with pytest.raises(InstanceFormatError, match=message):
+        parse_instance_data(data)
+
+
 def test_instance_round_trip():
     inst = parse_instance("r2")
     again = parse_instance_data(instance_to_data(inst))
@@ -116,7 +149,13 @@ def test_verify_flags_broken_layout(tmp_path):
     assert verify_solution_file(out) != []
 
 
-def _set_block(field, value):
+def _case(tamper, problem, id=None):
+    """A tamper and a fragment of the problem that ``verify`` must report for
+    it; the id defaults to the tamper's name."""
+    return pytest.param(tamper, problem, id=id or tamper.__name__)
+
+
+def _set_block(field, value, problem, id):
     """Tamper: set (or, for None, delete) a field of the first block."""
     def tamper(record):
         block = record["pattern_blocks"][0]
@@ -125,7 +164,7 @@ def _set_block(field, value):
         else:
             block[field] = value
         return record
-    return tamper
+    return _case(tamper, problem, id)
 
 
 def _block_not_an_object(record):
@@ -156,17 +195,16 @@ def _no_incumbent_but_bins_and_blocks(record):
     return {**record, "patterns": None, "pattern_blocks": "junk"}
 
 
-def _set(field, value):
+def _set(field, value, problem):
     """Tamper: set a top-level field of the record."""
-    return pytest.param(lambda record: {**record, field: value},
-                        id=f"{field}={value!r}")
+    return _case(lambda record: {**record, field: value}, problem,
+                 f"{field}={value!r}")
 
 
-def _drop(field):
+def _drop(field, problem):
     """Tamper: remove a top-level field of the record."""
-    return pytest.param(
-        lambda record: {k: v for k, v in record.items() if k != field},
-        id=f"no-{field}")
+    return _case(lambda record: {k: v for k, v in record.items() if k != field},
+                 problem, f"no-{field}")
 
 
 def _no_incumbent_but_a_gap(record):
@@ -175,13 +213,13 @@ def _no_incumbent_but_a_gap(record):
     return {**record, "patterns": None, "gap": 0.5}
 
 
-def _shift(field, by):
+def _shift(field, by, problem):
     """Tamper: add ``by`` to a number field of the record."""
-    return pytest.param(lambda record: {**record, field: record[field] + by},
-                        id=f"{field}{by:+d}")
+    return _case(lambda record: {**record, field: record[field] + by}, problem,
+                 f"{field}{by:+d}")
 
 
-def _as_float(field):
+def _as_float(field, problem):
     """Tamper: turn a count field, or each value of ``produced``, into a float
     that equals it."""
     def tamper(record):
@@ -189,7 +227,7 @@ def _as_float(field):
         if isinstance(value, dict):
             return {**record, field: {k: float(n) for k, n in value.items()}}
         return {**record, field: float(value)}
-    return pytest.param(tamper, id=f"{field}=float")
+    return _case(tamper, problem, f"{field}=float")
 
 
 def _one_bin_record(record, **changes):
@@ -203,38 +241,93 @@ def _one_bin_record(record, **changes):
                                 "placements": [["A", 0, 0]]}], **changes}
 
 
-def _one_bin_true(field):
+def _one_bin_true(field, problem):
     """Tamper: a one-bin record whose count ``field`` is True, which == 1."""
-    return pytest.param(lambda record: _one_bin_record(record, **{field: True}),
-                        id=f"one-bin-{field}=True")
+    return _case(lambda record: _one_bin_record(record, **{field: True}),
+                 problem, f"one-bin-{field}=True")
 
 
-@pytest.mark.parametrize("tamper", [
-    _set_block("x", None), _set_block("x", True),
-    _set_block("placements", [["t1", 0]]), _set_block("counts", {"t1": "2"}),
-    _block_not_an_object, lambda record: [record],
-    _negative_count_hides_overproduction, _produced_overstated,
-    _no_incumbent_but_bins_and_blocks,
-    _set("objective", -5), _set("gap", 7.0), _set("gap", "x"),
-    _set("lower_bound", None), _set("status", "bogus"),
-    _drop("lower_bound"), _shift("lower_bound", 1), _shift("lower_bound", -1),
-    _as_float("lower_bound"), _set("c1", 0), _drop("c2"), _shift("objective", 1),
-    _set("format", "patternpack-solution-0"), _set("status", "infeasible"),
-    _no_incumbent_but_a_gap,
-    _as_float("bins"), _as_float("patterns"), _as_float("produced"),
-    _one_bin_true("bins"), _one_bin_true("patterns"),
-    _set("strategy", "bogus"), _set("strategy", "dfs"), _drop("strategy"),
-    _set("seed", 1.5), _set("seed", None), _set("nodes_explored", -5),
-    _set("nodes_explored", 2.0), _set("columns_generated", -1),
-    _drop("columns_generated"),
+def _embedded_instance_unparsable(record):
+    return {**record, "instance": {**record["instance"], "spacing": -1}}
+
+
+def _instance_changed_digest_kept(record):
+    items = record["instance"]["items"]
+    items = [{**items[0], "to": items[0]["to"] + 1}, *items[1:]]
+    return {**record, "instance": {**record["instance"], "items": items}}
+
+
+_BOUND = "lower_bound: must be 4, the ceiling"
+_OBJECTIVE = "objective: must be c1 * patterns + c2 * bins"
+_STRATEGY = "strategy: must be one of heuristic_min_heap, depth_first"
+_STATUS = "status: must be one of complete, time_limit, stopped"
+
+
+@pytest.mark.parametrize("tamper, problem", [
+    # the first four keep the ids they have always had
+    _set_block("x", None, "pattern_blocks[0].x: missing", "tamper0"),
+    _set_block("x", True, "pattern_blocks[0].x: must be an integer", "tamper1"),
+    _set_block("placements", [["t1", 0]],
+               "pattern_blocks[0].placements[0]: must be [type id, x, y]",
+               "tamper2"),
+    _set_block("counts", {"t1": "2"},
+               "pattern_blocks[0].counts.t1: must be an integer", "tamper3"),
+    _set_block("x", 0, "pattern_blocks[0]: x must be a positive integer",
+               "block-x=0"),
+    _case(_block_not_an_object, "pattern_blocks[0]: must be an object"),
+    _case(lambda record: [record], "solution record: must be a JSON object"),
+    _case(_negative_count_hides_overproduction,
+          "pattern_blocks[1].counts.B: must be >= 0"),
+    _case(_produced_overstated,
+          "produced field does not match the totals of the blocks"),
+    _case(_no_incumbent_but_bins_and_blocks,
+          "pattern_blocks: present although the record has no incumbent"),
+    _case(_embedded_instance_unparsable,
+          "embedded instance invalid: instance: spacing must be >= 0"),
+    _case(_instance_changed_digest_kept, "instance digest mismatch"),
+    _set("pattern_blocks", "junk", "pattern_blocks: must be a list"),
+    _set("objective", -5, _OBJECTIVE),
+    _set("gap", 7.0, "gap: must be (bins - lower_bound) / bins"),
+    _set("gap", "x", "gap: must be (bins - lower_bound) / bins"),
+    _set("lower_bound", None, _BOUND), _set("status", "bogus", _STATUS),
+    _drop("lower_bound", _BOUND), _shift("lower_bound", 1, _BOUND),
+    _shift("lower_bound", -1, _BOUND), _as_float("lower_bound", _BOUND),
+    _set("c1", 0, "c1: must be a finite positive number"),
+    _drop("c2", "c2: must be a finite positive number"),
+    _shift("objective", 1, _OBJECTIVE),
+    _set("format", "patternpack-solution-0",
+         "format: must be 'patternpack-solution-2'"),
+    _set("status", "infeasible", _STATUS),
+    _case(_no_incumbent_but_a_gap, "gap: must be null without an incumbent"),
+    _as_float("bins", "bins field (4.0) != sum of x (4)"),
+    _as_float("patterns", "patterns field does not match the number of blocks"),
+    _as_float("produced", "produced field does not match the totals"),
+    _one_bin_true("bins", "bins field (True) != sum of x (1)"),
+    _one_bin_true("patterns",
+                  "patterns field does not match the number of blocks"),
+    _set("strategy", "bogus", _STRATEGY), _set("strategy", "dfs", _STRATEGY),
+    _drop("strategy", _STRATEGY),
+    _set("seed", 1.5, "seed: must be an integer"),
+    _set("seed", None, "seed: must be an integer"),
+    _set("nodes_explored", -5, "nodes_explored: must be a non-negative integer"),
+    _set("nodes_explored", 2.0,
+         "nodes_explored: must be a non-negative integer"),
+    _set("columns_generated", -1,
+         "columns_generated: must be a non-negative integer"),
+    _drop("columns_generated",
+          "columns_generated: must be a non-negative integer"),
 ])
-def test_verify_reports_malformed_records(tmp_path, tamper):
+def test_verify_reports_malformed_records(tmp_path, tamper, problem):
+    """Each tamper is reported by the check meant for it, not only by some
+    other check that it happens to trip."""
     report, cfg = _solved_report(1)
     record = solution_record(report, cfg)
     assert record["pattern_blocks"][0]["x"] == 1
+    assert record["patterns"] is not None
     out = tmp_path / "sol.json"
     out.write_text(json.dumps(tamper(record)))
-    assert verify_solution_file(out) != []
+    problems = verify_solution_file(out)
+    assert any(problem in p for p in problems), problems
 
 
 def test_a_depth_first_record_verifies(tmp_path):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil
@@ -7,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from patternpack.model import (ApartRule, InfeasibleInstanceError, Instance,
                                InvalidInstanceError, ItemType, RegistryError,
-                               TypeRegistry, derive_to, dff_lower_bound,
-                               expand_counts, violates_rules)
+                               SolverConfig, TypeRegistry, derive_to,
+                               dff_lower_bound, expand_counts, violates_rules)
 from patternpack.oracle import OracleGuardError, exact_solve
 from patternpack.pricing import greedy_fill
 
@@ -141,6 +142,31 @@ def test_registry_rejects_duplicate_ids():
         Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1), ItemType("A", 4, 4, 0, 1)))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ItemType("C", constituents=(("A", 2), ("B", 0))),
+     InvalidInstanceError, "compound type 'C' has a non-positive constituent count"),
+    (lambda: ItemType("A", 0, 5, 0, 1),
+     InvalidInstanceError, "item type 'A': width and height must be positive"),
+    (lambda: ItemType("A", 5, 5, -1, 1),
+     InvalidInstanceError, "item type 'A': from must be >= 0"),
+    (lambda: TypeRegistry((ItemType("A", 5, 5, 0, 1),)).add(ItemType("A", 4, 4, 0, 1)),
+     InvalidInstanceError, "duplicate item type id 'A'"),
+    (lambda: TypeRegistry((ItemType("A", 5, 5, 0, 1),)).order("Z"),
+     RegistryError, "unknown item type 'Z'"),
+    (lambda: Instance(10, 0, 0, (ItemType("A", 5, 5, 0, 1),)),
+     InvalidInstanceError, "bin dimensions must be positive"),
+    (lambda: Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1), ItemType(
+        "AA", constituents=(("A", 2),)))),
+     InvalidInstanceError, "item type 'AA': instances hold original types only"),
+    (lambda: SolverConfig(node_selection="bogus"),
+     ValueError, "unknown node selection 'bogus'"),
+], ids=["constituent-count", "width", "from", "registry-add", "registry-order",
+        "bin-side", "compound-item", "node-selection"])
+def test_input_checks_name_the_field(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
+
+
 def test_apart_rule_basis_sees_through_later_compounds():
     inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4), ItemType("B", 5, 5, 0, 4)))
     reg = inst.registry()
@@ -164,3 +190,21 @@ def test_apart_rule_basis_sees_through_later_compounds():
         col = greedy_fill(("C", "A", "B"), ruled)
         assert col is not None and col.counts_dict().get("C", 0) == c_placed, rule
         assert not violates_rules(col.counts_dict(), ruled.rules, reg), rule
+
+
+def test_apart_rule_works_out_a_types_units_once():
+    """A second ``units`` call returns the tuple of the first without asking
+    the registry, and a rule whose memo is filled still equals and hashes like
+    a fresh one, so a node's rule set holds it once."""
+    inst = Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 4), ItemType("B", 5, 5, 0, 4)))
+    reg = inst.registry()
+    reg.add(ItemType("C", constituents=(("A", 1), ("B", 1)), from_count=1, to_count=1))
+    rule = ApartRule("A", "B", frozenset({"A", "B"}))
+    first = rule.units("C", reg)
+    assert first == (1, 1)
+    assert rule.units("C", TypeRegistry()) is first
+    fresh = ApartRule("A", "B", frozenset({"A", "B"}))
+    assert rule == fresh and hash(rule) == hash(fresh)
+    assert len({rule, fresh}) == 1
+    assert rule != ApartRule("A", "B", frozenset({"A", "B", "C"}))
+    assert repr(rule) == repr(fresh)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from patternpack import pricing
 from patternpack.branching import make_left_child, make_right_child
 from patternpack.master import build_rmp
-from patternpack.model import (ApartRule, Instance, ItemType, NodeProblem,
-                               SolverConfig, dense_counts, make_column, node_rng,
-                               violates_rules)
+from patternpack.model import (ApartRule, Instance, ItemType, Layout,
+                               NodeProblem, SolverConfig, TypeRegistry,
+                               make_column, node_rng, violates_rules)
 from patternpack.oracle import OracleGuardError, feasible_patterns
 from patternpack.placement import BottomLeftPacker, verify_layout
 from patternpack.pricing import (EPS_PRICE, greedy_fill, make_sequences, price,
@@ -253,9 +253,16 @@ def test_price_deterministic_for_fixed_seed():
         assert verify_layout(col.witness, col.counts_dict(), inst, inst.registry())
 
 
+def _dense(col, registry):
+    """The column's count vector over the whole registry, in its order."""
+    counts = col.counts_dict()
+    return tuple(counts.get(t.id, 0) for t in registry)
+
+
 def _price_filling_to_the_end(node, scores):
     """``price`` without the bound: every sequence is filled to its end, then
-    the same filters and order apply."""
+    the same filters apply, and the columns sort by their dense count
+    vectors."""
     seen = {col.counts for col in node.columns}
     fresh = []
     for seq in make_sequences(scores, node):
@@ -265,8 +272,49 @@ def _price_filling_to_the_end(node, scores):
             continue
         seen.add(col.counts)
         fresh.append(col)
-    fresh.sort(key=lambda c: dense_counts(c.counts_dict(), node.registry))
+    fresh.sort(key=lambda c: _dense(c, node.registry))
     return fresh
+
+
+@st.composite
+def _registries_and_counts(draw):
+    """A registry of originals and of compounds over earlier types, and
+    distinct sparse count vectors over it."""
+    registry = TypeRegistry(tuple(ItemType(f"t{k}", 1, 1, 0, 9)
+                                  for k in range(draw(st.integers(1, 4)))))
+    for k in range(draw(st.integers(0, 4))):
+        ids = [t.id for t in registry]
+        parts = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3,
+                              unique=True))
+        counts = [draw(st.integers(1, 2)) for _ in parts]
+        if sum(counts) < 2:
+            counts[0] = 2
+        registry.add(ItemType(f"c{k}", constituents=tuple(zip(parts, counts))))
+    ids = [t.id for t in registry]
+    vectors = draw(st.lists(
+        st.dictionaries(st.sampled_from(ids), st.integers(1, 3), min_size=1),
+        max_size=12, unique_by=lambda v: tuple(sorted(v.items()))))
+    return registry, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_registries_and_counts())
+def test_price_orders_fresh_columns_by_their_dense_count_vectors(drawn):
+    """``price`` sorts the fresh columns on their sparse counts, which orders
+    distinct vectors as their dense vectors over the registry do."""
+    registry, vectors = drawn
+    columns = [make_column(v, Layout(), registry) for v in vectors]
+    node = NodeProblem(id=0, parent_id=None, depth=0,
+                       multiplicities={t.id: (0, 9) for t in registry},
+                       columns=[], registry=registry, rng=node_rng(0, 0))
+    scores = {t.id: 2.0 for t in registry}  # every column prices out
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pricing, "make_sequences",
+                      lambda scores, node: list(range(len(columns))))
+        patch.setattr(pricing, "greedy_fill",
+                      lambda seq, node, scores: columns[seq])
+        got = price(node, scores)
+    assert got == sorted(columns, key=lambda c: _dense(c, registry))
 
 
 def _tree_nodes(instance):

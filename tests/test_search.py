@@ -8,16 +8,20 @@ from patternpack import search
 from patternpack.branching import (BranchingStuck, _compound, affinity,
                                    make_left_child, select_branching_pair)
 from patternpack.cli import emit_solution, parse_instance, verify_solution_file
-from patternpack.master import EPS_INT, build_rmp, count_matrix, report_objective
-from patternpack.model import (Instance, ItemType, NodeProblem, SolverConfig,
-                               dff_lower_bound)
+from patternpack.master import (EPS_INT, build_rmp, count_matrix,
+                                report_objective, solve_rmp)
+from patternpack.model import (Instance, ItemType, Layout, NodeProblem,
+                               SolverConfig, dff_lower_bound, make_column,
+                               node_rng)
 from patternpack.oracle import OracleGuardError, exact_solve
 from patternpack.placement import verify_layout
+from patternpack.pricing import greedy_fill
 from patternpack.simplex import solve_lp
 from patternpack.search import (_OpenNodes, column_generation,
                                 initial_columns, run)
 
-from helpers import build_node, oracle_sample, random_small_instance, tiny_instance
+from helpers import (build_node, oracle_sample, packer_for, random_small_instance,
+                     tiny_instance)
 
 
 def _initial_columns(inst):
@@ -119,6 +123,37 @@ def test_a_dive_from_a_left_child_covers_its_compound_in_every_residual_pool(
     totals = dict(sol.s)
     for t in inst.item_types:
         assert t.from_count <= totals[t.id] <= t.to_count
+
+
+def test_a_dive_whose_residual_coverage_fill_fails_returns_none():
+    """The compound ABC places only as B, A, C, while a fill places it in
+    its expansion order A, B, C.  The pool {D, E}, {ABC, D}, {ABC, E} gives
+    x = 1/2 on every column; the dive fixes {D, E}, which leaves ABC's from
+    unmet with no pooled column that fits, and the residual node's coverage
+    fill of ABC fails."""
+    inst = Instance(10, 10, 0, (
+        ItemType("A", 4, 5, 1, 1), ItemType("B", 4, 6, 1, 1),
+        ItemType("C", 7, 3, 1, 1), ItemType("D", 2, 2, 1, 1),
+        ItemType("E", 2, 2, 1, 1)))
+    reg = inst.registry()
+    reg.add(ItemType("ABC", constituents=(("A", 1), ("B", 1), ("C", 1))))
+    unit = [("B", 0, 0), ("A", 4, 0), ("C", 0, 6)]
+    pool = [({"D": 1, "E": 1}, [("D", 0, 0), ("E", 2, 0)]),
+            ({"ABC": 1, "D": 1}, unit + [("D", 8, 0)]),
+            ({"ABC": 1, "E": 1}, unit + [("E", 8, 0)])]
+    columns = [make_column(counts, Layout(tuple(placed)), reg)
+               for counts, placed in pool]
+    for col in columns:
+        assert verify_layout(col.witness, col.counts_dict(), inst, reg)
+    start = NodeProblem(id=0, parent_id=None, depth=0,
+                        multiplicities={"ABC": (1, 1), "D": (1, 1), "E": (1, 1)},
+                        columns=columns, registry=reg, rng=node_rng(0, 0),
+                        packer=packer_for(inst))
+    assert greedy_fill(("ABC",), start) is None
+    outcome = solve_rmp(start)
+    assert outcome.x == pytest.approx([0.5, 0.5, 0.5])
+    assert int(np.argmax(outcome.x)) == 0  # the column the dive fixes
+    assert search.dive(start, outcome, inst, 0, inf, search.SearchStats()) is None
 
 
 def test_branching_reads_the_counts_of_the_solved_master():
