@@ -70,6 +70,8 @@ class ItemType:
         if self.from_count > self.to_count:
             raise InvalidInstanceError(
                 f"item type {self.id!r}: from ({self.from_count}) exceeds to ({self.to_count})")
+        if self.to_count > 2 ** 53:  # the master's float rows hold counts exactly
+            raise InvalidInstanceError(f"item type {self.id!r}: to must be <= 2**53")
 
 
 def derive_to(from_count: int, rate: float) -> int:

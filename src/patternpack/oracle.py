@@ -6,12 +6,12 @@ count vector is decided by trying every distinct permutation of its
 rectangle multiset through the bottom-left placer, so the oracle is complete
 relative to bottom-left-representable packings.  Bin minimization is a
 shortest-path search over production totals; pattern minimization enumerates
-small pattern subsets, and is proved only up to subsets of size 6.  Hard size
-guards keep every call cheap and refuse anything larger.
+pattern subsets in increasing size until one covers the minimal bins.  Every
+answer is proven minimal, or refused by a hard size guard that keeps every
+call cheap.
 """
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .model import Instance, Layout
@@ -73,28 +73,18 @@ def feasible_patterns(instance: Instance) -> dict[tuple[int, ...], Layout]:
 
 
 def _min_bins(patterns: dict[tuple[int, ...], Layout],
-              los: tuple[int, ...], his: tuple[int, ...]
-              ) -> tuple[int, list[tuple[int, ...]]]:
+              los: tuple[int, ...], his: tuple[int, ...]) -> int:
     """Fewest bins whose pattern totals land inside every production range,
-    via breadth-first search over reachable totals.  Returns (bins, one
-    witnessing pattern list).  Every unit vector of a valid instance is a
-    pattern, so some total is always reached; an emptied frontier raises."""
+    via breadth-first search over reachable totals.  Every unit vector of a
+    valid instance is a pattern, so some total is always reached; an emptied
+    frontier raises."""
     start = tuple([0] * len(los))
 
     def in_range(s: tuple[int, ...]) -> bool:
         return all(lo <= v <= hi for v, lo, hi in zip(s, los, his))
 
-    def path(state: tuple[int, ...],
-             prev: dict) -> list[tuple[int, ...]]:
-        used = []
-        while state != start:
-            state, a = prev[state]
-            used.append(a)
-        return used
-
     if in_range(start):
-        return 0, []
-    prev: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        return 0
     seen = {start}
     frontier = [start]
     bins = 0
@@ -110,9 +100,8 @@ def _min_bins(patterns: dict[tuple[int, ...], Layout],
                 if ns in seen:
                     continue
                 seen.add(ns)
-                prev[ns] = (s, a)
                 if in_range(ns):
-                    return bins, path(ns, prev)
+                    return bins
                 nxt.append(ns)
         frontier = nxt
     raise RuntimeError("no pattern total reaches the production ranges")
@@ -122,11 +111,12 @@ def exact_solve(instance: Instance) -> OracleResult:
     """Exact minimum bins of a tiny instance, then the fewest distinct patterns
     among bin-minimal solutions.
 
-    The pattern count is proved minimal up to subsets of size 6; past that
-    the breadth-first witness is reported.  The vector-count, rectangle-count
-    and pattern-subset guards raise ``OracleGuardError`` for anything that
-    would make the enumeration expensive; candidates that already fail the
-    bin-area bound are discarded without a placement test.
+    Every answer is proven minimal, or refused by a guard: a bin-minimal
+    solution has at most ``bins`` distinct patterns, so the subset search, in
+    increasing size, ends on a cover.  The vector-count, rectangle-count and
+    per-size pattern-subset guards raise ``OracleGuardError`` for anything
+    that would make the enumeration expensive; candidates that already fail
+    the bin-area bound are discarded without a placement test.
     """
     ids = tuple(t.id for t in instance.item_types)
 
@@ -138,14 +128,12 @@ def exact_solve(instance: Instance) -> OracleResult:
     los = tuple(t.from_count for t in instance.item_types)
     his = tuple(t.to_count for t in instance.item_types)
     patterns = feasible_patterns(instance)
-    bins, witness_path = _min_bins(patterns, los, his)
+    bins = _min_bins(patterns, los, his)
     if bins == 0:
         return OracleResult(0, 0, ())
     pats = sorted(patterns)
     needed = [t for t in range(len(ids)) if los[t] > 0]
-    fallback = Counter(witness_path)
-    limit = min(bins, len(pats), 6, len(fallback))
-    for p in range(1, limit + 1):
+    for p in range(1, min(bins, len(pats)) + 1):
         combos = itertools.combinations(pats, p)
         budget = _MAX_PATTERN_SUBSETS
         for combo in combos:
@@ -157,7 +145,7 @@ def exact_solve(instance: Instance) -> OracleResult:
             assignment = _cover_with(combo, bins, los, his)
             if assignment is not None:
                 return OracleResult(bins, p, named(zip(combo, assignment)))
-    return OracleResult(bins, len(fallback), named(sorted(fallback.items())))
+    raise RuntimeError("no pattern subset covers the minimal bins")
 
 
 def _cover_with(combo: tuple[tuple[int, ...], ...], bins: int,

@@ -251,6 +251,12 @@ def _embedded_instance_unparsable(record):
     return {**record, "instance": {**record["instance"], "spacing": -1}}
 
 
+def _embedded_count_past_2_53(record):
+    items = record["instance"]["items"]
+    items = [{**items[0], "to": 2**53 + 1}, *items[1:]]
+    return {**record, "instance": {**record["instance"], "items": items}}
+
+
 def _instance_changed_digest_kept(record):
     items = record["instance"]["items"]
     items = [{**items[0], "to": items[0]["to"] + 1}, *items[1:]]
@@ -284,6 +290,8 @@ _STATUS = "status: must be one of complete, time_limit, stopped"
           "pattern_blocks: present although the record has no incumbent"),
     _case(_embedded_instance_unparsable,
           "embedded instance invalid: instance: spacing must be >= 0"),
+    _case(_embedded_count_past_2_53, "embedded instance invalid: "
+          "instance.items[0]: item type 't1': to must be <= 2**53"),
     _case(_instance_changed_digest_kept, "instance digest mismatch"),
     _set("pattern_blocks", "junk", "pattern_blocks: must be a list"),
     _set("objective", -5, _OBJECTIVE),
@@ -420,6 +428,19 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     for bad in (["--c1", "0"], ["--c2", "-1"], ["--overproduction", "-1"]):
         assert main(["solve", "r1", "--quiet", *bad]) == 4, bad
         assert "error:" in capsys.readouterr().err
+    # counts past 2**53 would lose units in the master's float rows
+    assert main(["solve", "r1", "--quiet", "--overproduction", "1e307"]) == 4
+    assert capsys.readouterr().err == (
+        "error: r1.items[0]: item type 't1': to must be <= 2**53\n")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({
+        "bin": {"width": 10, "height": 10}, "spacing": 0,
+        "items": [{"id": "A", "width": 5, "height": 5, "from": 10**310}],
+    }))
+    for cmd in (["solve", str(huge), "--quiet"], ["oracle", str(huge)]):
+        assert main(cmd) == 4, cmd
+        assert capsys.readouterr().err == (
+            f"error: {huge}.items[0]: item type 'A': to must be <= 2**53\n"), cmd
     for bad in (["--c1", "nan"], ["--c2", "inf"], ["--time-limit", "nan"],
                 ["--time-limit", "-1"], ["--overproduction", "-1"],
                 ["--overproduction", "nan"], ["--overproduction", "inf"]):

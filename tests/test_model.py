@@ -6,6 +6,7 @@ from math import ceil
 import pytest
 from hypothesis import given, strategies as st
 
+from patternpack.cli import parse_instance
 from patternpack.model import (ApartRule, InfeasibleInstanceError, Instance,
                                InvalidInstanceError, ItemType, RegistryError,
                                SolverConfig, TypeRegistry, derive_to,
@@ -54,6 +55,13 @@ def test_the_dff_bound_never_exceeds_the_oracles_bins():
         admitted += 1
         equal += bound == exact.bins
     assert (admitted, equal) == (191, 186)
+
+
+def test_the_dff_bound_of_the_bundled_instances():
+    """The exact bounds, not only their ceilings that the records pin."""
+    assert [dff_lower_bound(parse_instance(f"r{k}")) for k in range(1, 6)] == [
+        Fraction(2839, 155), Fraction(105, 2), Fraction(1931, 18),
+        Fraction(1941119, 40145), Fraction(1721, 15)]
 
 
 def test_the_dff_bound_counts_the_grown_rectangles():
@@ -127,6 +135,10 @@ def test_from_above_to_rejected():
         ItemType("A", 5, 5, 3, 2)
 
 
+def test_to_up_to_2_53_accepted():
+    assert ItemType("A", 5, 5, 2**53, 2**53).to_count == 2**53
+
+
 def test_negative_spacing_rejected():
     with pytest.raises(InvalidInstanceError):
         Instance(10, 10, -1, (ItemType("A", 5, 5, 0, 1),))
@@ -149,6 +161,8 @@ def test_registry_rejects_duplicate_ids():
      InvalidInstanceError, "item type 'A': width and height must be positive"),
     (lambda: ItemType("A", 5, 5, -1, 1),
      InvalidInstanceError, "item type 'A': from must be >= 0"),
+    (lambda: ItemType("A", 5, 5, 0, 2**53 + 1),
+     InvalidInstanceError, "item type 'A': to must be <= 2**53"),
     (lambda: TypeRegistry((ItemType("A", 5, 5, 0, 1),)).add(ItemType("A", 4, 4, 0, 1)),
      InvalidInstanceError, "duplicate item type id 'A'"),
     (lambda: TypeRegistry((ItemType("A", 5, 5, 0, 1),)).order("Z"),
@@ -160,7 +174,7 @@ def test_registry_rejects_duplicate_ids():
      InvalidInstanceError, "item type 'AA': instances hold original types only"),
     (lambda: SolverConfig(node_selection="bogus"),
      ValueError, "unknown node selection 'bogus'"),
-], ids=["constituent-count", "width", "from", "registry-add", "registry-order",
+], ids=["constituent-count", "width", "from", "to", "registry-add", "registry-order",
         "bin-side", "compound-item", "node-selection"])
 def test_input_checks_name_the_field(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from patternpack import oracle
 from patternpack.model import Instance, ItemType
 from patternpack.oracle import OracleGuardError, exact_solve, feasible_patterns
 from patternpack.placement import verify_layout
@@ -28,6 +29,51 @@ def test_rectangle_guard_refuses():
     with pytest.raises(OracleGuardError, match=r"^candidate with 9 rectangles "
                                                r"exceeds the guard of 8$"):
         exact_solve(inst)
+
+
+def _seven_singletons():
+    """Seven types, one item each, no two of which share a 10x10 bin."""
+    return Instance(10, 10, 0, tuple(
+        ItemType(f"t{i}", 6 + i % 3, 6, 1, 1) for i in range(7)))
+
+
+def test_pattern_subset_guard_bounds_each_size(monkeypatch):
+    """The guard counts the subsets of one size: the seven singleton patterns
+    give C(7, 3) = C(7, 4) = 35 subsets at most, so 34 refuses and 35 answers."""
+    inst = _seven_singletons()
+    monkeypatch.setattr(oracle, "_MAX_PATTERN_SUBSETS", 34)
+    with pytest.raises(OracleGuardError,
+                       match=r"^pattern-subset enumeration guard exceeded$"):
+        exact_solve(inst)
+    monkeypatch.setattr(oracle, "_MAX_PATTERN_SUBSETS", 35)
+    result = exact_solve(inst)
+    assert (result.bins, result.patterns) == (7, 7)
+
+
+def _five_full_bins_and_a_pair():
+    """Five types that each fill a 10x8 bin, then a 10x4 (from 1 to 2), c 7x4
+    (2) and d 6x5 (1), eight bins.  The breadth-first witness adds {a, c},
+    {c} and {d} to the five full bins, eight patterns; {a, c} twice and {d}
+    once make seven."""
+    full = tuple(ItemType(f"b{i}", 10, 8, 1, 1) for i in range(5))
+    return Instance(10, 8, 0, full + (ItemType("a", 10, 4, 1, 2),
+                                      ItemType("c", 7, 4, 2, 2),
+                                      ItemType("d", 6, 5, 1, 1)))
+
+
+@pytest.mark.parametrize("inst, bins", [(_seven_singletons(), 7),
+                                        (_five_full_bins_and_a_pair(), 8)],
+                         ids=["seven-singletons", "five-full-bins-and-a-pair"])
+def test_pattern_count_is_proven_past_six_patterns(inst, bins):
+    result = exact_solve(inst)
+    assert (result.bins, result.patterns) == (bins, 7)
+    assert sum(x for _, x in result.assignment) == bins
+    totals = {}
+    for counts, x in result.assignment:
+        for tid, n in counts:
+            totals[tid] = totals.get(tid, 0) + n * x
+    for t in inst.item_types:
+        assert t.from_count <= totals.get(t.id, 0) <= t.to_count
 
 
 def test_exact_solve_perfect_tiling():
