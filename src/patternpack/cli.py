@@ -120,7 +120,7 @@ def parse_instance(path: str | Path,
         raise InstanceFormatError(f"{path}: unreadable ({exc})") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, or a number too long to read
         raise InstanceFormatError(f"{path}: invalid JSON ({exc})") from None
     return parse_instance_data(data, overproduction_rate, where=str(path))
 
@@ -212,7 +212,7 @@ def verify_solution_file(path: str | Path) -> list[str]:
     problems: list[str] = []
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad text, syntax or number
         return [f"unreadable solution file: {exc}"]
     if not isinstance(record, dict):
         return ["solution record: must be a JSON object"]
@@ -293,9 +293,9 @@ def verify_solution_file(path: str | Path) -> list[str]:
     return problems
 
 
-def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
-    """One SVG drawing per pattern: bin outline plus labeled item rectangles,
-    1 mm = 1 unit."""
+def render_pattern(layout: Layout, instance: Instance, path: str | Path) -> None:
+    """One SVG drawing of a pattern's layout: bin outline plus labeled item
+    rectangles, 1 mm = 1 unit."""
     # imported here: xml.sax.saxutils pulls in urllib.request, http and ssl,
     # ~50 ms that every other command would pay at start-up
     from xml.sax.saxutils import escape
@@ -308,7 +308,7 @@ def render_pattern(block: dict, instance: Instance, path: str | Path) -> None:
         f'<rect x="0" y="0" width="{W}" height="{H}" fill="white" '
         f'stroke="black" stroke-width="1"/>',
     ]
-    for oid, x, y in block.get("placements", []):
+    for oid, x, y in layout.placements:
         w, h = dims[oid]
         ys = H - y - h  # SVG y axis points down
         font = max(4, min(w, h) // 3)
@@ -361,9 +361,8 @@ def _cmd_solve(args) -> int:
         if args.render and sol is not None:
             out_dir = Path(args.render)
             out_dir.mkdir(parents=True, exist_ok=True)
-            record = solution_record(report, cfg)
-            for k, block in enumerate(record["pattern_blocks"]):
-                render_pattern(block, instance, out_dir / f"pattern_{k:03d}.svg")
+            for k, (col, _) in enumerate(sol.assignments):
+                render_pattern(col.witness, instance, out_dir / f"pattern_{k:03d}.svg")
     except OSError as exc:  # an unwritable --out or --render path
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT

@@ -251,6 +251,10 @@ class Instance:
             raise InvalidInstanceError("bin dimensions must be positive")
         if self.spacing < 0:
             raise InvalidInstanceError("spacing must be >= 0")
+        # pricing's free area and the grown areas of its units stay exact floats
+        if (self.bin_width + self.spacing) * (self.bin_height + self.spacing) > 2 ** 53:
+            raise InvalidInstanceError(
+                "bin: (width + spacing) * (height + spacing) must be <= 2**53")
         seen: set[str] = set()
         for t in self.item_types:
             if t.is_compound:

@@ -4,10 +4,11 @@ Candidate-point scheme: the origin plus, for every placed rectangle, the two
 offset corners (x + w + d, y) and (x, y + h + d).  Each rectangle goes to the
 feasible candidate with minimal y, ties broken by minimal x.  No clearance is
 required towards the bin edges.  Candidates are derived from the placed
-rectangles, not stored, and each is handled as the one int y * (W + 1) + x,
-W the bin width, so that heaps and sets compare and hash ints.  A candidate
-is tested against the placed rectangles oldest first, skipping those that
-lie wholly below it.  Pricing drives a packer one rectangle at a time;
+rectangles, not stored.  A packer packs every point (x, y) as the one int
+y * (W + 1) + x and every size w x h as h * (W + 1) + w, W the bin width,
+so that its heaps, sets and memo compare and hash ints.  A candidate is
+tested against the placed rectangles oldest first, skipping those that lie
+wholly below it.  Pricing drives a packer one rectangle at a time;
 ``place_ids`` lays out one type-id sequence, and ``first_layout`` searches
 the distinct orderings of a multiset of them, each on the packer it is
 given.  The verifier sweeps over x, so it compares only pairs that are not
@@ -58,10 +59,11 @@ class BottomLeftPacker:
     Between rollbacks rectangles are only added, so a candidate blocked for
     a w x h rectangle stays blocked, but new corners can make a refused size
     fit: only within one state does a larger size inherit a smaller size's
-    refusal.  The heap for (w, h) holds in-bin candidates packed as
-    y * (W + 1) + x.  Every pushed corner and every anchor has 0 <= x <= W,
-    so the packed ints order as the (y, x) pairs do and the heap top is the
-    (y, x)-minimal candidate; ``divmod`` unpacks it.
+    refusal.  Points and sizes are packed as y * (W + 1) + x and
+    h * (W + 1) + w; the packing is one to one because 0 <= x, w <= W and
+    0 <= y, h <= H, which ``place`` enforces before the memo.  So packed
+    candidates order as their (y, x) pairs do, and the top of a size's heap
+    is its (y, x)-minimal candidate.
 
     A candidate is tested against rectangles ``bisect_right(_tops, y)`` to
     n-1, oldest first.  ``_tops[i]`` is the highest clearance-box top among
@@ -83,16 +85,14 @@ class BottomLeftPacker:
     Verdicts and placements stay those of the full test; only fewer
     candidates pass through the heaps.
 
-    The memo's keys and answers are packed into one int each:
-    ((state * (W + 1) + w) * (H + 1) + h) for the key and
-    ((next state * (W + 1) + x) * (H + 1) + y) for the answer.  The packing
-    is one to one because 0 <= w, x <= W and 0 <= h, y <= H.  Entries live in
-    two generations of at most ``MEMO_ENTRIES`` (16384) each; a 50-node r5
-    search then misses 1% more often than with no limit.  When the new
-    generation is full it becomes the old one and the previous old one is
-    dropped; a hit in the old generation moves to the new one.
+    The memo maps state * S + packed size to next state * S + packed point,
+    S = (W + 1) * (H + 1).  Entries live in two generations of at most
+    ``MEMO_ENTRIES`` (16384) each; a 50-node r5 search then misses 1% more
+    often than with no limit.  When the new generation is full it becomes
+    the old one and the previous old one is dropped; a hit in the old
+    generation moves to the new one.
 
-    ``place`` raises ``ValueError`` for a side below 1: both packings hold
+    ``place`` raises ``ValueError`` for a side below 1: the packing holds
     only for sizes from 1 to the bin's sides, and a 0 x 0 box at clearance 0
     would not cover its anchor.  It refuses a size larger than the bin, then
     probes the memo's new generation and its old one only on a miss there.
@@ -112,22 +112,20 @@ class BottomLeftPacker:
         self._new: dict[int, int | None] = {}
         self._old: dict[int, int | None] = {}
         self._ids = count(1)
-        # strides of the memo's packed keys and answers
-        self._column = bin_height + 1
-        self._stride = (bin_width + 1) * self._column
+        # a point (x, y) packs as y * row + x, a size w x h as h * row + w
+        self._row = bin_width + 1
+        self._stride = self._row * (bin_height + 1)
         # _bases[k]: the state id after the first k rectangles times the
-        # stride, so that a size's key is _bases[-1] + w * column + h
+        # stride, so that a size's key is _bases[-1] + h * row + w
         self._bases = [0]
         # per placed rectangle (x, y, x + w + d, y + h + d): its clearance box
         self._boxes: list[tuple[int, int, int, int]] = []
         # _tops[i]: the highest clearance-box top among boxes 0..i
         self._tops: list[int] = []
-        # stride of the packed candidates and anchors: (x, y) -> y * row + x
-        self._row = bin_width + 1
         # the packed (x, y) of every placed rectangle
         self._anchors: set[int] = set()
-        # (w, h) -> [candidate heap, number of rectangles whose corners it holds]
-        self._heaps: dict[tuple[int, int], list] = {}
+        # packed size -> [candidate heap, number of rectangles whose corners it holds]
+        self._heaps: dict[int, list] = {}
 
     def mark(self) -> int:
         """The number of placed rectangles."""
@@ -158,39 +156,38 @@ class BottomLeftPacker:
             raise ValueError(f"rectangle {w} x {h} has a side below 1")
         if w > self.bin_width or h > self.bin_height:
             return None
-        column, stride, new = self._column, self._stride, self._new
-        key = self._bases[-1] + w * column + h
+        row, stride, new = self._row, self._stride, self._new
+        key = self._bases[-1] + h * row + w
         hit = new.get(key, _MISS)
         if hit is _MISS:
             hit = self._old.pop(key, _MISS)
             if hit is _MISS:
                 spot = self._search(w, h)
-                hit = None if spot is None else \
-                    next(self._ids) * stride + spot[0] * column + spot[1]
+                hit = None if spot is None else next(self._ids) * stride + spot
             new[key] = hit
             if len(new) >= MEMO_ENTRIES:
                 self._old, self._new = new, {}
         if hit is None:
             return None
         xy = hit % stride
-        x, y = divmod(xy, column)
+        y, x = divmod(xy, row)
         d, tops = self.spacing, self._tops
         top = y + h + d
         tops.append(top if not tops or top > tops[-1] else tops[-1])
-        self._anchors.add(y * self._row + x)
+        self._anchors.add(xy)
         self._boxes.append((x, y, x + w + d, top))
         self._bases.append(hit - xy)
         return x, y
 
-    def _search(self, w: int, h: int) -> tuple[int, int] | None:
-        """The (y, x)-minimal feasible candidate for a w x h rectangle, as
-        (x, y), or None; pops it, and every blocked top on the way."""
+    def _search(self, w: int, h: int) -> int | None:
+        """The packed (y, x)-minimal feasible candidate for a w x h rectangle,
+        or None; pops it, and every blocked top on the way."""
         d, boxes, tops, row = self.spacing, self._boxes, self._tops, self._row
         n = len(boxes)
         xmax, ymax = self.bin_width - w, self.bin_height - h
-        entry = self._heaps.get((w, h))
+        entry = self._heaps.get(h * row + w)
         if entry is None:
-            entry = self._heaps[w, h] = [[0], 0]
+            entry = self._heaps[h * row + w] = [[0], 0]
         heap, seen = entry
         anchors = self._anchors
         for x, y, right, top in boxes[seen:n]:
@@ -213,7 +210,7 @@ class BottomLeftPacker:
                 if rr > x and xr > rx and rt > y and yt > ry:
                     break
             else:
-                return x, y
+                return spot
         return None
 
     def placements(self) -> list[Rect]:

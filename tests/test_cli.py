@@ -16,7 +16,7 @@ from patternpack.cli import (InstanceFormatError, build_parser,
                              parse_instance_data, render_pattern,
                              solution_record, verify_solution_file)
 from patternpack.model import (InfeasibleInstanceError, Instance, ItemType,
-                               SolverConfig, dff_lower_bound)
+                               Layout, SolverConfig, dff_lower_bound)
 from patternpack.search import run
 
 from helpers import tiny_instance
@@ -139,6 +139,18 @@ def test_verify_reports_a_non_utf8_file(tmp_path):
     assert problems[0].startswith("unreadable solution file: ")
 
 
+def test_verify_reports_a_number_too_long_to_read(tmp_path, capsys):
+    report, cfg = _solved_report(1)
+    out = tmp_path / "sol.json"
+    emit_solution(report, cfg, out)
+    text = out.read_text()
+    assert '"seed": 0,' in text
+    out.write_text(text.replace('"seed": 0,', f'"seed": 1{"0" * 4999},'))
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL: unreadable solution file: Exceeds the limit (4300 digits)")
+
+
 def test_verify_flags_broken_layout(tmp_path):
     report, cfg = _solved_report(6)
     record = solution_record(report, cfg)
@@ -257,6 +269,11 @@ def _embedded_count_past_2_53(record):
     return {**record, "instance": {**record["instance"], "items": items}}
 
 
+def _embedded_bin_past_2_53(record):
+    return {**record, "instance": {**record["instance"],
+                                   "bin": {"width": 2**53, "height": 2}}}
+
+
 def _instance_changed_digest_kept(record):
     items = record["instance"]["items"]
     items = [{**items[0], "to": items[0]["to"] + 1}, *items[1:]]
@@ -292,6 +309,8 @@ _STATUS = "status: must be one of complete, time_limit, stopped"
           "embedded instance invalid: instance: spacing must be >= 0"),
     _case(_embedded_count_past_2_53, "embedded instance invalid: "
           "instance.items[0]: item type 't1': to must be <= 2**53"),
+    _case(_embedded_bin_past_2_53, "embedded instance invalid: instance: bin: "
+          "(width + spacing) * (height + spacing) must be <= 2**53"),
     _case(_instance_changed_digest_kept, "instance digest mismatch"),
     _set("pattern_blocks", "junk", "pattern_blocks: must be a list"),
     _set("objective", -5, _OBJECTIVE),
@@ -372,17 +391,20 @@ def test_render_pattern_svg(tmp_path):
     report, cfg = _solved_report(1)
     record = solution_record(report, cfg)
     out = tmp_path / "p.svg"
-    render_pattern(record["pattern_blocks"][0], report.instance, out)
+    witness = report.solution.assignments[0][0].witness
+    assert [list(p) for p in witness.placements] == \
+        record["pattern_blocks"][0]["placements"]
+    render_pattern(witness, report.instance, out)
     text = out.read_text()
     assert text.startswith("<svg")
-    assert text.count("<rect") == 1 + len(record["pattern_blocks"][0]["placements"])
+    assert text.count("<rect") == 1 + len(witness.placements)
     ET.fromstring(text)
 
     # an id that parse_instance_data accepts but that is not XML text as is
     odd = parse_instance_data({
         "bin": {"width": 10, "height": 10}, "spacing": 0,
         "items": [{"id": "a<b&c", "width": 5, "height": 5, "from": 1}]})
-    render_pattern({"placements": [["a<b&c", 0, 0]]}, odd, out)
+    render_pattern(Layout((("a<b&c", 0, 0),)), odd, out)
     labels = [e.text for e in ET.fromstring(out.read_text())
               if e.tag.endswith("text")]
     assert labels == ["a<b&c"]
@@ -441,6 +463,26 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
         assert main(cmd) == 4, cmd
         assert capsys.readouterr().err == (
             f"error: {huge}.items[0]: item type 'A': to must be <= 2**53\n"), cmd
+    # pricing's free area of a bin past 2**53 would not be an exact float
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "bin": {"width": 10**310, "height": 10}, "spacing": 0,
+        "items": [{"id": "A", "width": 5, "height": 5, "from": 1}],
+    }))
+    for cmd in (["solve", str(wide), "--quiet"], ["oracle", str(wide)]):
+        assert main(cmd) == 4, cmd
+        assert capsys.readouterr().err == (
+            f"error: {wide}: bin: (width + spacing) * (height + spacing) "
+            "must be <= 2**53\n"), cmd
+    # Python's JSON reader refuses an integer of more than 4300 digits
+    long = tmp_path / "long.json"
+    long.write_text('{"bin": {"width": 10, "height": 10}, "spacing": 0, '
+                    '"items": [{"id": "A", "width": 5, "height": 5, '
+                    f'"from": 1{"0" * 4999}}}]}}')
+    for cmd in (["solve", str(long), "--quiet"], ["oracle", str(long)]):
+        assert main(cmd) == 4, cmd
+        assert capsys.readouterr().err.startswith(
+            f"error: {long}: invalid JSON (Exceeds the limit"), cmd
     for bad in (["--c1", "nan"], ["--c2", "inf"], ["--time-limit", "nan"],
                 ["--time-limit", "-1"], ["--overproduction", "-1"],
                 ["--overproduction", "nan"], ["--overproduction", "inf"]):

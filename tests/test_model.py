@@ -139,6 +139,12 @@ def test_to_up_to_2_53_accepted():
     assert ItemType("A", 5, 5, 2**53, 2**53).to_count == 2**53
 
 
+def test_bin_grown_area_up_to_2_53_accepted():
+    one = (ItemType("A", 1, 1, 0, 1),)
+    assert Instance(2**53, 1, 0, one).bin_width == 2**53
+    assert Instance(2**26 - 1, 2**27 - 1, 1, one).spacing == 1
+
+
 def test_negative_spacing_rejected():
     with pytest.raises(InvalidInstanceError):
         Instance(10, 10, -1, (ItemType("A", 5, 5, 0, 1),))
@@ -169,13 +175,16 @@ def test_registry_rejects_duplicate_ids():
      RegistryError, "unknown item type 'Z'"),
     (lambda: Instance(10, 0, 0, (ItemType("A", 5, 5, 0, 1),)),
      InvalidInstanceError, "bin dimensions must be positive"),
+    (lambda: Instance(2**53 + 1, 1, 0, (ItemType("A", 1, 1, 0, 1),)),
+     InvalidInstanceError,
+     "bin: (width + spacing) * (height + spacing) must be <= 2**53"),
     (lambda: Instance(10, 10, 0, (ItemType("A", 5, 5, 0, 1), ItemType(
         "AA", constituents=(("A", 2),)))),
      InvalidInstanceError, "item type 'AA': instances hold original types only"),
     (lambda: SolverConfig(node_selection="bogus"),
      ValueError, "unknown node selection 'bogus'"),
 ], ids=["constituent-count", "width", "from", "to", "registry-add", "registry-order",
-        "bin-side", "compound-item", "node-selection"])
+        "bin-side", "bin-area", "compound-item", "node-selection"])
 def test_input_checks_name_the_field(build, error, message):
     with pytest.raises(error, match=re.escape(message)):
         build()
